@@ -16,6 +16,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import harness
 
 log = logging.getLogger("mgdm")
@@ -104,12 +106,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"compare: passed={report['passed']} max|z|={peak:.3f}")
             return 0 if report["passed"] else 3
         raise AssertionError("unreachable")
+    except (RuntimeError, np.linalg.LinAlgError) as err:  # LinAlgError first: it subclasses ValueError
+        print(f"mgdm: runtime failure: {err}", file=sys.stderr)
+        return 2
     except (ValueError, TypeError, KeyError, FileNotFoundError) as err:
         print(f"mgdm: config error: {err}", file=sys.stderr)
         return 1
-    except RuntimeError as err:
-        print(f"mgdm: runtime failure: {err}", file=sys.stderr)
-        return 2
 
 
 def _flatten(nested) -> list:

@@ -5,7 +5,8 @@ potential at noise level s plugs the denoiser into it:
 
     log ghat_s(x_s) = log g(y | m_s(x_s)),
 
-with analytic gradient Jac(m_s)^T grad log g evaluated at m_s(x_s).
+with analytic gradient Jac(m_s)^T grad log g evaluated at m_s(x_s), taken
+as the denoiser's vector-Jacobian product (no Jacobian is formed).
 For a Gaussian prior and linear observation the smoothed potential
 g_t = E[g(y | X_0) | x_t] is also available in closed form.
 """
@@ -180,16 +181,14 @@ def likelihood_from_json(obj: dict):
 def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray) -> PotentialEval:
     """Evaluate log ghat_s(x_s) = log g0(m_s(x_s)) and its gradient.
 
-    The gradient is Jac(m_s)^T grad log g0 at m_s(x_s); both factors are
-    analytic through the prior's denoiser.  Rejects s = 0 (use log_g0).
+    The gradient is Jac(m_s)^T grad log g0 at m_s(x_s), the denoiser's
+    vector-Jacobian product applied to grad log g0.  Rejects s = 0 (use
+    log_g0).
     """
     if s == 0:
         raise ValueError("ghat_s needs s >= 1; evaluate log_g0 directly at s = 0")
     den = prior.denoise(schedule, s, x_s)
-    log_value = likelihood.log_g0(den.value)
-    grad_g0 = likelihood.grad_log_g0(den.value)
-    gradient = np.einsum("...ab,...a->...b", den.jacobian, grad_g0)
-    return PotentialEval(log_value=log_value, gradient=gradient)
+    return PotentialEval(log_value=likelihood.log_g0(den.value), gradient=den.vjp(likelihood.grad_log_g0(den.value)))
 
 
 def exact_log_g_t(likelihood, prior, schedule: NoiseSchedule, t: int, x_t: np.ndarray):
@@ -202,17 +201,10 @@ def exact_log_g_t(likelihood, prior, schedule: NoiseSchedule, t: int, x_t: np.nd
         raise TypeError("exact_log_g_t requires a linear-Gaussian likelihood")
     if not isinstance(prior, GaussianPrior):
         raise TypeError("exact_log_g_t requires a Gaussian prior")
-    den = prior.denoise(schedule, t, x_t)
     cov_0t = prior.posterior_x0_cov(schedule, t)
     obs_cov = likelihood.sigma_y**2 * np.eye(likelihood.dim_obs) + likelihood.A @ cov_0t @ likelihood.A.T
-    chol = np.linalg.cholesky(obs_cov)
-    resid = likelihood.y - den.value @ likelihood.A.T
-    d_obs = likelihood.dim_obs
-    flat = resid.reshape(-1, d_obs)
-    z = np.linalg.solve(chol, flat.T).T.reshape(resid.shape)
-    out = -0.5 * (
-        np.sum(z**2, axis=-1) + d_obs * _LOG_2PI + 2.0 * np.sum(np.log(np.diagonal(chol)))
-    )
+    resid = likelihood.y - prior.denoise(schedule, t, x_t).value @ likelihood.A.T
+    out = GaussianPrior(np.zeros(likelihood.dim_obs), obs_cov).log_density(resid)
     return float(out) if np.ndim(out) == 0 else out
 
 

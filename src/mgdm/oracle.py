@@ -27,7 +27,7 @@ import numpy as np
 from .likelihoods import LinearGaussianLikelihood, log_g_hat
 from .moments import GaussianMoments
 from .priors import GaussianPrior, spd_inverse
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, gauss_log_density
 from .vi import conditional_coefficients
 
 __all__ = [
@@ -361,7 +361,7 @@ class QuadratureJoint:
         xs = gs.points[None, :]
         xt = gt.points[None, :]
 
-        from .schedule import gauss_log_density
+        from scipy.special import logsumexp
 
         log_prior = prior.log_density(g0.points[:, None, None])[:, 0]
         ratio_s = schedule.alpha_ratio(0, s)
@@ -378,9 +378,9 @@ class QuadratureJoint:
         logws = np.log(gs.weights)
         logwt = np.log(gt.weights)
         # column/row contractions: a_j = int F1 dx0, b_j = int F2 dxt
-        self._log_a = _logsumexp_axis(self._log_f1 + logw0[:, None], axis=0)
-        self._log_b = _logsumexp_axis(self._log_f2 + logwt[None, :], axis=1)
-        self.log_z = float(_logsumexp_axis(logws + self._log_a + self._log_b, axis=0))
+        self._log_a = logsumexp(self._log_f1 + logw0[:, None], axis=0)
+        self._log_b = logsumexp(self._log_f2 + logwt[None, :], axis=1)
+        self.log_z = float(logsumexp(logws + self._log_a + self._log_b, axis=0))
 
     def log_joint(self, x0_idx, xs_idx, xt_idx) -> np.ndarray:
         """Normalized log density at grid index triples."""
@@ -388,8 +388,10 @@ class QuadratureJoint:
 
     def marginal(self, axis: str):
         """(points, density) of a 1-D marginal, normalized on the grid."""
+        from scipy.special import logsumexp
+
         if axis == "x0":
-            logs = _logsumexp_axis(
+            logs = logsumexp(
                 self._log_f1 + (np.log(self.grids["xs"].weights) + self._log_b)[None, :], axis=1
             )
             return self.grids["x0"].points, np.exp(logs - self.log_z)
@@ -397,7 +399,7 @@ class QuadratureJoint:
             logs = self._log_a + self._log_b
             return self.grids["xs"].points, np.exp(logs - self.log_z)
         if axis == "xt":
-            logs = _logsumexp_axis(
+            logs = logsumexp(
                 self._log_f2 + (np.log(self.grids["xs"].weights) + self._log_a)[:, None], axis=0
             )
             return self.grids["xt"].points, np.exp(logs - self.log_z)
@@ -457,9 +459,3 @@ def auto_grids(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, n: in
         return GridSpec(a * min(centers) - width * spread, a * max(centers) + width * spread, n)
 
     return (span(0), span(s), span(t))
-
-
-def _logsumexp_axis(v: np.ndarray, axis: int) -> np.ndarray:
-    peak = np.max(v, axis=axis, keepdims=True)
-    out = peak.squeeze(axis) + np.log(np.sum(np.exp(v - peak), axis=axis))
-    return out

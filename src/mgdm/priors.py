@@ -1,19 +1,23 @@
 """Analytic diffusion priors: Gaussian and Gaussian mixture.
 
 Both families admit closed forms for everything the sampler and its
-oracles need: the denoiser m_t(x) = E[X_0 | X_t = x] and its Jacobian,
-the score of the smoothed marginal p_t = N(alpha_t m, alpha_t^2 Sigma + v_t I)
-(convolution of the prior with the forward kernel, v_t = sigma2_{t|0}),
-exact backward transitions p_{s|t}, and the conjugate Bayesian posterior
-for linear-Gaussian observations.
+oracles need: the denoiser m_t(x) = E[X_0 | X_t = x] and its
+vector-Jacobian product, the score of the smoothed marginal
+p_t = N(alpha_t m, alpha_t^2 Sigma + v_t I) (convolution of the prior with
+the forward kernel, v_t = sigma2_{t|0}), exact backward transitions
+p_{s|t}, and the conjugate Bayesian posterior for linear-Gaussian
+observations.
 
-Covariances are factorized once (Cholesky); conditioning uses triangular
-solves, never explicit inverses.
+Each covariance is eigendecomposed once, at construction, as
+Sigma = Q diag(lam) Q^T.  The smoothed covariance at any level then shares
+the eigenbasis, S_t = Q diag(alpha_t^2 lam + v_t) Q^T, so its inverse and
+log-determinant are diagonal scalings in Q: no factorization per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -31,45 +35,41 @@ __all__ = [
 ]
 
 _MIN_EIGVAL = 1e-12
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
 class DenoiserOutput:
-    """Denoiser value m_t(x_t) and Jacobian d m_t / d x_t.
+    """Denoiser value m_t(x_t) and its vector-Jacobian product.
 
-    The Jacobian is symmetric PSD for both prior families (it is a
-    rescaled posterior covariance of X_0 given X_t).  For batched input
-    of shape (..., d) the value has shape (..., d) and the Jacobian
-    (..., d, d).
+    ``vjp(u)`` returns Jac(m_t)(x_t)^T u for u shaped like x_t, without
+    forming the (..., d, d) Jacobian.  The Jacobian is symmetric PSD for
+    both prior families (a rescaled posterior covariance of X_0 given
+    X_t), so ``vjp(u)`` is also Jac(m_t) u.  For input of shape (..., d)
+    the value has shape (..., d).
     """
 
     value: np.ndarray
-    jacobian: np.ndarray
+    vjp: Callable[[np.ndarray], np.ndarray]
 
 
-def _validate_spd(cov: np.ndarray, what: str) -> np.ndarray:
+def _eigh_spd(cov: np.ndarray, what: str):
+    """Validated SPD matrix with its eigenvalues and eigenvectors."""
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
     if cov.shape[0] != cov.shape[1]:
         raise ValueError(f"{what} must be square, got {cov.shape}")
     if not np.allclose(cov, cov.T, atol=1e-10):
         raise ValueError(f"{what} must be symmetric")
-    if np.min(np.linalg.eigvalsh(cov)) < _MIN_EIGVAL:
+    lam, vecs = np.linalg.eigh(cov)
+    if lam[0] < _MIN_EIGVAL:
         raise ValueError(f"{what} must have eigenvalues >= {_MIN_EIGVAL}")
-    return cov
+    return cov, lam, vecs
 
 
-def _chol_logdet(chol: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-
-
-def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Log N(x; mean, L L^T) for x of shape (..., d)."""
-    d = mean.shape[0]
-    diff = np.asarray(x, dtype=np.float64) - mean
-    flat = diff.reshape(-1, d)
-    z = solve_triangular(chol, flat.T, lower=True).T.reshape(diff.shape)
-    quad = np.sum(z**2, axis=-1)
-    return -0.5 * (quad + d * np.log(2.0 * np.pi) + _chol_logdet(chol))
+def _normalize_exp(logs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """exp(logs) normalized to sum to 1 along ``axis``."""
+    w = np.exp(logs - logs.max(axis=axis, keepdims=True))
+    return w / w.sum(axis=axis, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,33 @@ class GaussianPrior:
     mean: np.ndarray
     cov: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
+    _eigvals: np.ndarray = field(init=False, repr=False)
+    _eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        cov = _validate_spd(self.cov, "prior covariance")
+        cov, lam, vecs = _eigh_spd(self.cov, "prior covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and cov dimensions disagree")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
+        object.__setattr__(self, "_eigvals", lam)
+        object.__setattr__(self, "_eigvecs", vecs)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    def _spectral(self, scale: np.ndarray) -> np.ndarray:
+        """Q diag(scale) Q^T."""
+        return (self._eigvecs * scale) @ self._eigvecs.T
+
+    def _smoothed_eigvals(self, schedule: NoiseSchedule, t: int):
+        """(alpha_t, v_t, eigenvalues alpha_t^2 lam + v_t of S_t)."""
+        a = schedule.alpha(t)
+        v = schedule.sigma2(0, t)
+        return a, v, (a * a) * self._eigvals + v
 
     # -- smoothed marginal p_t ---------------------------------------------
 
@@ -101,18 +115,22 @@ class GaussianPrior:
         v = schedule.sigma2(0, t)
         return a * self.mean, (a * a) * self.cov + v * np.eye(self.dim)
 
+    def _logpdf(self, a: float, v: float, x: np.ndarray):
+        """log N(x; a m, a^2 Sigma + v I) for x of shape (..., d)."""
+        var = (a * a) * self._eigvals + v
+        z = (np.asarray(x, dtype=np.float64) - a * self.mean) @ self._eigvecs
+        return -0.5 * (np.sum(z * z / var, axis=-1) + self.dim * _LOG_2PI + np.sum(np.log(var)))
+
     def marginal_log_density(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray):
-        mean, cov = self.marginal_moments(schedule, t)
-        return _mvn_logpdf(x_t, mean, np.linalg.cholesky(cov))
+        return self._logpdf(schedule.alpha(t), schedule.sigma2(0, t), x_t)
 
     def score(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
         """Score of p_t; rejects t = 0 (the Tweedie route needs v_t > 0)."""
         if t == 0:
             raise ValueError("score is defined for t >= 1")
-        mean, cov = self.marginal_moments(schedule, t)
-        chol = np.linalg.cholesky(cov)
-        diff = np.asarray(x_t, dtype=np.float64) - mean
-        return -_solve_cols(chol, diff)
+        a, _, var = self._smoothed_eigvals(schedule, t)
+        diff = np.asarray(x_t, dtype=np.float64) - a * self.mean
+        return -diff @ self._spectral(1.0 / var)
 
     # -- denoiser ------------------------------------------------------------
 
@@ -120,35 +138,27 @@ class GaussianPrior:
         """(J_t, b_t) with m_t(x) = J_t x + b_t.
 
         J_t = alpha_t Sigma S_t^{-1} and b_t = v_t S_t^{-1} m where
-        S_t = abar_t Sigma + v_t I; equivalent to the resolvent form
-        Sigma_{0|t}((alpha_t / v_t) x + Sigma^{-1} m).
+        S_t = abar_t Sigma + v_t I; in the eigenbasis of Sigma both are
+        diagonal scalings, by alpha_t lam / (abar_t lam + v_t) and
+        v_t / (abar_t lam + v_t).
         """
         if t == 0:
             raise ValueError("denoiser is defined for t >= 1")
-        a = schedule.alpha(t)
-        v = schedule.sigma2(0, t)
-        s_t = (a * a) * self.cov + v * np.eye(self.dim)
-        chol = np.linalg.cholesky(s_t)
-        jac = a * _solve_spd_mat(chol, self.cov).T  # Sigma S_t^{-1}, symmetric
-        bias = v * _solve_spd_mat(chol, self.mean[:, None])[:, 0]
-        return 0.5 * (jac + jac.T), bias
+        a, v, var = self._smoothed_eigvals(schedule, t)
+        bias = self._eigvecs @ ((v / var) * (self.mean @ self._eigvecs))
+        return self._spectral(a * self._eigvals / var), bias
 
     def posterior_x0_cov(self, schedule: NoiseSchedule, t: int) -> np.ndarray:
         """Cov[X_0 | X_t] = Sigma_{0|t} = v_t Sigma S_t^{-1}."""
         if t == 0:
             raise ValueError("needs t >= 1")
-        a = schedule.alpha(t)
-        v = schedule.sigma2(0, t)
-        s_t = (a * a) * self.cov + v * np.eye(self.dim)
-        chol = np.linalg.cholesky(s_t)
-        out = v * _solve_spd_mat(chol, self.cov).T
-        return 0.5 * (out + out.T)
+        _, v, var = self._smoothed_eigvals(schedule, t)
+        return self._spectral(v * self._eigvals / var)
 
     def denoise(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> DenoiserOutput:
         jac, bias = self.denoiser_affine(schedule, t)
         x_t = np.asarray(x_t, dtype=np.float64)
-        value = x_t @ jac.T + bias
-        return DenoiserOutput(value=value, jacobian=np.broadcast_to(jac, x_t.shape + (self.dim,)))
+        return DenoiserOutput(value=x_t @ jac.T + bias, vjp=lambda u: np.asarray(u, dtype=np.float64) @ jac)
 
     # -- exact backward transition p_{s|t} ------------------------------------
 
@@ -177,7 +187,7 @@ class GaussianPrior:
         return mean + rng.standard_normal(mean.shape) @ root.T
 
     def log_density(self, x: np.ndarray):
-        return _mvn_logpdf(x, self.mean, self._chol)
+        return self._logpdf(1.0, 0.0, x)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + rng.standard_normal((n, self.dim)) @ self._chol.T
@@ -190,11 +200,20 @@ class GaussianPrior:
 
 @dataclass(frozen=True)
 class GmmPrior:
-    """Gaussian mixture prior sum_j w_j N(m_j, Sigma_j)."""
+    """Gaussian mixture prior sum_j w_j N(m_j, Sigma_j).
+
+    Internally the components lead: a batch of M points has coordinates
+    of shape (J, M, d) in the component eigenbases, from one batched
+    matmul (one plain matmul when all components share an eigenbasis).
+    """
 
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
+    _eigvals: np.ndarray = field(init=False, repr=False)  # (J, d)
+    _eigvecs: np.ndarray = field(init=False, repr=False)  # (J, d, d), or (1, d, d) when shared
+    _mean_coords: np.ndarray = field(init=False, repr=False)  # (J, 1, d): Q_j^T m_j
+    _log_weights: np.ndarray = field(init=False, repr=False)  # (J, 1)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
@@ -206,11 +225,18 @@ class GmmPrior:
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         if means.shape[0] != w.shape[0] or covs.shape[0] != w.shape[0]:
             raise ValueError("weights, means, covs must agree on the number of components")
-        for j in range(covs.shape[0]):
-            _validate_spd(covs[j], f"component {j} covariance")
+        factors = [_eigh_spd(covs[j], f"component {j} covariance") for j in range(covs.shape[0])]
+        vecs = np.stack([q for _, _, q in factors])
+        shared = all(np.array_equal(q, vecs[0]) for q in vecs)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)[:, None]
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
+        object.__setattr__(self, "_eigvals", np.stack([lam for _, lam, _ in factors]))
+        object.__setattr__(self, "_eigvecs", vecs[:1].copy() if shared else vecs)
+        object.__setattr__(self, "_mean_coords", means[:, None, :] @ vecs)
+        object.__setattr__(self, "_log_weights", log_w)
 
     @property
     def dim(self) -> int:
@@ -220,82 +246,79 @@ class GmmPrior:
     def n_components(self) -> int:
         return self.weights.shape[0]
 
-    def _component_marginals(self, schedule: NoiseSchedule, t: int):
-        a = schedule.alpha(t)
-        v = schedule.sigma2(0, t)
-        eye = np.eye(self.dim)
-        covs_t = (a * a) * self.covs + v * eye
-        chols = np.linalg.cholesky(covs_t)
-        return a * self.means, chols
+    # -- one pass over the components ------------------------------------------
+
+    def _from_coords(self, c: np.ndarray) -> np.ndarray:
+        """sum_j Q_j c_j for per-component coordinates c of shape (J, M, d)."""
+        if len(self._eigvecs) == 1:
+            return c.sum(axis=0) @ self._eigvecs[0].T
+        return (c @ self._eigvecs.transpose(0, 2, 1)).sum(axis=0)
+
+    def _terms(self, a: float, v: float, x: np.ndarray):
+        """Component terms of sum_j w_j N(a m_j, S_j), S_j = a^2 Sigma_j + v I, at M = x.size / d points.
+
+        Returns log w_j + log N(x; a m_j, S_j) of shape (J, M), the
+        eigen-coordinates of S_j^{-1}(x - a m_j) (the negated component
+        scores) of shape (J, M, d), and 1 / eig(S_j) of shape (J, 1, d).
+        """
+        var = (a * a) * self._eigvals + v
+        inv_var = 1.0 / var[:, None, :]
+        diff = np.asarray(x, dtype=np.float64).reshape(-1, self.dim) @ self._eigvecs - a * self._mean_coords
+        prec_diff = diff * inv_var
+        quad = np.einsum("jmi,jmi->jm", diff, prec_diff)
+        logs = self._log_weights - 0.5 * (quad + self.dim * _LOG_2PI + np.sum(np.log(var), axis=-1)[:, None])
+        return logs, prec_diff, inv_var
+
+    def _log_mixture(self, a: float, v: float, x: np.ndarray):
+        from scipy.special import logsumexp  # imported on use: no sampling path needs it
+
+        out = logsumexp(self._terms(a, v, x)[0], axis=0).reshape(np.shape(x)[:-1])
+        return float(out) if np.ndim(out) == 0 else out
 
     def component_log_densities(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
         """log w_j + log N(x_t; alpha_t m_j, S_{t,j}); shape (..., J)."""
-        means_t, chols = self._component_marginals(schedule, t)
-        parts = [
-            np.log(self.weights[j]) + _mvn_logpdf(x_t, means_t[j], chols[j])
-            for j in range(self.n_components)
-        ]
-        return np.stack(parts, axis=-1)
+        logs = self._terms(schedule.alpha(t), schedule.sigma2(0, t), x_t)[0]
+        return logs.T.reshape(np.shape(x_t)[:-1] + (-1,))
 
     def responsibilities(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
-        logs = self.component_log_densities(schedule, t, x_t)
-        logs = logs - logs.max(axis=-1, keepdims=True)
-        num = np.exp(logs)
-        return num / num.sum(axis=-1, keepdims=True)
+        return _normalize_exp(self.component_log_densities(schedule, t, x_t), axis=-1)
 
     def marginal_log_density(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray):
-        logs = self.component_log_densities(schedule, t, x_t)
-        peak = logs.max(axis=-1)
-        out = peak + np.log(np.sum(np.exp(logs - peak[..., None]), axis=-1))
-        return float(out) if np.ndim(out) == 0 else out
+        return self._log_mixture(schedule.alpha(t), schedule.sigma2(0, t), x_t)
 
     def score(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
         if t == 0:
             raise ValueError("score is defined for t >= 1")
-        resp, comp_scores = self._resp_and_scores(schedule, t, np.asarray(x_t, dtype=np.float64))
-        return np.sum(resp[..., None] * comp_scores, axis=-2)
-
-    def _resp_and_scores(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray):
-        """Responsibilities (..., J) and per-component scores (..., J, d)."""
-        means_t, chols = self._component_marginals(schedule, t)
-        resp = self.responsibilities(schedule, t, x_t)
-        scores = np.stack(
-            [-_solve_cols(chols[j], x_t - means_t[j]) for j in range(self.n_components)],
-            axis=-2,
-        )
-        return resp, scores
+        logs, prec_diff, _ = self._terms(schedule.alpha(t), schedule.sigma2(0, t), x_t)
+        return -self._from_coords(_normalize_exp(logs)[..., None] * prec_diff).reshape(np.shape(x_t))
 
     def denoise(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> DenoiserOutput:
         """Responsibility-weighted combination of component denoisers.
 
-        The Jacobian carries the responsibility-gradient term
-        (v_t / alpha_t) Cov_r[score_j], which makes it the rescaled
-        posterior covariance of X_0 given X_t.
+        The value is Tweedie's (x + v_t score) / alpha_t.  The Jacobian
+        is (I - v_t sum_j r_j S_{t,j}^{-1} + v_t Cov_r[score_j]) / alpha_t,
+        the rescaled posterior covariance of X_0 given X_t; its product
+        with u costs two batched matmuls and is never formed as a matrix.
         """
         if t == 0:
             raise ValueError("denoiser is defined for t >= 1")
         a = schedule.alpha(t)
         v = schedule.sigma2(0, t)
         x_t = np.asarray(x_t, dtype=np.float64)
-        resp, scores = self._resp_and_scores(schedule, t, x_t)
-        # Per-component Tweedie: m_{t,j}(x) = (x + v * score_j) / alpha.
-        comp_values = (x_t[..., None, :] + v * scores) / a
-        value = np.sum(resp[..., None] * comp_values, axis=-2)
+        logs, prec_diff, inv_var = self._terms(a, v, x_t)
+        resp = _normalize_exp(logs)[..., None]
+        mean_score = -self._from_coords(resp * prec_diff)
 
-        comp_jacs = []
-        eye = np.eye(self.dim)
-        for j in range(self.n_components):
-            s_tj = (a * a) * self.covs[j] + v * eye
-            jac_j = a * _solve_spd_mat(np.linalg.cholesky(s_tj), self.covs[j]).T
-            comp_jacs.append(0.5 * (jac_j + jac_j.T))
-        comp_jacs = np.stack(comp_jacs)  # (J, d, d)
+        def vjp(u):
+            u = np.asarray(u, dtype=np.float64)
+            flat = u.reshape(-1, self.dim)
+            u_coords = flat @ self._eigvecs
+            neg_proj = np.einsum("jmi,jmi->jm", prec_diff, u_coords)[..., None]  # -score_j . u
+            mixed = self._from_coords(resp * (inv_var * u_coords - neg_proj * prec_diff))
+            cov_term = mean_score * np.einsum("mi,mi->m", mean_score, flat)[:, None]
+            return ((flat - v * (mixed + cov_term)) / a).reshape(u.shape)
 
-        mix_jac = np.einsum("...j,jab->...ab", resp, comp_jacs)
-        mean_score = np.sum(resp[..., None] * scores, axis=-2)
-        second = np.einsum("...j,...ja,...jb->...ab", resp, scores, scores)
-        second -= mean_score[..., :, None] * mean_score[..., None, :]
-        jac = mix_jac + (v / a) * second
-        return DenoiserOutput(value=value, jacobian=jac)
+        return DenoiserOutput(value=(x_t + v * mean_score.reshape(x_t.shape)) / a, vjp=vjp)
 
     def backward_sample(
         self, schedule: NoiseSchedule, s: int, t: int, x_t: np.ndarray, rng: np.random.Generator
@@ -324,14 +347,7 @@ class GmmPrior:
         return out[0] if squeeze else out
 
     def log_density(self, x: np.ndarray):
-        parts = [
-            np.log(self.weights[j]) + _mvn_logpdf(x, self.means[j], np.linalg.cholesky(self.covs[j]))
-            for j in range(self.n_components)
-        ]
-        logs = np.stack(parts, axis=-1)
-        peak = logs.max(axis=-1)
-        out = peak + np.log(np.sum(np.exp(logs - peak[..., None]), axis=-1))
-        return float(out) if np.ndim(out) == 0 else out
+        return self._log_mixture(1.0, 0.0, x)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comp = rng.choice(self.n_components, size=n, p=self.weights)
@@ -378,12 +394,8 @@ def exact_posterior(prior, likelihood):
             means.append(mean)
             covs.append(cov)
             ev_cov = s2 * np.eye(a_mat.shape[0]) + a_mat @ prior.covs[j] @ a_mat.T
-            logw.append(
-                np.log(prior.weights[j]) + _mvn_logpdf(y, a_mat @ prior.means[j], np.linalg.cholesky(ev_cov))
-            )
-        logw = np.asarray(logw)
-        w = np.exp(logw - logw.max())
-        w /= w.sum()
+            logw.append(np.log(prior.weights[j]) + GaussianPrior(a_mat @ prior.means[j], ev_cov).log_density(y))
+        w = _normalize_exp(np.asarray(logw))
         return GmmPrior(weights=w, means=np.stack(means), covs=np.stack(covs))
     raise TypeError(f"unsupported prior type {type(prior).__name__}")
 
@@ -426,15 +438,6 @@ def prior_from_json(obj: dict):
 
 
 # -- shared linear algebra helpers -------------------------------------------
-
-
-def _solve_cols(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(L L^T)^{-1} b for b of shape (..., d), via triangular solves."""
-    d = chol.shape[0]
-    flat = np.asarray(b, dtype=np.float64).reshape(-1, d)
-    y = solve_triangular(chol, flat.T, lower=True)
-    sol = solve_triangular(chol.T, y, lower=False).T
-    return sol.reshape(np.shape(b))
 
 
 def _solve_spd_mat(chol: np.ndarray, b_mat: np.ndarray) -> np.ndarray:

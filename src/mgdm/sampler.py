@@ -393,7 +393,7 @@ def dps_run(
         t, s = ts[j], ts[j - 1]
         x0_hat = prior.denoise(schedule, t, x).value
         p = schedule.bridge_params(s, t)
-        mean = p.mean_coeff_x0 * x0_hat + p.mean_coeff_xt * x
+        mean = p.mean(x0_hat, x)
         if zeta > 0.0:
             mean += zeta * log_g_hat(likelihood, prior, schedule, t, x).gradient
         x = mean + math.sqrt(p.variance) * rng.standard_normal(shape)

@@ -42,6 +42,12 @@ class BridgeParams:
     mean_coeff_xt: float
     variance: float
 
+    def mean(self, x0: np.ndarray, xt: np.ndarray) -> np.ndarray:
+        """Bridge mean mean_coeff_x0 * x_0 + mean_coeff_xt * x_t; broadcasts."""
+        x0 = np.asarray(x0, dtype=np.float64)
+        xt = np.asarray(xt, dtype=np.float64)
+        return self.mean_coeff_x0 * x0 + self.mean_coeff_xt * xt
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -122,9 +128,7 @@ class NoiseSchedule:
     ) -> np.ndarray:
         """Draw x_s ~ q(. | x_0, x_t).  For s = 0 returns x0 exactly."""
         p = self.bridge_params(s, t)
-        x0 = np.asarray(x0, dtype=np.float64)
-        xt = np.asarray(xt, dtype=np.float64)
-        mean = p.mean_coeff_x0 * x0 + p.mean_coeff_xt * xt
+        mean = p.mean(x0, xt)
         if p.variance == 0.0:
             return mean
         return mean + math.sqrt(p.variance) * rng.standard_normal(mean.shape)

@@ -161,6 +161,18 @@ class TestCli:
         code = main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 0
 
+    def test_numerical_failure_exits_as_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        """LinAlgError subclasses ValueError, yet a failure mid-run is not a config error."""
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(harness, "run_experiment", fail)
+        assert main(["smoke", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "mgdm: runtime failure: Matrix is not positive definite" in err
+        assert "config error" not in err
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(harness.smoke_config()))

@@ -25,6 +25,11 @@ def gauss_1d():
     return GaussianPrior(mean=[0.0], cov=[[1.0]])
 
 
+def jacobian_of(out, d):
+    """Jac(m_t) at one point, stacked from vjp(e_k): row k is e_k^T Jac."""
+    return np.stack([out.vjp(e) for e in np.eye(d)])
+
+
 def gmm_2d():
     return GmmPrior(
         weights=[0.4, 0.6],
@@ -53,7 +58,7 @@ class TestDenoiser:
         sched = half_alpha_schedule()
         out = gauss_1d().denoise(sched, 1, np.array([2.0]))
         np.testing.assert_allclose(out.value, [1.0], atol=1e-12)
-        np.testing.assert_allclose(out.jacobian, [[0.5]], atol=1e-12)
+        np.testing.assert_allclose(jacobian_of(out, 1), [[0.5]], atol=1e-12)
 
     def test_point_mass_prior_returns_mean(self):
         sched = make_schedule("linear", 100)
@@ -69,7 +74,7 @@ class TestDenoiser:
         x = np.array([0.4, 1.1])
         a, b = gauss.denoise(sched, 120, x), mix.denoise(sched, 120, x)
         np.testing.assert_allclose(a.value, b.value, atol=1e-10)
-        np.testing.assert_allclose(a.jacobian, b.jacobian, atol=1e-10)
+        np.testing.assert_allclose(jacobian_of(a, 2), jacobian_of(b, 2), atol=1e-10)
 
     def test_rejects_t_zero(self):
         with pytest.raises(ValueError):
@@ -89,16 +94,100 @@ class TestDenoiser:
                 fd[:, j] = (
                     prior.denoise(sched, 150, x + e).value - prior.denoise(sched, 150, x - e).value
                 ) / (2 * h)
-            np.testing.assert_allclose(out.jacobian, fd, atol=1e-5)
+            np.testing.assert_allclose(jacobian_of(out, 2), fd, atol=1e-5)
 
     def test_jacobian_symmetric_psd(self):
         sched = make_schedule("cosine", 100)
         rng = np.random.default_rng(8)
         for prior in (gmm_2d(),):
             for _ in range(20):
-                jac = prior.denoise(sched, int(rng.integers(1, 101)), rng.standard_normal(2)).jacobian
+                jac = jacobian_of(prior.denoise(sched, int(rng.integers(1, 101)), rng.standard_normal(2)), 2)
                 np.testing.assert_allclose(jac, jac.T, atol=1e-10)
                 assert np.min(np.linalg.eigvalsh(jac)) > -1e-10
+
+
+def mcgdiff_grid_gmm(d=80):
+    """The 25-component grid mixture of MCGdiff tiled to dimension d (unit covariances)."""
+    grid = np.array([[8.0 * i, 8.0 * j] for i in range(-2, 3) for j in range(-2, 3)])
+    return GmmPrior(
+        weights=np.full(25, 1.0 / 25), means=np.tile(grid, (1, d // 2)), covs=np.broadcast_to(np.eye(d), (25, d, d))
+    )
+
+
+def noncommuting_gmm_3d():
+    """Three components whose covariances have distinct eigenbases."""
+    rng = np.random.default_rng(17)
+    covs = []
+    for scale in (0.4, 0.9, 1.6):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        covs.append(q @ np.diag(scale * np.array([0.5, 1.0, 2.0])) @ q.T)
+    return GmmPrior(weights=[0.2, 0.5, 0.3], means=rng.standard_normal((3, 3)) * 1.5, covs=covs)
+
+
+def fd_vjp(prior, sched, t, x, w, h=1e-5):
+    """Central differences of x -> m_t(x) . w, coordinate by coordinate, for all points of x at once."""
+    grad = np.empty_like(x)
+    for k in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
+        e[k] = h
+        up = np.sum(prior.denoise(sched, t, x + e).value * w, axis=-1)
+        down = np.sum(prior.denoise(sched, t, x - e).value * w, axis=-1)
+        grad[..., k] = (up - down) / (2 * h)
+    return grad
+
+
+class TestDenoiserVjp:
+    def test_mcgdiff_scale_instance_matches_finite_differences(self):
+        sched = make_schedule("linear", 1000)
+        prior = mcgdiff_grid_gmm()
+        rng = np.random.default_rng(40)
+        for t in (5, 200, 900):
+            x0 = prior.sample(4, rng)
+            x = sched.forward_sample(x0, 0, t, rng)
+            w = rng.standard_normal(x.shape)
+            out = prior.denoise(sched, t, x)
+            np.testing.assert_allclose(out.vjp(w), fd_vjp(prior, sched, t, x, w), atol=1e-5)
+
+    def test_noncommuting_covariances_match_finite_differences(self):
+        prior = noncommuting_gmm_3d()
+        c = prior.covs
+        assert np.max(np.abs(c[0] @ c[1] - c[1] @ c[0])) > 0.05
+        sched = make_schedule("cosine", 400)
+        rng = np.random.default_rng(41)
+        for t in (3, 120, 390):
+            x = rng.standard_normal((6, 3)) * 2.0
+            w = rng.standard_normal(x.shape)
+            out = prior.denoise(sched, t, x)
+            np.testing.assert_allclose(out.vjp(w), fd_vjp(prior, sched, t, x, w), atol=1e-5)
+
+    def test_single_component_gmm_matches_gaussian_value_and_vjp(self):
+        sched = make_schedule("linear", 300)
+        gauss = GaussianPrior(mean=[0.3, -0.2, 0.5], cov=[[0.8, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.9]])
+        mix = GmmPrior(weights=[1.0], means=[gauss.mean], covs=[gauss.cov])
+        rng = np.random.default_rng(42)
+        for t in (1, 150, 300):
+            x = rng.standard_normal((5, 3))
+            w = rng.standard_normal((5, 3))
+            a, b = gauss.denoise(sched, t, x), mix.denoise(sched, t, x)
+            np.testing.assert_allclose(a.value, b.value, atol=1e-10)
+            np.testing.assert_allclose(a.vjp(w), b.vjp(w), atol=1e-10)
+            np.testing.assert_allclose(a.vjp(w), fd_vjp(gauss, sched, t, x, w), atol=1e-5)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 3)])
+    def test_batch_shapes_match_pointwise(self, shape):
+        sched = make_schedule("linear", 200)
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal(shape)
+        gauss = GaussianPrior(mean=[0.1, 0.2, -0.3], cov=np.diag([0.5, 1.0, 1.5]))
+        for prior in (noncommuting_gmm_3d(), gauss):
+            out = prior.denoise(sched, 80, x)
+            assert out.value.shape == shape and out.vjp(w).shape == shape
+            flat_x, flat_w = x.reshape(-1, 3), w.reshape(-1, 3)
+            for n in range(flat_x.shape[0]):
+                one = prior.denoise(sched, 80, flat_x[n])
+                np.testing.assert_allclose(out.value.reshape(-1, 3)[n], one.value, atol=1e-12)
+                np.testing.assert_allclose(out.vjp(w).reshape(-1, 3)[n], one.vjp(flat_w[n]), atol=1e-12)
 
 
 class TestScore:
