@@ -142,12 +142,19 @@ class ExperimentConfig:
     """Validated view of a JSON experiment config.
 
     Construction builds every referenced object once, so malformed
-    sections fail fast with readable errors instead of mid-run.
+    sections fail fast with readable errors instead of mid-run, and every
+    run of the experiment shares them.  ``mgdm`` is None for the DPS
+    baseline; ``posterior`` is None when no closed form exists.
     """
 
     raw: dict
     n_runs: int
     master_seed: int
+    prior: object
+    likelihood: object
+    schedule: NoiseSchedule
+    mgdm: MgdmConfig | None
+    posterior: object | None
 
     @classmethod
     def from_dict(cls, config: dict) -> "ExperimentConfig":
@@ -156,62 +163,68 @@ class ExperimentConfig:
         sampler = config.get("sampler")
         if not isinstance(sampler, dict):
             raise ValueError("config needs a 'sampler' section")
-        _, _, schedule = build_problem(config)
-        if sampler.get("algorithm", "mgdm") == "mgdm":
-            build_mgdm_config(sampler, schedule).validate_against(schedule)
+        prior, likelihood, schedule = build_problem(config)
+        algorithm = sampler.get("algorithm", "mgdm")
+        if algorithm == "mgdm":
+            mgdm = build_mgdm_config(sampler, schedule)
+            mgdm.validate_against(schedule)
+        elif algorithm == "dps":
+            mgdm = None
+        else:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
         n_runs = int(config.get("n_runs", 1))
         if n_runs < 1:
             raise ValueError("n_runs must be >= 1")
-        return cls(raw=config, n_runs=n_runs, master_seed=int(config["master_seed"]))
+        try:
+            posterior = exact_posterior(prior, likelihood)
+        except TypeError:
+            posterior = None
+        return cls(
+            raw=config, n_runs=n_runs, master_seed=int(config["master_seed"]), prior=prior,
+            likelihood=likelihood, schedule=schedule, mgdm=mgdm, posterior=posterior,
+        )
 
 
 # -- single runs ---------------------------------------------------------------
 
 
-def _execute_run(config: dict, run_idx: int, combo_idx: int | None = None) -> dict:
-    prior, likelihood, schedule = build_problem(config)
-    sampler_spec = config["sampler"]
+def _execute_run(experiment: ExperimentConfig, run_idx: int, combo_idx: int | None = None) -> dict:
     indices = (combo_idx, run_idx) if combo_idx is not None else (run_idx,)
-    seed = _run_seed(int(config["master_seed"]), *indices)
+    seed = _run_seed(experiment.master_seed, *indices)
     rng = np.random.default_rng(seed)
-    algorithm = sampler_spec.get("algorithm", "mgdm")
-    if algorithm == "dps":
+    problem = (experiment.likelihood, experiment.prior, experiment.schedule)
+    mcfg = experiment.mgdm
+    if mcfg is None:
+        sampler_spec = experiment.raw["sampler"]
         sample = dps_run(
-            likelihood, prior, schedule, K=int(sampler_spec.get("K", 100)),
-            zeta=float(sampler_spec.get("zeta", 1.0)), rng=rng,
+            *problem, K=int(sampler_spec.get("K", 100)), zeta=float(sampler_spec.get("zeta", 1.0)), rng=rng
         )
         r_val, g_val, index_kind = 0, 0, "none"
-    elif algorithm == "mgdm":
-        mcfg = build_mgdm_config(sampler_spec, schedule)
-        sample = mgdm_run(likelihood, prior, schedule, mcfg, rng)
-        r_val, g_val, index_kind = mcfg.R, mcfg.vi.steps, mcfg.index_dist.kind
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if not np.all(np.isfinite(sample)):
-        raise RuntimeError(f"run {run_idx} produced non-finite values")
+        sample = mgdm_run(*problem, mcfg, rng)
+        r_val, g_val, index_kind = mcfg.R, mcfg.vi.steps, mcfg.index_dist.kind
     row = {"run_id": run_idx, "seed": seed, "R": r_val, "G": g_val, "index_dist": index_kind}
     for j, v in enumerate(np.atleast_1d(sample)):
         row[f"x0_{j}"] = float(v)
-    try:
-        post = exact_posterior(prior, likelihood)
-        row["log_post"] = float(post.log_density(np.atleast_1d(sample)))
-    except TypeError:
-        row["log_post"] = float("nan")
+    post = experiment.posterior
+    row["log_post"] = float("nan") if post is None else float(post.log_density(np.atleast_1d(sample)))
     return row
 
 
-def _worker(payload):
-    config, run_idx, combo_idx = payload
-    return _execute_run(config, run_idx, combo_idx)
+def _run_chunk(config: dict, run_ids: range, combo_idx: int | None) -> list[dict]:
+    """Runs of one experiment in a worker process, which builds its objects once."""
+    experiment = ExperimentConfig.from_dict(config)
+    return [_execute_run(experiment, r, combo_idx) for r in run_ids]
 
 
-def _collect_runs(config: dict, n_runs: int, jobs: int, combo_idx: int | None = None) -> list[dict]:
-    payloads = [(config, r, combo_idx) for r in range(n_runs)]
+def _collect_runs(experiment: ExperimentConfig, jobs: int, combo_idx: int | None = None) -> list[dict]:
+    n_runs = experiment.n_runs
     if jobs <= 1:
-        rows = [_worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_worker, payloads))
+        return [_execute_run(experiment, r, combo_idx) for r in range(n_runs)]
+    chunks = [range(k, n_runs, jobs) for k in range(min(jobs, n_runs))]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = pool.map(_run_chunk, [experiment.raw] * len(chunks), chunks, [combo_idx] * len(chunks))
+        rows = [row for part in parts for row in part]
     rows.sort(key=lambda r: r["run_id"])
     return rows
 
@@ -230,18 +243,16 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_fmt(row.get(c, "")) for c in columns])
 
 
-def _aggregate(config: dict, rows: list[dict], seed_tag: int) -> dict:
-    prior, likelihood, _ = build_problem(config)
-    d = prior.dim
+def _aggregate(experiment: ExperimentConfig, rows: list[dict], seed_tag: int) -> dict:
+    d = experiment.prior.dim
     samples = np.asarray([[row[f"x0_{j}"] for j in range(d)] for row in rows])
     agg: dict = {
         "n_runs": len(rows),
         "mean": samples.mean(axis=0).tolist(),
         "cov": np.atleast_2d(np.cov(samples.T, bias=False)).tolist() if len(rows) > 1 else None,
     }
-    try:
-        post = exact_posterior(prior, likelihood)
-    except TypeError:
+    post = experiment.posterior
+    if post is None:
         return agg
     rng = np.random.default_rng(_run_seed(seed_tag, 999_983))
     ref = post.sample(max(len(rows), 1024), rng)
@@ -263,10 +274,10 @@ def _aggregate(config: dict, rows: list[dict], seed_tag: int) -> dict:
 
 def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     """Execute ``n_runs`` seeded runs, write results.csv + summary.json."""
-    checked = ExperimentConfig.from_dict(config)
+    experiment = ExperimentConfig.from_dict(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = _collect_runs(config, checked.n_runs, jobs)
+    rows = _collect_runs(experiment, jobs)
     d = sum(1 for key in rows[0] if key.startswith("x0_"))
     columns = ["run_id", "seed", "R", "G", "index_dist"] + [f"x0_{j}" for j in range(d)] + ["log_post"]
     _write_csv(out / "results.csv", rows, columns)
@@ -274,11 +285,11 @@ def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
         "config": config,
         "config_hash": config_hash(config),
         "master_seed": int(config["master_seed"]),
-        "aggregate": _aggregate(config, rows, int(config["master_seed"])),
+        "aggregate": _aggregate(experiment, rows, experiment.master_seed),
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    log.info("wrote %s and summary.json (%d runs)", out / "results.csv", checked.n_runs)
+    log.info("wrote %s and summary.json (%d runs)", out / "results.csv", experiment.n_runs)
     return summary
 
 
@@ -305,8 +316,9 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
             vi["steps_late"] = int(g_val)
         if index_kind is not None:
             cfg["sampler"]["index"] = {"kind": index_kind}
-        rows = _collect_runs(cfg, int(config.get("n_runs", 1)), jobs, combo_idx=combo_idx)
-        agg = _aggregate(cfg, rows, int(config["master_seed"]) + combo_idx)
+        experiment = ExperimentConfig.from_dict(cfg)
+        rows = _collect_runs(experiment, jobs, combo_idx=combo_idx)
+        agg = _aggregate(experiment, rows, experiment.master_seed + combo_idx)
         agg_rows.append(
             {
                 "combo_id": combo_idx,

@@ -13,7 +13,7 @@ g_t = E[g(y | X_0) | x_t] is also available in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -51,6 +51,7 @@ class LinearGaussianLikelihood:
     A: np.ndarray
     y: np.ndarray
     sigma_y: float
+    _log_norm: float = field(init=False, repr=False, compare=False)  # d_y log(2 pi sigma_y^2)
 
     def __post_init__(self):
         a_mat = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
@@ -64,6 +65,7 @@ class LinearGaussianLikelihood:
             raise ValueError("A contains NaN entries")
         if a_mat.shape[0] != y.shape[0]:
             raise ValueError(f"A has {a_mat.shape[0]} rows but y has {y.shape[0]} entries")
+        object.__setattr__(self, "_log_norm", self.dim_obs * (_LOG_2PI + 2.0 * np.log(self.sigma_y)))
 
     @property
     def dim_obs(self) -> int:
@@ -81,12 +83,9 @@ class LinearGaussianLikelihood:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has dimension {x.shape[-1]}, expected {self.dim}")
-        resid = self.y - self.forward(x)
-        out = -0.5 * (
-            np.sum(resid**2, axis=-1) / self.sigma_y**2
-            + self.dim_obs * (_LOG_2PI + 2.0 * np.log(self.sigma_y))
-        )
-        return float(out) if np.ndim(out) == 0 else out
+        resid = self.y - x @ self.A.T
+        out = -0.5 * ((resid**2).sum(axis=-1) / self.sigma_y**2 + self._log_norm)
+        return float(out) if out.ndim == 0 else out
 
     def grad_log_g0(self, x: np.ndarray) -> np.ndarray:
         resid = self.y - self.forward(x)

@@ -85,6 +85,29 @@ def _w2_sq_1d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.mean((np.sort(u, axis=1) - np.sort(v, axis=1)) ** 2, axis=1)
 
 
+def _linear_quantiles(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``np.quantile(samples, grid, axis=0).T`` bit for bit, from one sort per column.
+
+    numpy's default "linear" rule: the quantile at q sits at position
+    (n - 1) q of the sorted column, interpolated between its two
+    neighbours with numpy's two-sided lerp.  Returns shape (m, len(grid))
+    for (n, m) samples.
+    """
+    ordered = np.sort(samples.T, axis=1)
+    n = ordered.shape[1]
+    pos = (n - 1) * grid
+    lo = np.minimum(np.floor(pos), n - 1).astype(np.intp)
+    frac = pos - lo
+    below, above = ordered[:, lo], ordered[:, np.minimum(lo + 1, n - 1)]
+    del ordered  # with the in-place steps below, at most four (m, len(grid)) arrays are live
+    diff = above - below
+    out = diff * frac
+    out += below
+    diff *= 1 - frac
+    np.subtract(above, diff, out=out, where=frac >= 0.5)
+    return out
+
+
 def sliced_wasserstein2(a, b, n_projections: int = 512, rng: np.random.Generator | None = None) -> float:
     """Sliced W2, scaled by sqrt(d) so a pure translation by c scores ||c||.
 
@@ -106,7 +129,5 @@ def sliced_wasserstein2(a, b, n_projections: int = 512, rng: np.random.Generator
         w2sq = _w2_sq_1d(pa.T, pb.T)
     else:
         grid = (np.arange(max(xa.shape[0], xb.shape[0])) + 0.5) / max(xa.shape[0], xb.shape[0])
-        qa = np.quantile(pa, grid, axis=0).T
-        qb = np.quantile(pb, grid, axis=0).T
-        w2sq = np.mean((qa - qb) ** 2, axis=1)
+        w2sq = np.mean((_linear_quantiles(pa, grid) - _linear_quantiles(pb, grid)) ** 2, axis=1)
     return float(np.sqrt(d * np.mean(w2sq)))

@@ -118,8 +118,8 @@ def build_kernels(
 ) -> OracleKernels:
     """Assemble the one-repetition kernel matrices at levels (tau, k)."""
     _require_gaussian_linear(prior, likelihood)
-    if not 2 <= tau < k:
-        raise ValueError(f"need 2 <= tau < k, got tau={tau}, k={k}")
+    if not 1 <= tau < k:
+        raise ValueError(f"need 1 <= tau < k, got tau={tau}, k={k}")
     d = prior.dim
     eye = np.eye(d)
 

@@ -74,13 +74,19 @@ def _normalize_exp(logs: np.ndarray, axis: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Gaussian prior N(mean, cov) with SPD covariance."""
+    """Gaussian prior N(mean, cov) with SPD covariance.
+
+    ``denoiser_affine`` keeps (J_t, b_t) per level for the last schedule
+    it was called with: at most T + 1 read-only entries, dropped when a
+    different schedule comes in.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
     _eigvals: np.ndarray = field(init=False, repr=False)
     _eigvecs: np.ndarray = field(init=False, repr=False)
+    _levels: tuple = field(init=False, repr=False, compare=False)  # (schedule, {t: (J_t, b_t)})
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
@@ -92,6 +98,7 @@ class GaussianPrior:
         object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
         object.__setattr__(self, "_eigvals", lam)
         object.__setattr__(self, "_eigvecs", vecs)
+        object.__setattr__(self, "_levels", (None, {}))
 
     @property
     def dim(self) -> int:
@@ -142,11 +149,21 @@ class GaussianPrior:
         diagonal scalings, by alpha_t lam / (abar_t lam + v_t) and
         v_t / (abar_t lam + v_t).
         """
-        if t == 0:
-            raise ValueError("denoiser is defined for t >= 1")
-        a, v, var = self._smoothed_eigvals(schedule, t)
-        bias = self._eigvecs @ ((v / var) * (self.mean @ self._eigvecs))
-        return self._spectral(a * self._eigvals / var), bias
+        known, levels = self._levels
+        if known is not schedule:
+            levels = {}
+            object.__setattr__(self, "_levels", (schedule, levels))
+        affine = levels.get(t)
+        if affine is None:
+            if t == 0:
+                raise ValueError("denoiser is defined for t >= 1")
+            a, v, var = self._smoothed_eigvals(schedule, t)
+            bias = self._eigvecs @ ((v / var) * (self.mean @ self._eigvecs))
+            affine = (self._spectral(a * self._eigvals / var), bias)
+            for arr in affine:
+                arr.flags.writeable = False
+            levels[t] = affine
+        return affine
 
     def posterior_x0_cov(self, schedule: NoiseSchedule, t: int) -> np.ndarray:
         """Cov[X_0 | X_t] = Sigma_{0|t} = v_t Sigma S_t^{-1}."""

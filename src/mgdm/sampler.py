@@ -37,10 +37,21 @@ __all__ = [
     "mgdm_run",
     "mgdm_run_batch",
     "dps_run",
+    "NonFiniteStateError",
 ]
 
 CONDITIONAL_BACKENDS = ("exact", "vi", "vi-mh")
 DENOISE_BACKENDS = ("ddpm", "exact")
+
+
+class NonFiniteStateError(RuntimeError):
+    """A sampler state turned non-finite; the message names the step (i, t, s)."""
+
+
+def _check_finite(i: int, t: int, s: int, *states: np.ndarray) -> None:
+    for x in states:
+        if not np.isfinite(x).all():
+            raise NonFiniteStateError(f"non-finite state at outer step i={i} (t={t}, s={s})")
 
 
 @dataclass(frozen=True)
@@ -315,12 +326,14 @@ def _mgdm_core(
         x0 = x0_star
         if i == K:
             xt = x_tk
+            _check_finite(i, t_i, s, x0)
         else:
             xt = schedule.bridge_sample(x0_star, x_prev, t_i, ts[i], rng)
         state = GibbsState(x0=x0, xs=np.zeros(shape), xt=xt, s=s, t=t_i)
         vi_config = config.vi.resolve(i, K)
         for _ in range(config.R):
             state = gibbs_step(state, likelihood, prior, schedule, config, rng, vi_config=vi_config)
+            _check_finite(i, t_i, s, state.x0, state.xt)
         x0_star = state.x0
         x_prev = state.xt
 
@@ -332,7 +345,8 @@ def _mgdm_core(
         fk = build_final_kernels(prior, likelihood, schedule, s=config.final_s, t=ts[1])
         mean = x_prev @ fk.H_under.T + fk.h_under
         x_s = mean + rng.standard_normal(shape) @ np.linalg.cholesky(fk.L_under).T
-        return prior.denoise(schedule, config.final_s, x_s).value
+        x0_star = prior.denoise(schedule, config.final_s, x_s).value
+        _check_finite(1, ts[1], config.final_s, x0_star)
     return x0_star
 
 
@@ -348,6 +362,8 @@ def mgdm_run(
 
     Pass ``record_indices`` to capture the realized auxiliary levels (one
     per outer step), e.g. to replay them through the moment oracle.
+    Raises ``NonFiniteStateError`` naming the outer step (i, t, s) as soon
+    as a carried state turns non-finite.
     """
     return _mgdm_core(likelihood, prior, schedule, config, rng, (prior.dim,), record_indices)
 
@@ -397,4 +413,7 @@ def dps_run(
         if zeta > 0.0:
             mean += zeta * log_g_hat(likelihood, prior, schedule, t, x).gradient
         x = mean + math.sqrt(p.variance) * rng.standard_normal(shape)
-    return prior.denoise(schedule, ts[0], x).value
+        _check_finite(j, t, s, x)
+    x0 = prior.denoise(schedule, ts[0], x).value
+    _check_finite(0, ts[0], 0, x0)
+    return x0

@@ -55,11 +55,14 @@ class NoiseSchedule:
 
     Immutable after construction; safe to share across threads.  All
     sampling methods take a caller-owned ``numpy.random.Generator``.
+    The alpha_t are also kept as Python floats, so every coefficient is a
+    few float operations on lookups.
     """
 
     alphas: np.ndarray
     family: str = "custom"
     T: int = field(init=False)
+    _alpha: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)
@@ -77,13 +80,14 @@ class NoiseSchedule:
             raise ValueError("all alpha_t must be positive")
         if np.any(np.diff(alphas) >= 0.0):
             raise ValueError("alpha_t must be strictly decreasing")
+        object.__setattr__(self, "_alpha", tuple(alphas.tolist()))
 
     # -- scalar coefficients ------------------------------------------------
 
     def alpha(self, t: int) -> float:
         """Signal scale alpha_t."""
         self._check_time(t)
-        return float(self.alphas[t])
+        return self._alpha[t]
 
     def alpha_bar(self, t: int) -> float:
         """Squared signal scale alpha_t^2 (conventional alpha-bar)."""
@@ -94,12 +98,12 @@ class NoiseSchedule:
         self._check_pair(s, t, allow_equal=True)
         if s == t:
             return 0.0
-        return 1.0 - (self.alphas[t] / self.alphas[s]) ** 2
+        return 1.0 - (self._alpha[t] / self._alpha[s]) ** 2
 
     def alpha_ratio(self, s: int, t: int) -> float:
         """Forward-kernel mean coefficient alpha_{t|s} = alpha_t / alpha_s."""
         self._check_pair(s, t, allow_equal=True)
-        return float(self.alphas[t] / self.alphas[s])
+        return self._alpha[t] / self._alpha[s]
 
     def bridge_params(self, s: int, t: int) -> BridgeParams:
         """Coefficients of q(x_s | x_0, x_t) for 0 <= s < t.
@@ -107,10 +111,14 @@ class NoiseSchedule:
         s = 0 degenerates to (1, 0, 0): the bridge collapses on x_0.
         """
         self._check_pair(s, t, allow_equal=False)
-        gamma = self.sigma2(s, t) / self.sigma2(0, t)
-        coeff_x0 = gamma * self.alpha_ratio(0, s)
-        coeff_xt = (1.0 - gamma) / self.alpha_ratio(s, t)
-        variance = self.sigma2(s, t) * self.sigma2(0, s) / self.sigma2(0, t)
+        a = self._alpha
+        ratio = a[t] / a[s]
+        var_st = 1.0 - ratio**2
+        var_0t = 1.0 - (a[t] / a[0]) ** 2
+        gamma = var_st / var_0t
+        coeff_x0 = gamma * (a[s] / a[0])
+        coeff_xt = (1.0 - gamma) / ratio
+        variance = var_st * (1.0 - (a[s] / a[0]) ** 2) / var_0t
         return BridgeParams(coeff_x0, coeff_xt, variance)
 
     # -- sampling -----------------------------------------------------------
@@ -119,9 +127,8 @@ class NoiseSchedule:
         """Draw x_t ~ q(. | x_s).  Broadcasts over leading axes of x_s."""
         self._check_pair(s, t, allow_equal=False)
         x_s = np.asarray(x_s, dtype=np.float64)
-        mean = self.alpha_ratio(s, t) * x_s
-        std = math.sqrt(self.sigma2(s, t))
-        return mean + std * rng.standard_normal(x_s.shape)
+        ratio = self._alpha[t] / self._alpha[s]
+        return ratio * x_s + math.sqrt(1.0 - ratio**2) * rng.standard_normal(x_s.shape)
 
     def bridge_sample(
         self, x0: np.ndarray, xt: np.ndarray, s: int, t: int, rng: np.random.Generator
@@ -154,6 +161,8 @@ class NoiseSchedule:
             raise ValueError(f"time index {t} outside [0, {self.T}]")
 
     def _check_pair(self, s: int, t: int, allow_equal: bool) -> None:
+        if 0 <= s < t <= self.T or (allow_equal and 0 <= s == t <= self.T):
+            return
         self._check_time(s)
         self._check_time(t)
         if s > t or (s == t and not allow_equal):

@@ -125,21 +125,21 @@ def kl_gradient_estimate(
         d/drho = (same) * dX/drho - 1/2,
 
     unbiased for the objective -E[log ghat_s] + KL(lambda || bridge).
+    Returned as one array of shape (2, ...): [d/dmu, d/drho].
     """
     _check_pair(s, t)
     p = schedule.bridge_params(s, t)
     m_b = p.mean(x0, xt)
     sd = np.exp(0.5 * params.rho)
-    grad_mu = np.zeros_like(params.mu)
-    grad_rho = np.zeros_like(params.rho)
+    grads = np.zeros((2,) + params.mu.shape)
     for _ in range(n_samples):
         z = rng.standard_normal(params.mu.shape)
         x = params.mu + sd * z
         pot = log_g_hat(likelihood, prior, schedule, s, x)
         common = -pot.gradient + (x - m_b) / p.variance
-        grad_mu += common
-        grad_rho += common * (0.5 * sd * z) - 0.5
-    return grad_mu / n_samples, grad_rho / n_samples
+        grads[0] += common
+        grads[1] += common * (0.5 * sd * z) - 0.5
+    return grads / n_samples
 
 
 def fit_variational(
@@ -153,25 +153,28 @@ def fit_variational(
     config: ViConfig,
     rng: np.random.Generator,
 ) -> VariationalParams:
-    """Run ``config.steps`` Adam updates from the bridge initialization."""
+    """Run ``config.steps`` Adam updates from the bridge initialization.
+
+    Both parameter blocks step together, in place, as one (2, ...) array
+    whose two rows are the ``mu`` and ``rho`` of the result.
+    """
     params = bridge_init(schedule, s, t, x0, xt)
-    mom = [np.zeros_like(params.mu), np.zeros_like(params.rho)]
-    vel = [np.zeros_like(params.mu), np.zeros_like(params.rho)]
+    theta = np.stack([params.mu, params.rho])
+    params.mu, params.rho = theta
+    mom = np.zeros_like(theta)
+    vel = np.zeros_like(theta)
     lr = config.learning_rate
     for step in range(1, config.steps + 1):
         grads = kl_gradient_estimate(
             likelihood, prior, schedule, s, t, x0, xt, params, rng, config.mc_samples_per_step
         )
-        for slot, grad in enumerate(grads):
-            mom[slot] = ADAM_BETA1 * mom[slot] + (1.0 - ADAM_BETA1) * grad
-            vel[slot] = ADAM_BETA2 * vel[slot] + (1.0 - ADAM_BETA2) * grad**2
-            m_hat = mom[slot] / (1.0 - ADAM_BETA1**step)
-            v_hat = vel[slot] / (1.0 - ADAM_BETA2**step)
-            update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            if slot == 0:
-                params.mu = params.mu - update
-            else:
-                params.rho = params.rho - update
+        mom *= ADAM_BETA1
+        mom += (1.0 - ADAM_BETA1) * grads
+        vel *= ADAM_BETA2
+        vel += (1.0 - ADAM_BETA2) * grads**2
+        m_hat = mom / (1.0 - ADAM_BETA1**step)
+        v_hat = vel / (1.0 - ADAM_BETA2**step)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
 
 

@@ -58,6 +58,7 @@ class TestRunExperiment:
         harness.run_experiment(config, tmp_path / "serial", jobs=1)
         harness.run_experiment(config, tmp_path / "pool", jobs=2)
         assert (tmp_path / "serial/results.csv").read_bytes() == (tmp_path / "pool/results.csv").read_bytes()
+        assert (tmp_path / "serial/summary.json").read_bytes() == (tmp_path / "pool/summary.json").read_bytes()
 
     def test_dps_algorithm_path(self, tmp_path):
         config = harness.smoke_config()
@@ -172,6 +173,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "mgdm: runtime failure: Matrix is not positive definite" in err
         assert "config error" not in err
+
+    def test_run_and_compare_accept_level_one(self, tmp_path):
+        """The near-zero index draws s = 1 on this config; run and compare both accept it."""
+        config = {
+            "prior": {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]},
+            "likelihood": {"kind": "linear", "A": [[1.0]], "y": [1.0], "sigma_y": 0.5},
+            "schedule": {"family": "linear", "T": 100},
+            "sampler": {"algorithm": "mgdm", "K": 20, "R": 1, "backend": "exact", "index": {"kind": "near-zero"}},
+            "master_seed": 3,
+        }
+        for command, n_runs in (("run", 20), ("compare", 2000)):
+            cfg_path = tmp_path / f"{command}.json"
+            cfg_path.write_text(json.dumps(dict(config, n_runs=n_runs)))
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 0
+        report = json.loads((tmp_path / "compare/compare.json").read_text())
+        assert 1 in report["index_sequence"]
+        assert report["passed"] is True
+
+    def test_non_finite_state_exits_as_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        """A denoiser that returns NaN at the top level stops the first outer step."""
+        from mgdm.priors import DenoiserOutput, GaussianPrior
+
+        denoise = GaussianPrior.denoise
+
+        def poisoned(self, schedule, t, x_t):
+            out = denoise(self, schedule, t, x_t)
+            return DenoiserOutput(np.full_like(out.value, np.nan), out.vjp) if t == schedule.T else out
+
+        monkeypatch.setattr(GaussianPrior, "denoise", poisoned)
+        assert main(["smoke", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "mgdm: runtime failure: non-finite state at outer step i=10 (t=200, s=" in err
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mgdm.metrics import SampleSet, gaussian_kl, sliced_wasserstein2, wasserstein1_1d
+from mgdm.metrics import SampleSet, _linear_quantiles, gaussian_kl, sliced_wasserstein2, wasserstein1_1d
 from mgdm.moments import GaussianMoments
 
 
@@ -103,6 +103,34 @@ class TestSlicedWasserstein:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sliced_wasserstein2(np.zeros((5, 2)), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_unequal_sizes_match_numpy_quantile_reference(self, d):
+        """Both sides' quantiles equal np.quantile(p, grid, axis=0) bit for bit."""
+        counts = (1, 2, 100, 1024, 1025)
+        rng = np.random.default_rng(12)
+        dirs = rng.standard_normal((16, d))
+        for n_a in counts:
+            for n_b in counts:
+                n = max(n_a, n_b)
+                grid = (np.arange(n) + 0.5) / n
+                for p in (rng.standard_normal((n_a, d)) @ dirs.T, rng.standard_normal((n_b, d)) @ dirs.T):
+                    got = _linear_quantiles(p, grid)
+                    want = np.quantile(p, grid, axis=0).T
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n_a, n_b)
+
+    def test_unequal_sizes_score_matches_numpy_quantile_path(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((100, 2))
+        b = rng.standard_normal((1024, 2)) + 0.3
+        dirs = np.random.default_rng(42).standard_normal((512, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        grid = (np.arange(1024) + 0.5) / 1024
+        qa = np.quantile(a @ dirs.T, grid, axis=0).T
+        qb = np.quantile(b @ dirs.T, grid, axis=0).T
+        want = float(np.sqrt(2 * np.mean(np.mean((qa - qb) ** 2, axis=1))))
+        assert sliced_wasserstein2(a, b, rng=np.random.default_rng(42)) == want
 
     def test_sample_set_wrapper(self):
         arr = np.random.default_rng(8).standard_normal((50, 2))

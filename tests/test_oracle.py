@@ -44,7 +44,7 @@ class TestBuildKernels:
     def test_rejects_bad_levels(self):
         lik, prior, sched = instance_2d()
         with pytest.raises(ValueError):
-            build_kernels(prior, lik, sched, k=10, tau=1)
+            build_kernels(prior, lik, sched, k=10, tau=0)
         with pytest.raises(ValueError):
             build_kernels(prior, lik, sched, k=10, tau=10)
 
@@ -229,6 +229,25 @@ class TestOracleRecursion:
                          index_dist=IndexDistribution(kind="fixed", values=seq))
         n = 30_000
         samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(19))
+        om = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=2))
+        z = (samples.mean(0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
+        assert np.all(np.abs(z) < 4.0)
+        emp_cov = np.cov(samples.T)
+        se = np.sqrt(np.outer(np.diag(om.cov), np.diag(om.cov)) * 2.0 / n)
+        assert np.all(np.abs(emp_cov - om.cov) < 4.0 * se)
+
+    def test_matches_simulation_at_level_one(self):
+        """tau = 1, the smallest level the near-zero index draws, is an
+        oracle step like any other: sampler and recursion agree there."""
+        lik, prior, sched = instance_2d()
+        from mgdm.sampler import make_timesteps
+
+        ts = make_timesteps(10, 1000)
+        seq = (1,) * (len(ts) - 1)
+        cfg = MgdmConfig(timesteps=ts, R=2, conditional="exact", denoise="exact",
+                         index_dist=IndexDistribution(kind="fixed", values=seq))
+        n = 30_000
+        samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(23))
         om = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=2))
         z = (samples.mean(0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
         assert np.all(np.abs(z) < 4.0)

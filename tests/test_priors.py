@@ -136,6 +136,61 @@ def fd_vjp(prior, sched, t, x, w, h=1e-5):
     return grad
 
 
+class TestDenoiserAffineLevels:
+    """(J_t, b_t) are kept per level for the last schedule; entries are read-only and never shared."""
+
+    @staticmethod
+    def fresh(prior, sched, t):
+        """The same spectral formula on a new prior, which has nothing cached yet."""
+        return GaussianPrior(mean=prior.mean, cov=prior.cov).denoiser_affine(sched, t)
+
+    def test_entries_are_read_only_and_repeatable(self):
+        prior = GaussianPrior(mean=[0.1, -0.4], cov=[[1.0, 0.3], [0.3, 0.7]])
+        sched = make_schedule("linear", 100)
+        jac, bias = prior.denoiser_affine(sched, 40)
+        for arr in (jac, bias):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        again = prior.denoiser_affine(sched, 40)
+        assert again[0] is jac and again[1] is bias
+        want_jac, want_bias = self.fresh(prior, sched, 40)
+        assert np.array_equal(jac, want_jac) and np.array_equal(bias, want_bias)
+
+    def test_two_schedules_never_share_entries(self):
+        prior = GaussianPrior(mean=[0.5], cov=[[2.0]])
+        linear, cosine = make_schedule("linear", 100), make_schedule("cosine", 100)
+        for sched in (linear, cosine, linear):
+            jac, bias = prior.denoiser_affine(sched, 30)
+            want_jac, want_bias = self.fresh(prior, sched, 30)
+            assert np.array_equal(jac, want_jac) and np.array_equal(bias, want_bias)
+        assert not np.array_equal(prior.denoiser_affine(linear, 30)[0], prior.denoiser_affine(cosine, 30)[0])
+
+    def test_two_priors_never_share_entries(self):
+        sched = make_schedule("linear", 100)
+        wide, narrow = GaussianPrior(mean=[1.0], cov=[[4.0]]), GaussianPrior(mean=[-1.0], cov=[[0.25]])
+        for prior in (wide, narrow, wide):
+            jac, bias = prior.denoiser_affine(sched, 30)
+            want_jac, want_bias = self.fresh(prior, sched, 30)
+            assert np.array_equal(jac, want_jac) and np.array_equal(bias, want_bias)
+
+    def test_memory_bounded_by_levels_of_one_schedule(self):
+        prior = gauss_1d()
+        first, second = make_schedule("linear", 40), make_schedule("linear", 40)
+        for _ in range(3):
+            for t in range(1, 41):
+                prior.denoiser_affine(first, t)
+        assert prior._levels[0] is first and len(prior._levels[1]) == 40
+        prior.denoiser_affine(second, 7)
+        assert prior._levels[0] is second and list(prior._levels[1]) == [7]
+
+    def test_rejects_bad_levels(self):
+        prior, sched = gauss_1d(), make_schedule("linear", 10)
+        for t in (0, 11, -1):
+            with pytest.raises(ValueError):
+                prior.denoiser_affine(sched, t)
+
+
 class TestDenoiserVjp:
     def test_mcgdiff_scale_instance_matches_finite_differences(self):
         sched = make_schedule("linear", 1000)

@@ -298,6 +298,27 @@ class TestMgdmRun:
         out = mgdm_run(lik, prior, sched, cfg, np.random.default_rng(9))
         assert out.shape == (1,) and np.isfinite(out).all()
 
+    def test_non_finite_state_names_outer_step(self, monkeypatch):
+        """NaN from the denoiser at one level stops the run at the outer step that uses it."""
+        from mgdm.priors import DenoiserOutput
+        from mgdm.sampler import NonFiniteStateError
+
+        lik, prior, sched = problem_1d()
+        ts = make_timesteps(6, 1000)
+        levels = (400, 300, 150, 77, 40)  # outer steps i = 6 .. 2; M = 1 denoises at s only
+        cfg = MgdmConfig(timesteps=ts, M=1, index_dist=IndexDistribution(kind="fixed", values=levels))
+        denoise = GaussianPrior.denoise
+
+        def poisoned(self, schedule, t, x_t):
+            out = denoise(self, schedule, t, x_t)
+            return DenoiserOutput(np.full_like(out.value, np.nan), out.vjp) if t == 77 else out
+
+        monkeypatch.setattr(GaussianPrior, "denoise", poisoned)
+        with pytest.raises(NonFiniteStateError, match=r"outer step i=3 \(t=500, s=77\)"):
+            mgdm_run(lik, prior, sched, cfg, np.random.default_rng(0))
+        with pytest.raises(NonFiniteStateError, match=r"outer step i=3 \(t=500, s=77\)"):
+            mgdm_run_batch(lik, prior, sched, cfg, 4, np.random.default_rng(0))
+
     def test_batch_shape(self):
         lik, prior, sched = problem_1d()
         cfg = MgdmConfig(timesteps=make_timesteps(8, 1000), M=4, conditional="exact", denoise="exact")

@@ -165,6 +165,39 @@ class TestBridge:
         assert abs(draws.mean() - target[0]) < 4.0 * np.sqrt(p.variance / n)
 
 
+class TestCoefficientLookups:
+    """Coefficients from the per-level tables equal the numpy-scalar formulas bit for bit."""
+
+    @staticmethod
+    def reference(sched, s, t):
+        a = sched.alphas
+
+        def var(lo, hi):
+            return 0.0 if lo == hi else 1.0 - (a[hi] / a[lo]) ** 2
+
+        gamma = var(s, t) / var(0, t)
+        coeff_x0 = gamma * float(a[s] / a[0])
+        coeff_xt = (1.0 - gamma) / float(a[t] / a[s])
+        return coeff_x0, coeff_xt, var(s, t) * var(0, s) / var(0, t)
+
+    def test_bridge_params_match_formula_for_every_pair(self):
+        for sched in (make_schedule("cosine", 64), NoiseSchedule(alphas=np.array([1.0 - 1e-13, 0.9, 0.8, 0.3]))):
+            for t in range(1, sched.T + 1):
+                for s in range(t):
+                    p = sched.bridge_params(s, t)
+                    assert (p.mean_coeff_x0, p.mean_coeff_xt, p.variance) == self.reference(sched, s, t)
+                    assert sched.sigma2(s, t) == 1.0 - (sched.alphas[t] / sched.alphas[s]) ** 2
+                    assert sched.alpha_ratio(s, t) == float(sched.alphas[t] / sched.alphas[s])
+
+    def test_forward_sample_matches_formula(self):
+        sched = make_schedule("linear", 100)
+        x = np.random.default_rng(3).standard_normal((5, 2))
+        got = sched.forward_sample(x, 20, 70, np.random.default_rng(4))
+        ratio = float(sched.alphas[70] / sched.alphas[20])
+        want = ratio * x + np.sqrt(1.0 - ratio**2) * np.random.default_rng(4).standard_normal(x.shape)
+        assert np.array_equal(got, want)
+
+
 class TestKernelCompositionInvariants:
     def test_forward_chapman_kolmogorov(self):
         """Composing l->s->t matches l->t in mean coefficient and variance."""
