@@ -14,6 +14,7 @@ g_t = E[g(y | X_0) | x_t] is also available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,10 +39,18 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class PotentialEval:
-    """Value and gradient of a log potential at the query point(s)."""
+    """Gradient of a log potential at the query point(s), and its value.
 
-    log_value: np.ndarray | float
+    The value is computed by ``value_fn`` when ``log_value`` is first read,
+    so gradient-only callers (the VI fit) never evaluate it.
+    """
+
     gradient: np.ndarray
+    value_fn: Callable[[], np.ndarray | float] = field(repr=False)
+
+    @cached_property
+    def log_value(self) -> np.ndarray | float:
+        return self.value_fn()
 
 
 @dataclass(frozen=True)
@@ -181,13 +190,14 @@ def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarra
     """Evaluate log ghat_s(x_s) = log g0(m_s(x_s)) and its gradient.
 
     The gradient is Jac(m_s)^T grad log g0 at m_s(x_s), the denoiser's
-    vector-Jacobian product applied to grad log g0.  Rejects s = 0 (use
-    log_g0).
+    vector-Jacobian product applied to grad log g0; the value is evaluated
+    only when read.  Rejects s = 0 (use log_g0).
     """
     if s == 0:
         raise ValueError("ghat_s needs s >= 1; evaluate log_g0 directly at s = 0")
     den = prior.denoise(schedule, s, x_s)
-    return PotentialEval(log_value=likelihood.log_g0(den.value), gradient=den.vjp(likelihood.grad_log_g0(den.value)))
+    value = den.value
+    return PotentialEval(gradient=den.vjp(likelihood.grad_log_g0(value)), value_fn=lambda: likelihood.log_g0(value))
 
 
 def exact_log_g_t(likelihood, prior, schedule: NoiseSchedule, t: int, x_t: np.ndarray):

@@ -52,10 +52,7 @@ class OracleKernels:
 
     The per-repetition update of the joint state z = (x_0, x_k) is
     z' = b + B z + Gamma^{1/2} xi.  ``B``, ``b``, ``Gamma`` come from
-    direct composition of the three conditional draws; ``psi``,
-    ``gamma_assembled``, ``j_block``, ``k_block`` are the
-    completion-of-squares assembly of the same objects (equal up to
-    roundoff, asserted by tests).
+    direct composition of the three conditional draws.
     """
 
     k: int
@@ -76,11 +73,6 @@ class OracleKernels:
     B: np.ndarray
     b: np.ndarray
     Gamma: np.ndarray
-    # completion-of-squares assembly
-    psi: np.ndarray
-    gamma_assembled: np.ndarray
-    j_block: np.ndarray
-    k_block: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -139,44 +131,9 @@ def build_kernels(
         ]
     )
     Gamma = 0.5 * (Gamma + Gamma.T)
-
-    # Completion-of-squares assembly of the same kernel.
-    sc_inv = spd_inverse(Sigma_c)
-    sd_inv = spd_inverse(Sigma_d)
-    lam_inv = spd_inverse(lam)
-    psi = spd_inverse(lam_inv + C.T @ sc_inv @ C + D.T @ sd_inv @ D)
-    gamma_inv = np.block(
-        [
-            [sc_inv - sc_inv @ C @ psi @ C.T @ sc_inv, -sc_inv @ C @ psi @ D.T @ sd_inv],
-            [-sd_inv @ D @ psi @ C.T @ sc_inv, sd_inv - sd_inv @ D @ psi @ D.T @ sd_inv],
-        ]
-    )
-    gamma_assembled = spd_inverse(gamma_inv)
-    zeros = np.zeros((d, d))
-    j_block = np.block(
-        [[sc_inv @ C @ psi @ lam_inv, zeros], [zeros, sd_inv @ D @ psi @ lam_inv]]
-    )
-    k_block = np.block([[M, N], [M, N]])
-
     return OracleKernels(
-        k=k,
-        tau=tau,
-        lam=lam,
-        M=M,
-        N=N,
-        e=e,
-        C=C,
-        c=c,
-        Sigma_c=Sigma_c,
-        D=D,
-        Sigma_d=Sigma_d,
-        B=B,
-        b=b,
-        Gamma=Gamma,
-        psi=psi,
-        gamma_assembled=gamma_assembled,
-        j_block=j_block,
-        k_block=k_block,
+        k=k, tau=tau, lam=lam, M=M, N=N, e=e, C=C, c=c, Sigma_c=Sigma_c, D=D, Sigma_d=Sigma_d,
+        B=B, b=b, Gamma=Gamma,
     )
 
 

@@ -72,13 +72,31 @@ def _normalize_exp(logs: np.ndarray, axis: int = 0) -> np.ndarray:
     return w / w.sum(axis=axis, keepdims=True)
 
 
+def _backward_scalings(schedule: NoiseSchedule, s: int, t: int, lam: np.ndarray, mean_coords: np.ndarray):
+    """(gain, shift, sd) with p_{s|t} = N(Q diag(gain) Q^T x_t + Q shift, Q diag(sd^2) Q^T)
+    for a prior N(m, Q diag(lam) Q^T); broadcasts over leading component axes.
+
+    With S_u = alpha_u^2 lam + v_u: gain = (alpha_t / alpha_s) S_s / S_t,
+    shift = (alpha_s - gain alpha_t) Q^T m and sd^2 = S_s sigma2_{t|s} / S_t.
+    """
+    if not 0 <= s < t:
+        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
+    a_s, a_t = schedule.alpha(s), schedule.alpha(t)
+    var_s = (a_s * a_s) * lam + schedule.sigma2(0, s)
+    var_t = (a_t * a_t) * lam + schedule.sigma2(0, t)
+    gain = (a_t / a_s) * var_s / var_t
+    return gain, (a_s - gain * a_t) * mean_coords, np.sqrt(var_s * schedule.sigma2(s, t) / var_t)
+
+
 @dataclass(frozen=True)
 class GaussianPrior:
     """Gaussian prior N(mean, cov) with SPD covariance.
 
     ``denoiser_affine`` keeps (J_t, b_t) per level for the last schedule
-    it was called with: at most T + 1 read-only entries, dropped when a
-    different schedule comes in.
+    it was called with, and the exact conditional keeps its factorization
+    per level for the last (schedule, likelihood) pair: each memo holds at
+    most T + 1 read-only entries and is dropped when a different schedule
+    or likelihood comes in (see ``level_memo``).
     """
 
     mean: np.ndarray
@@ -87,6 +105,7 @@ class GaussianPrior:
     _eigvals: np.ndarray = field(init=False, repr=False)
     _eigvecs: np.ndarray = field(init=False, repr=False)
     _levels: tuple = field(init=False, repr=False, compare=False)  # (schedule, {t: (J_t, b_t)})
+    _conditionals: tuple = field(init=False, repr=False, compare=False)  # (schedule, likelihood, {s: factors})
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
@@ -99,6 +118,7 @@ class GaussianPrior:
         object.__setattr__(self, "_eigvals", lam)
         object.__setattr__(self, "_eigvecs", vecs)
         object.__setattr__(self, "_levels", (None, {}))
+        object.__setattr__(self, "_conditionals", (None, None, {}))
 
     @property
     def dim(self) -> int:
@@ -113,6 +133,15 @@ class GaussianPrior:
         a = schedule.alpha(t)
         v = schedule.sigma2(0, t)
         return a, v, (a * a) * self._eigvals + v
+
+    def level_memo(self, slot: str, *owners) -> dict:
+        """The per-level dict of memo ``slot`` ("_levels" or "_conditionals") for these
+        owners, compared by identity; other owners start the memo afresh."""
+        memo = getattr(self, slot)
+        if any(a is not b for a, b in zip(memo, owners)):
+            memo = (*owners, {})
+            object.__setattr__(self, slot, memo)
+        return memo[-1]
 
     # -- smoothed marginal p_t ---------------------------------------------
 
@@ -149,10 +178,7 @@ class GaussianPrior:
         diagonal scalings, by alpha_t lam / (abar_t lam + v_t) and
         v_t / (abar_t lam + v_t).
         """
-        known, levels = self._levels
-        if known is not schedule:
-            levels = {}
-            object.__setattr__(self, "_levels", (schedule, levels))
+        levels = self.level_memo("_levels", schedule)
         affine = levels.get(t)
         if affine is None:
             if t == 0:
@@ -181,27 +207,16 @@ class GaussianPrior:
 
     def backward_moments(self, schedule: NoiseSchedule, s: int, t: int):
         """(G, g, V): p_{s|t}(x_t; .) = N(G x_t + g, V), for 0 <= s < t."""
-        if not 0 <= s < t:
-            raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
-        a_s, a_t = schedule.alpha(s), schedule.alpha(t)
-        _, s_s = self.marginal_moments(schedule, s)
-        _, s_t = self.marginal_moments(schedule, t)
-        ratio = a_t / a_s
-        chol_t = np.linalg.cholesky(s_t)
-        cross = ratio * s_s  # Cov(X_s, X_t)
-        gain = _solve_spd_mat(chol_t, cross.T).T  # cross S_t^{-1}
-        mean_const = a_s * self.mean - gain @ (a_t * self.mean)
-        var = s_s - gain @ cross.T
-        return gain, mean_const, 0.5 * (var + var.T)
+        gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self.mean @ self._eigvecs)
+        return self._spectral(gain), self._eigvecs @ shift, self._spectral(sd * sd)
 
     def backward_sample(
         self, schedule: NoiseSchedule, s: int, t: int, x_t: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        gain, mean_const, var = self.backward_moments(schedule, s, t)
-        x_t = np.asarray(x_t, dtype=np.float64)
-        mean = x_t @ gain.T + mean_const
-        root = _psd_root(var)
-        return mean + rng.standard_normal(mean.shape) @ root.T
+        """Exact draw from p_{s|t}: gain and noise root Q diag(sd) from diagonal scalings in Q."""
+        gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self.mean @ self._eigvecs)
+        mean = np.asarray(x_t, dtype=np.float64) @ self._spectral(gain) + self._eigvecs @ shift
+        return mean + rng.standard_normal(mean.shape) @ (sd[:, None] * self._eigvecs.T)
 
     def log_density(self, x: np.ndarray):
         return self._logpdf(1.0, 0.0, x)
@@ -353,14 +368,13 @@ class GmmPrior:
 
         out = np.empty_like(x_batch)
         eps = rng.standard_normal(x_batch.shape)
+        gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self._mean_coords[:, 0])
         for j in range(self.n_components):
             mask = comp == j
             if not np.any(mask):
                 continue
-            part = GaussianPrior(self.means[j], self.covs[j])
-            gain, mean_const, var = part.backward_moments(schedule, s, t)
-            mean = x_batch[mask] @ gain.T + mean_const
-            out[mask] = mean + eps[mask] @ _psd_root(var).T
+            q = self._eigvecs[j if len(self._eigvecs) > 1 else 0]
+            out[mask] = ((x_batch[mask] @ q) * gain[j] + shift[j] + eps[mask] * sd[j]) @ q.T
         return out[0] if squeeze else out
 
     def log_density(self, x: np.ndarray):
@@ -443,36 +457,27 @@ def prior_to_json(prior) -> dict:
 
 
 def prior_from_json(obj: dict):
+    """Prior from either JSON form: ``prior_to_json``'s flattened ``covariances``,
+    or the config form (``mean``/``cov`` for a Gaussian, ``means``/``covs`` for a GMM)."""
     kind = obj["kind"]
-    means = np.asarray(obj["means"], dtype=np.float64)
-    d = means.shape[1]
-    covs = np.asarray([np.reshape(c, (d, d)) for c in obj["covariances"]])
+    if kind not in ("gaussian", "gmm"):
+        raise ValueError(f"unknown prior kind {kind!r}")
+    if "covariances" in obj:
+        means = np.asarray(obj["means"], dtype=np.float64)
+        d = means.shape[1]
+        covs = np.asarray([np.reshape(c, (d, d)) for c in obj["covariances"]])
+    elif kind == "gaussian":
+        means, covs = [obj["mean"]], [obj["cov"]]
+    else:
+        means, covs = obj["means"], obj["covs"]
     if kind == "gaussian":
         return GaussianPrior(mean=means[0], cov=covs[0])
-    if kind == "gmm":
-        return GmmPrior(weights=np.asarray(obj["weights"], dtype=np.float64), means=means, covs=covs)
-    raise ValueError(f"unknown prior kind {kind!r}")
-
-
-# -- shared linear algebra helpers -------------------------------------------
-
-
-def _solve_spd_mat(chol: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
-    """(L L^T)^{-1} B for a (d, k) matrix B, via triangular solves."""
-    b_mat = np.asarray(b_mat, dtype=np.float64)
-    y = solve_triangular(chol, b_mat, lower=True)
-    return solve_triangular(chol.T, y, lower=False)
-
-
-def _psd_root(cov: np.ndarray) -> np.ndarray:
-    """Matrix square root of a PSD matrix, tolerant to tiny negative eigs."""
-    cov = 0.5 * (cov + cov.T)
-    w, q = np.linalg.eigh(cov)
-    return q * np.sqrt(np.clip(w, 0.0, None))
+    return GmmPrior(weights=np.asarray(obj["weights"], dtype=np.float64), means=means, covs=covs)
 
 
 def spd_inverse(mat: np.ndarray) -> np.ndarray:
-    """Symmetrized inverse of an SPD matrix via its Cholesky factor."""
+    """Symmetrized inverse of an SPD matrix via its Cholesky factor and two triangular solves."""
     mat = 0.5 * (mat + np.asarray(mat).T)
-    out = _solve_spd_mat(np.linalg.cholesky(mat), np.eye(mat.shape[0]))
+    chol = np.linalg.cholesky(mat)
+    out = solve_triangular(chol.T, solve_triangular(chol, np.eye(mat.shape[0]), lower=True), lower=False)
     return 0.5 * (out + out.T)

@@ -246,22 +246,19 @@ def ddpm_denoise(
         raise ValueError("M must be >= 1")
     if s < 1:
         raise ValueError("s must be >= 1")
-    grid = np.unique(np.round(np.linspace(0, s, M + 1)).astype(int))
+    grid = schedule.substep_grid(s, M)
     x = np.asarray(x_s, dtype=np.float64)
     for j in range(len(grid) - 1, 1, -1):
-        hi, lo = int(grid[j]), int(grid[j - 1])
+        hi, lo = grid[j], grid[j - 1]
         x0_hat = prior.denoise(schedule, hi, x).value
         x = schedule.bridge_sample(x0_hat, x, lo, hi, rng)
-    return prior.denoise(schedule, int(grid[1]), x).value
+    return prior.denoise(schedule, grid[1], x).value
 
 
 def _draw_conditional(state: GibbsState, likelihood, prior, schedule, config, vi_config, rng):
     s, t = state.s, state.t
     if config.conditional == "exact":
-        coef_x0, coef_xt, shift, lam = vi_mod.conditional_coefficients(likelihood, prior, schedule, s, t)
-        mean = state.x0 @ coef_x0.T + state.xt @ coef_xt.T + shift
-        root = np.linalg.cholesky(lam)
-        return mean + rng.standard_normal(mean.shape) @ root.T
+        return vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, t, state.x0, state.xt, rng)
     params = vi_mod.fit_variational(likelihood, prior, schedule, s, t, state.x0, state.xt, vi_config, rng)
     draw = params.sample(rng)
     if config.conditional == "vi-mh":

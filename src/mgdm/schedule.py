@@ -53,16 +53,18 @@ class BridgeParams:
 class NoiseSchedule:
     """Discrete noise schedule alpha_0 .. alpha_T.
 
-    Immutable after construction; safe to share across threads.  All
-    sampling methods take a caller-owned ``numpy.random.Generator``.
-    The alpha_t are also kept as Python floats, so every coefficient is a
-    few float operations on lookups.
+    Immutable after construction apart from a memo of sub-step grids;
+    safe to share across threads.  All sampling methods take a
+    caller-owned ``numpy.random.Generator``.  The alpha_t are also kept as
+    Python floats, so every coefficient is a few float operations on
+    lookups.
     """
 
     alphas: np.ndarray
     family: str = "custom"
     T: int = field(init=False)
     _alpha: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _grids: tuple = field(init=False, repr=False, compare=False)  # (M, {s: sub-step grid}) for the last M
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)
@@ -81,6 +83,7 @@ class NoiseSchedule:
         if np.any(np.diff(alphas) >= 0.0):
             raise ValueError("alpha_t must be strictly decreasing")
         object.__setattr__(self, "_alpha", tuple(alphas.tolist()))
+        object.__setattr__(self, "_grids", (0, {}))
 
     # -- scalar coefficients ------------------------------------------------
 
@@ -88,10 +91,6 @@ class NoiseSchedule:
         """Signal scale alpha_t."""
         self._check_time(t)
         return self._alpha[t]
-
-    def alpha_bar(self, t: int) -> float:
-        """Squared signal scale alpha_t^2 (conventional alpha-bar)."""
-        return self.alpha(t) ** 2
 
     def sigma2(self, s: int, t: int) -> float:
         """Forward-kernel variance sigma2_{t|s} = 1 - (alpha_t/alpha_s)^2."""
@@ -120,6 +119,18 @@ class NoiseSchedule:
         coeff_xt = (1.0 - gamma) / ratio
         variance = var_st * (1.0 - (a[s] / a[0]) ** 2) / var_0t
         return BridgeParams(coeff_x0, coeff_xt, variance)
+
+    def substep_grid(self, s: int, M: int) -> tuple[int, ...]:
+        """Distinct rounded levels of linspace(0, s, M + 1), memoized per level s for the last M."""
+        self._check_time(s)
+        memo_m, grids = self._grids
+        if memo_m != M:
+            grids = {}
+            object.__setattr__(self, "_grids", (M, grids))
+        grid = grids.get(s)
+        if grid is None:
+            grid = grids[s] = tuple(int(v) for v in np.unique(np.round(np.linspace(0, s, M + 1)).astype(int)))
+        return grid
 
     # -- sampling -----------------------------------------------------------
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .likelihoods import LinearGaussianLikelihood, log_g_hat, linearized_potential
 from .moments import GaussianMoments
-from .priors import GaussianPrior, spd_inverse
+from .priors import GaussianPrior
 from .schedule import NoiseSchedule, gauss_log_density
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "gauss_vi",
     "exact_conditional",
     "conditional_coefficients",
+    "exact_conditional_sample",
     "mh_correct",
     "independent_mh",
     "reverse_kl_quadrature",
@@ -197,6 +198,32 @@ def gauss_vi(
 # -- exact conditional (linear-Gaussian + Gaussian prior) ---------------------
 
 
+def _exact_factors(likelihood, prior, schedule: NoiseSchedule, s: int, t: int):
+    """(bridge params, W, ell, h) with Lambda = W diag(ell) W^T and e = W (ell * h).
+
+    W diag(mu) W^T = A_hat_s^T A_hat_s / sigma_y^2 and h = W^T A_hat_s^T (y - a_s) / sigma_y^2
+    are factorized once per level s and memoized, read-only, on the prior
+    for the last (schedule, likelihood) pair; only ell = 1 / (1 / bridge_var + mu)
+    depends on t.
+    """
+    _check_pair(s, t)
+    if not isinstance(likelihood, LinearGaussianLikelihood):
+        raise TypeError("exact conditional requires a linear-Gaussian likelihood")
+    if not isinstance(prior, GaussianPrior):
+        raise TypeError("exact conditional requires a Gaussian prior")
+    levels = prior.level_memo("_conditionals", schedule, likelihood)
+    if s not in levels:
+        a_hat, offset = linearized_potential(likelihood, prior, schedule, s)
+        s2 = likelihood.sigma_y**2
+        mu, w = np.linalg.eigh(a_hat.T @ a_hat / s2)
+        levels[s] = (w, np.clip(mu, 0.0, None), (likelihood.y - offset) @ a_hat @ w / s2)
+        for arr in levels[s]:
+            arr.flags.writeable = False
+    w, mu, h = levels[s]
+    p = schedule.bridge_params(s, t)
+    return p, w, p.variance / (1.0 + p.variance * mu), h
+
+
 def conditional_coefficients(likelihood, prior, schedule: NoiseSchedule, s: int, t: int):
     """(M, N, e, Lambda) of the exact Gaussian conditional.
 
@@ -204,20 +231,22 @@ def conditional_coefficients(likelihood, prior, schedule: NoiseSchedule, s: int,
     Lambda = [(1/bridge_var) I + A_hat^T A_hat / sigma_y^2]^{-1}; M and N
     rescale the bridge mean coefficients through Lambda.
     """
-    _check_pair(s, t)
-    if not isinstance(likelihood, LinearGaussianLikelihood):
-        raise TypeError("exact conditional requires a linear-Gaussian likelihood")
-    if not isinstance(prior, GaussianPrior):
-        raise TypeError("exact conditional requires a Gaussian prior")
-    d = prior.dim
-    p = schedule.bridge_params(s, t)
-    a_hat, offset = linearized_potential(likelihood, prior, schedule, s)
-    prec = np.eye(d) / p.variance + a_hat.T @ a_hat / likelihood.sigma_y**2
-    lam = spd_inverse(prec)
-    coef_x0 = lam * (p.mean_coeff_x0 / p.variance)
-    coef_xt = lam * (p.mean_coeff_xt / p.variance)
-    shift = lam @ a_hat.T @ (likelihood.y - offset) / likelihood.sigma_y**2
-    return coef_x0, coef_xt, shift, lam
+    p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t)
+    lam = (w * ell) @ w.T
+    return lam * (p.mean_coeff_x0 / p.variance), lam * (p.mean_coeff_xt / p.variance), w @ (ell * h), lam
+
+
+def exact_conditional_sample(
+    likelihood, prior, schedule: NoiseSchedule, s: int, t: int, x0: np.ndarray, xt: np.ndarray, rng
+) -> np.ndarray:
+    """One draw from pibar(x_s | x_0, x_t) per state; states may carry leading batch axes.
+
+    The mean is Lambda bridge_mean / bridge_var + e and the noise root
+    W diag(sqrt(ell)), all from diagonal scalings in W.
+    """
+    p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t)
+    mean = p.mean(x0, xt) @ ((w * (ell / p.variance)) @ w.T) + w @ (ell * h)
+    return mean + rng.standard_normal(mean.shape) @ (np.sqrt(ell)[:, None] * w.T)
 
 
 def exact_conditional(

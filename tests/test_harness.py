@@ -107,6 +107,30 @@ class TestCompare:
         assert report["passed"] is True
         assert np.max(np.abs(report["z_mean"])) < 3.0
 
+    def test_z_cov_uses_analytic_standard_errors(self, tmp_path):
+        report = harness.compare_to_oracle(compare_config(), tmp_path)
+        oracle_cov = np.asarray(report["oracle_cov"])
+        se = np.sqrt((np.outer(np.diag(oracle_cov), np.diag(oracle_cov)) + oracle_cov**2) / (2000 - 1))
+        want = (np.asarray(report["empirical_cov"]) - oracle_cov) / se
+        np.testing.assert_allclose(report["z_cov"], want, rtol=1e-12, atol=0)
+
+    def test_analytic_se_matches_bootstrap(self):
+        """On one n = 10,000 exact-backend run of the flagship config, the closed-form
+        sample-covariance SE is within 10% of a 2,000-resample bootstrap."""
+        from mgdm.oracle import OracleConfig, oracle_recursion
+        from mgdm.sampler import mgdm_run_batch
+
+        config = compare_config(n_runs=10_000, K=25, R=4)
+        prior, lik, sched = harness.build_problem(config)
+        mcfg = harness.build_mgdm_config(config["sampler"], sched)
+        seq = tuple(max(2, mcfg.timesteps[i - 2] // 2) for i in range(mcfg.K, 1, -1))
+        samples = mgdm_run_batch(lik, prior, sched, mcfg, 10_000, np.random.default_rng(2024))
+        oracle = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=mcfg.timesteps, index_sequence=seq, R=4))
+        rng = np.random.default_rng(2025)
+        boots = np.stack([np.cov(samples[rng.integers(0, 10_000, size=10_000)].T) for _ in range(2000)])
+        ratio = harness.covariance_se(oracle.cov, 10_000) / boots.std(axis=0, ddof=1)
+        assert np.all(np.abs(ratio - 1.0) < 0.10), ratio
+
     def test_refuses_vi_backend_without_flag(self, tmp_path):
         with pytest.raises(ValueError):
             harness.compare_to_oracle(compare_config(backend="vi"), tmp_path)

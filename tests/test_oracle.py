@@ -17,7 +17,7 @@ from mgdm.oracle import (
     oracle_recursion,
     quadrature_joint,
 )
-from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior
+from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior, spd_inverse
 from mgdm.sampler import GibbsState, IndexDistribution, MgdmConfig, gibbs_step, mgdm_run_batch
 from mgdm.schedule import gauss_log_density, make_schedule
 
@@ -38,6 +38,24 @@ def instance_1d(sigma_y=0.5):
 
 def midpoint_sequence(ts):
     return tuple(max(2, ts[i - 2] // 2) for i in range(len(ts), 1, -1))
+
+
+def completion_of_squares(kern):
+    """(psi, gamma_assembled, j_block, k_block): the completion-of-squares
+    assembly of a one-repetition kernel, the reference for its direct composition."""
+    sc_inv, sd_inv, lam_inv = spd_inverse(kern.Sigma_c), spd_inverse(kern.Sigma_d), spd_inverse(kern.lam)
+    C, D = kern.C, kern.D
+    psi = spd_inverse(lam_inv + C.T @ sc_inv @ C + D.T @ sd_inv @ D)
+    gamma_inv = np.block(
+        [
+            [sc_inv - sc_inv @ C @ psi @ C.T @ sc_inv, -sc_inv @ C @ psi @ D.T @ sd_inv],
+            [-sd_inv @ D @ psi @ C.T @ sc_inv, sd_inv - sd_inv @ D @ psi @ D.T @ sd_inv],
+        ]
+    )
+    zeros = np.zeros_like(C)
+    j_block = np.block([[sc_inv @ C @ psi @ lam_inv, zeros], [zeros, sd_inv @ D @ psi @ lam_inv]])
+    k_block = np.block([[kern.M, kern.N], [kern.M, kern.N]])
+    return psi, spd_inverse(gamma_inv), j_block, k_block
 
 
 class TestBuildKernels:
@@ -75,10 +93,11 @@ class TestBuildKernels:
             tau = int(rng.integers(2, 400))
             k = int(rng.integers(tau + 1, 1001))
             kern = build_kernels(prior, lik, sched, k=k, tau=tau)
-            np.testing.assert_allclose(kern.gamma_assembled, kern.Gamma, atol=1e-8)
-            np.testing.assert_allclose(kern.gamma_assembled @ kern.j_block @ kern.k_block, kern.B, atol=1e-8)
+            _, gamma_assembled, j_block, k_block = completion_of_squares(kern)
+            np.testing.assert_allclose(gamma_assembled, kern.Gamma, atol=1e-8)
+            np.testing.assert_allclose(gamma_assembled @ j_block @ k_block, kern.B, atol=1e-8)
             bias = np.concatenate([kern.c, np.zeros(2)])
-            bias = bias + kern.gamma_assembled @ kern.j_block @ np.concatenate([kern.e, kern.e])
+            bias = bias + gamma_assembled @ j_block @ np.concatenate([kern.e, kern.e])
             np.testing.assert_allclose(bias, kern.b, atol=1e-8)
 
     def test_flat_potential_limit(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from mgdm.metrics import SampleSet, gaussian_kl, sliced_wasserstein2
 from mgdm.moments import GaussianMoments
@@ -394,6 +395,86 @@ class TestBackwardSampling:
             np.testing.assert_allclose(ddpm_mean, gain @ x_t + const, atol=1e-10)
 
 
+def cholesky_backward_moments(prior, sched, s, t):
+    """(G, g, V) of p_{s|t} from the factorized formula: G = Cov(X_s, X_t) S_t^{-1}
+    by a Cholesky factor of S_t and two triangular solves."""
+    a_s, a_t = sched.alpha(s), sched.alpha(t)
+    _, s_s = prior.marginal_moments(sched, s)
+    _, s_t = prior.marginal_moments(sched, t)
+    cross = (a_t / a_s) * s_s
+    chol = np.linalg.cholesky(s_t)
+    gain = solve_triangular(chol.T, solve_triangular(chol, cross.T, lower=True), lower=False).T
+    var = s_s - gain @ cross.T
+    return gain, a_s * prior.mean - gain @ (a_t * prior.mean), 0.5 * (var + var.T)
+
+
+def random_spd(d, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (q * rng.uniform(0.2, 3.0, d)) @ q.T
+
+
+def eigen_root(cov, var):
+    """Q sqrt(diag(Q^T V Q)) for the eigenbasis Q of a prior covariance."""
+    q = np.linalg.eigh(cov)[1]
+    return q * np.sqrt(np.diag(q.T @ var @ q))
+
+
+class TestClosedFormBackward:
+    """Eigenbasis backward kernels against the Cholesky formula they replace."""
+
+    LEVELS = ((0, 1), (0, 37), (0, 200), (12, 13), (25, 160), (150, 199))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_moments_match_cholesky_formula(self, d):
+        sched = make_schedule("linear", 200)
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            prior = GaussianPrior(mean=rng.standard_normal(d), cov=random_spd(d, rng))
+            for s, t in self.LEVELS:
+                want = cholesky_backward_moments(prior, sched, s, t)
+                for got, ref in zip(prior.backward_moments(sched, s, t), want):
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_draw_is_mean_plus_eigen_root_noise(self, d):
+        """x_s = G x_t + g + Q sqrt(V) eps, with eps the generator's next standard normals."""
+        sched = make_schedule("cosine", 200)
+        rng = np.random.default_rng(10 + d)
+        prior = GaussianPrior(mean=rng.standard_normal(d), cov=random_spd(d, rng))
+        x_t = rng.standard_normal((30, d))
+        for s, t in self.LEVELS:
+            gain, const, var = cholesky_backward_moments(prior, sched, s, t)
+            eps = np.random.default_rng(5).standard_normal(x_t.shape)
+            want = x_t @ gain.T + const + eps @ eigen_root(prior.cov, var).T
+            got = prior.backward_sample(sched, s, t, x_t, np.random.default_rng(5))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            root = eigen_root(prior.cov, var)
+            np.testing.assert_allclose(root @ root.T, var, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_gmm_draw_uses_each_component_kernel(self, shared):
+        """Each chain's draw is its component's Cholesky-formula kernel with the eigen root,
+        component picked by responsibility from the same generator."""
+        sched = make_schedule("linear", 200)
+        rng = np.random.default_rng(3)
+        d, J = 3, 4
+        covs = [np.eye(d) * c for c in (0.3, 0.8, 1.5, 2.0)] if shared else [random_spd(d, rng) for _ in range(J)]
+        prior = GmmPrior(weights=[0.1, 0.2, 0.3, 0.4], means=rng.standard_normal((J, d)) * 2.0, covs=covs)
+        x_t = rng.standard_normal((400, d)) * 2.0
+        for s, t in ((0, 90), (40, 120)):
+            gen = np.random.default_rng(8)
+            resp = prior.responsibilities(sched, t, x_t)
+            comp = np.sum(gen.random((len(x_t), 1)) > np.cumsum(resp, axis=-1), axis=-1)
+            eps = gen.standard_normal(x_t.shape)
+            want = np.empty_like(x_t)
+            for j in range(J):
+                gain, const, var = cholesky_backward_moments(GaussianPrior(prior.means[j], prior.covs[j]), sched, s, t)
+                want[comp == j] = x_t[comp == j] @ gain.T + const + eps[comp == j] @ eigen_root(prior.covs[j], var).T
+            assert len(set(comp.tolist())) == J
+            got = prior.backward_sample(sched, s, t, x_t, np.random.default_rng(8))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestExactPosterior:
     def test_conjugate_1d(self):
         """N(0,1) prior, A=1, sigma_y=1, y=2 -> posterior N(1, 0.5)."""
@@ -451,3 +532,22 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.weights, prior.weights)
         np.testing.assert_array_equal(clone.means, prior.means)
         np.testing.assert_array_equal(clone.covs, prior.covs)
+
+    def test_config_forms_round_trip(self):
+        """The config form (mean/cov, means/covs) reads to the same prior, which round-trips."""
+        gauss_spec = {"kind": "gaussian", "mean": [0.1, 0.2], "cov": [[1.0, 0.3], [0.3, 0.9]]}
+        gmm = gmm_2d()
+        gmm_spec = {
+            "kind": "gmm", "weights": gmm.weights.tolist(), "means": gmm.means.tolist(), "covs": gmm.covs.tolist()
+        }
+        for spec, fields in ((gauss_spec, ("mean", "cov")), (gmm_spec, ("weights", "means", "covs"))):
+            prior = prior_from_json(spec)
+            clone = prior_from_json(prior_to_json(prior))
+            assert type(prior) is type(clone)
+            for name in fields:
+                np.testing.assert_array_equal(getattr(prior, name), np.asarray(spec[name]))
+                np.testing.assert_array_equal(getattr(clone, name), getattr(prior, name))
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            prior_from_json({"kind": "laplace", "mean": [0.0], "cov": [[1.0]]})

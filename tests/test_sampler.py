@@ -112,6 +112,28 @@ class TestDdpmDenoise:
             ddpm_denoise(prior, sched, np.zeros(1), 10, 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ddpm_denoise(prior, sched, np.zeros(1), 0, 5, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            ddpm_denoise(prior, sched, np.zeros(1), sched.T + 1, 5, np.random.default_rng(0))
+
+    def test_substep_grid_matches_linspace_rule(self):
+        sched = make_schedule("linear", 1000)
+        for M in range(1, 51):
+            for s in range(0, 1001):
+                want = np.unique(np.round(np.linspace(0, s, M + 1)).astype(int))
+                assert sched.substep_grid(s, M) == tuple(want.tolist()), (s, M)
+
+    def test_substep_grid_memo_is_read_only_bounded_and_per_schedule(self):
+        _, prior, sched = problem_1d()
+        other = make_schedule("linear", 50)
+        for _ in range(2):
+            for s in range(1, sched.T + 1):
+                ddpm_denoise(prior, sched, np.zeros(1), s, 7, np.random.default_rng(s))
+        memo_m, grids = sched._grids
+        assert memo_m == 7 and sorted(grids) == list(range(1, sched.T + 1))
+        assert all(isinstance(grid, tuple) for grid in grids.values())
+        assert other._grids == (0, {})
+        ddpm_denoise(prior, sched, np.zeros(1), 40, 3, np.random.default_rng(0))
+        assert sched._grids == (3, {40: sched.substep_grid(40, 3)})
 
 
 def exact_joint_draws(lik, prior, sched, s, t, n, rng):

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mgdm.likelihoods import LinearGaussianLikelihood, log_g_hat, quadratic_toy
+from mgdm.likelihoods import LinearGaussianLikelihood, linearized_potential, log_g_hat, quadratic_toy
 from mgdm.priors import GaussianPrior
 from mgdm.schedule import make_schedule, gauss_log_density
 from mgdm.vi import (
     ViConfig,
     bridge_init,
+    conditional_coefficients,
     exact_conditional,
+    exact_conditional_sample,
     fit_variational,
     gauss_vi,
     independent_mh,
@@ -137,6 +139,21 @@ class TestGradientEstimator:
         se_rho = grho.std() / math.sqrt(n)
         assert abs(gmu.mean() - fd_mu) < 3 * se_mu
         assert abs(grho.mean() - fd_rho) < 3 * se_rho
+
+
+class TestPotentialValueOnDemand:
+    def test_fit_never_evaluates_the_potential_value(self, monkeypatch):
+        lik, prior, sched = problem_1d()
+        calls = []
+        original = LinearGaussianLikelihood.log_g0
+        monkeypatch.setattr(LinearGaussianLikelihood, "log_g0", lambda self, x: calls.append(1) or original(self, x))
+        fit_variational(lik, prior, sched, 50, 300, np.array([0.2]), np.array([0.1]), ViConfig(steps=7),
+                        np.random.default_rng(0))
+        assert calls == []
+        pot = log_g_hat(lik, prior, sched, 50, np.array([[0.3], [-0.4]]))
+        want = original(lik, prior.denoise(sched, 50, np.array([[0.3], [-0.4]])).value)
+        np.testing.assert_array_equal(pot.log_value, want)
+        assert pot.log_value is pot.log_value and calls == [1]
 
 
 class TestFit:
@@ -294,6 +311,121 @@ class TestExactConditional:
         sigma_0s = prior.posterior_x0_cov(sched, s)
         np.testing.assert_allclose(a_hat, (alpha / v) * sigma_0s, atol=1e-12)
         np.testing.assert_allclose(offset, np.zeros(2), atol=1e-12)
+
+
+def random_instance(d, d_y, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    prior = GaussianPrior(mean=rng.standard_normal(d), cov=(q * rng.uniform(0.2, 3.0, d)) @ q.T)
+    lik = LinearGaussianLikelihood(A=rng.standard_normal((d_y, d)), y=rng.standard_normal(d_y), sigma_y=0.4)
+    return lik, prior
+
+
+class TestFactorizedConditional:
+    """One factorization per level s; (M, N, e, Lambda) and draws are diagonal scalings per (s, t)."""
+
+    PAIRS = ((1, 2), (1, 400), (30, 31), (120, 700), (500, 1000))
+
+    @pytest.mark.parametrize("d,d_y", [(1, 1), (2, 2), (5, 3), (5, 1)])
+    def test_coefficients_match_direct_inverse(self, d, d_y):
+        sched = make_schedule("linear", 1000)
+        lik, prior = random_instance(d, d_y, np.random.default_rng(d * 10 + d_y))
+        for s, t in self.PAIRS:
+            p = sched.bridge_params(s, t)
+            a_hat, offset = linearized_potential(lik, prior, sched, s)
+            lam = np.linalg.inv(np.eye(d) / p.variance + a_hat.T @ a_hat / lik.sigma_y**2)
+            want = (
+                lam * (p.mean_coeff_x0 / p.variance),
+                lam * (p.mean_coeff_xt / p.variance),
+                lam @ a_hat.T @ (lik.y - offset) / lik.sigma_y**2,
+                lam,
+            )
+            for got, ref in zip(conditional_coefficients(lik, prior, sched, s, t), want):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_draw_has_conditional_mean_and_a_root_of_lambda(self, d):
+        """draw - (M x0 + N xt + e) = eps R^T with eps the generator's normals and R R^T = Lambda."""
+        sched = make_schedule("linear", 1000)
+        rng = np.random.default_rng(d)
+        lik, prior = random_instance(d, 2, rng)
+        x0, xt = rng.standard_normal((40, d)), rng.standard_normal((40, d))
+        for s, t in self.PAIRS:
+            coef_x0, coef_xt, shift, lam = conditional_coefficients(lik, prior, sched, s, t)
+            noise = exact_conditional_sample(lik, prior, sched, s, t, x0, xt, np.random.default_rng(9))
+            noise -= x0 @ coef_x0.T + xt @ coef_xt.T + shift
+            eps = np.random.default_rng(9).standard_normal(x0.shape)
+            root = np.linalg.lstsq(eps, noise, rcond=None)[0].T
+            np.testing.assert_allclose(eps @ root.T, noise, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(root @ root.T, lam, rtol=0, atol=1e-12)
+
+    def test_rejects_unsupported_models(self):
+        lik, prior, sched = problem_1d()
+        rng = np.random.default_rng(0)
+        with pytest.raises(TypeError):
+            exact_conditional_sample(quadratic_toy([[1.0]], [1.0], 0.5), prior, sched, 5, 10, [0.0], [0.0], rng)
+        with pytest.raises(ValueError):
+            exact_conditional_sample(lik, prior, sched, 10, 10, [0.0], [0.0], rng)
+
+
+class TestConditionalMemo:
+    """The per-level factorization: read-only, at most T + 1 entries, never shared."""
+
+    @staticmethod
+    def fresh(lik, prior, sched, s, t):
+        return conditional_coefficients(lik, GaussianPrior(mean=prior.mean, cov=prior.cov), sched, s, t)
+
+    def test_entries_read_only_and_bounded_by_levels(self):
+        lik, prior, _ = problem_1d()
+        sched = make_schedule("linear", 40)
+        for _ in range(2):
+            for s in range(1, 40):
+                for t in (s + 1, 40):
+                    conditional_coefficients(lik, prior, sched, s, t)
+        known_sched, known_lik, levels = prior._conditionals
+        assert known_sched is sched and known_lik is lik
+        assert sorted(levels) == list(range(1, 40)) and len(levels) <= sched.T + 1
+        for entry in levels.values():
+            for arr in entry:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+
+    def test_schedules_and_likelihoods_never_share_entries(self):
+        _, prior, _ = problem_1d()
+        lik_a = LinearGaussianLikelihood(A=[[1.1]], y=[0.7], sigma_y=0.5)
+        lik_b = LinearGaussianLikelihood(A=[[0.4]], y=[-1.0], sigma_y=0.2)
+        linear, cosine = make_schedule("linear", 100), make_schedule("cosine", 100)
+        for lik, sched in ((lik_a, linear), (lik_b, linear), (lik_a, cosine), (lik_a, linear), (lik_b, cosine)):
+            want = self.fresh(lik, prior, sched, 30, 60)
+            for got, ref in zip(conditional_coefficients(lik, prior, sched, 30, 60), want):
+                assert np.array_equal(got, ref)
+            assert prior._conditionals[0] is sched and prior._conditionals[1] is lik
+            assert list(prior._conditionals[2]) == [30]
+
+    def test_exact_run_and_oracle_factorize_once_per_level(self, monkeypatch):
+        """An exact-backend batch plus its oracle make one eigh per distinct level and no Cholesky."""
+        from mgdm.oracle import OracleConfig, oracle_recursion
+        from mgdm.sampler import IndexDistribution, MgdmConfig, make_timesteps, mgdm_run_batch
+
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.4], [0.0, 0.8]], y=[2.4, -1.6], sigma_y=0.5)
+        prior = GaussianPrior(mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.7]])
+        sched = make_schedule("linear", 1000)
+        ts = make_timesteps(8, 1000)
+        seq = (100, 100, 300, 300, 50, 2, 2)
+        cfg = MgdmConfig(timesteps=ts, R=3, conditional="exact", denoise="exact",
+                         index_dist=IndexDistribution(kind="fixed", values=seq))
+        calls = {"eigh": 0, "cholesky": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        mgdm_run_batch(lik, prior, sched, cfg, 50, np.random.default_rng(0))
+        oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=3))
+        assert calls == {"eigh": len(set(seq)), "cholesky": 0}
 
 
 class TestMhCorrection:
