@@ -15,11 +15,12 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .likelihoods import likelihood_from_json
+from .likelihoods import likelihood_from_json, require_linear_gaussian
 from .metrics import SampleSet, sliced_wasserstein2, wasserstein1_1d
 from .moments import GaussianMoments
 from .oracle import OracleConfig, oracle_recursion
@@ -32,6 +33,7 @@ from .sampler import (
     make_timesteps,
     mgdm_run,
     mgdm_run_batch,
+    sample_index,
 )
 from .schedule import NoiseSchedule, make_schedule
 
@@ -130,7 +132,7 @@ class ExperimentConfig:
     Construction builds every referenced object once, so malformed
     sections fail fast with readable errors instead of mid-run, and every
     run of the experiment shares them.  ``mgdm`` is None for the DPS
-    baseline; ``posterior`` is None when no closed form exists.
+    baseline.
     """
 
     raw: dict
@@ -140,7 +142,6 @@ class ExperimentConfig:
     likelihood: object
     schedule: NoiseSchedule
     mgdm: MgdmConfig | None
-    posterior: object | None
 
     @classmethod
     def from_dict(cls, config: dict) -> "ExperimentConfig":
@@ -154,6 +155,11 @@ class ExperimentConfig:
         if algorithm == "mgdm":
             mgdm = build_mgdm_config(sampler, schedule)
             mgdm.validate_against(schedule)
+            if mgdm.conditional == "exact":
+                require_linear_gaussian(likelihood, prior, "exact conditional")
+            if mgdm.final == "denoise":
+                require_linear_gaussian(likelihood, prior, "the denoise final step")
+            mgdm.check_index_support()
         elif algorithm == "dps":
             mgdm = None
         else:
@@ -161,14 +167,18 @@ class ExperimentConfig:
         n_runs = int(config.get("n_runs", 1))
         if n_runs < 1:
             raise ValueError("n_runs must be >= 1")
-        try:
-            posterior = exact_posterior(prior, likelihood)
-        except TypeError:
-            posterior = None
         return cls(
             raw=config, n_runs=n_runs, master_seed=int(config["master_seed"]), prior=prior,
-            likelihood=likelihood, schedule=schedule, mgdm=mgdm, posterior=posterior,
+            likelihood=likelihood, schedule=schedule, mgdm=mgdm,
         )
+
+    @cached_property
+    def posterior(self):
+        """The exact posterior, built on first read; None when no closed form exists."""
+        try:
+            return exact_posterior(self.prior, self.likelihood)
+        except TypeError:
+            return None
 
 
 # -- single runs ---------------------------------------------------------------
@@ -344,19 +354,9 @@ def _fixed_index_sequence(config: dict, schedule: NoiseSchedule) -> tuple[tuple[
     sequence rather than averaging over the index distribution.
     """
     mcfg = build_mgdm_config(config["sampler"], schedule)
-    ts = mcfg.timesteps
-    K = len(ts)
-    dist = mcfg.index_dist
-    if dist.kind == "fixed":
-        seq = tuple(int(v) for v in dist.values)
-        if len(seq) != K - 1:
-            raise ValueError(f"fixed index sequence needs {K - 1} entries")
-        return ts, seq
-    from .sampler import sample_index
-
+    ts, K = mcfg.timesteps, mcfg.K
     rng = np.random.default_rng(_run_seed(int(config["master_seed"]), 424_243))
-    seq = tuple(sample_index(dist, i, ts[i - 1], ts[i - 2], K, rng) for i in range(K, 1, -1))
-    return ts, seq
+    return ts, tuple(sample_index(mcfg.index_dist, i, ts[i - 1], ts[i - 2], K, rng) for i in range(K, 1, -1))
 
 
 def run_oracle(config: dict, out_dir: str | Path) -> dict:
@@ -412,7 +412,9 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
     n_runs = int(config.get("n_runs", 0))
     if n_runs < 2:
         raise ValueError("compare_to_oracle needs n_runs >= 2 for z-scores")
-    prior, likelihood, schedule = build_problem(config)
+    experiment = ExperimentConfig.from_dict(config)
+    prior, likelihood, schedule = experiment.prior, experiment.likelihood, experiment.schedule
+    require_linear_gaussian(likelihood, prior, "the moment oracle")
     ts, seq = _fixed_index_sequence(config, schedule)
     sampler_spec = dict(config["sampler"])
     sampler_spec["timesteps"] = list(ts)

@@ -30,6 +30,7 @@ __all__ = [
     "log_g_hat",
     "exact_log_g_t",
     "linearized_potential",
+    "require_linear_gaussian",
     "likelihood_to_json",
     "likelihood_from_json",
 ]
@@ -200,16 +201,22 @@ def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarra
     return PotentialEval(gradient=den.vjp(likelihood.grad_log_g0(value)), value_fn=lambda: likelihood.log_g0(value))
 
 
+def require_linear_gaussian(likelihood, prior, what: str) -> None:
+    """Reject every pair but a linear-Gaussian likelihood with a Gaussian prior, the one
+    whose closed forms ``what`` needs."""
+    if not isinstance(likelihood, LinearGaussianLikelihood):
+        raise TypeError(f"{what} requires a linear-Gaussian likelihood")
+    if not isinstance(prior, GaussianPrior):
+        raise TypeError(f"{what} requires a Gaussian prior")
+
+
 def exact_log_g_t(likelihood, prior, schedule: NoiseSchedule, t: int, x_t: np.ndarray):
     """Closed-form smoothed potential log g_t(x_t) = log E[g0(X_0) | x_t].
 
     Only the linear-Gaussian likelihood + Gaussian prior pair admits this
     integral in closed form: N(y; A m_t(x_t), sigma_y^2 I + A Cov_{0|t} A^T).
     """
-    if not isinstance(likelihood, LinearGaussianLikelihood):
-        raise TypeError("exact_log_g_t requires a linear-Gaussian likelihood")
-    if not isinstance(prior, GaussianPrior):
-        raise TypeError("exact_log_g_t requires a Gaussian prior")
+    require_linear_gaussian(likelihood, prior, "exact_log_g_t")
     cov_0t = prior.posterior_x0_cov(schedule, t)
     obs_cov = likelihood.sigma_y**2 * np.eye(likelihood.dim_obs) + likelihood.A @ cov_0t @ likelihood.A.T
     resid = likelihood.y - prior.denoise(schedule, t, x_t).value @ likelihood.A.T
@@ -223,9 +230,6 @@ def linearized_potential(likelihood, prior, schedule: NoiseSchedule, s: int):
     Exact for a Gaussian prior with a linear-Gaussian likelihood, where
     the denoiser is affine: A_hat_s = A Jac(m_s), a_s = A bias(m_s).
     """
-    if not isinstance(likelihood, LinearGaussianLikelihood):
-        raise TypeError("linearized_potential requires a linear-Gaussian likelihood")
-    if not isinstance(prior, GaussianPrior):
-        raise TypeError("linearized_potential requires a Gaussian prior")
+    require_linear_gaussian(likelihood, prior, "linearized_potential")
     jac, bias = prior.denoiser_affine(schedule, s)
     return likelihood.A @ jac, likelihood.A @ bias

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihoods import LinearGaussianLikelihood, log_g_hat
+from .likelihoods import LinearGaussianLikelihood, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
 from .priors import GaussianPrior, spd_inverse
 from .schedule import NoiseSchedule, gauss_log_density
@@ -94,13 +94,6 @@ class FinalKernels:
     L: np.ndarray
 
 
-def _require_gaussian_linear(prior, likelihood) -> None:
-    if not isinstance(prior, GaussianPrior):
-        raise TypeError("the moment oracle requires a Gaussian prior")
-    if not isinstance(likelihood, LinearGaussianLikelihood):
-        raise TypeError("the moment oracle requires a linear-Gaussian likelihood")
-
-
 def build_kernels(
     prior: GaussianPrior,
     likelihood: LinearGaussianLikelihood,
@@ -109,7 +102,7 @@ def build_kernels(
     tau: int,
 ) -> OracleKernels:
     """Assemble the one-repetition kernel matrices at levels (tau, k)."""
-    _require_gaussian_linear(prior, likelihood)
+    require_linear_gaussian(likelihood, prior, "the moment oracle")
     if not 1 <= tau < k:
         raise ValueError(f"need 1 <= tau < k, got tau={tau}, k={k}")
     d = prior.dim
@@ -145,7 +138,7 @@ def build_final_kernels(
     t: int = 2,
 ) -> FinalKernels:
     """Final-step kernel: g0-reweighted plugged bridge t -> s, then m_s."""
-    _require_gaussian_linear(prior, likelihood)
+    require_linear_gaussian(likelihood, prior, "the moment oracle")
     if not 1 <= s < t:
         raise ValueError(f"need 1 <= s < t, got s={s}, t={t}")
     d = prior.dim
@@ -225,7 +218,7 @@ def oracle_recursion(
     initialization, R repetition kernels per step, and the configured
     final convention.
     """
-    _require_gaussian_linear(prior, likelihood)
+    require_linear_gaussian(likelihood, prior, "the moment oracle")
     ts = config.timesteps
     if ts[-1] != schedule.T:
         raise ValueError(f"t_K={ts[-1]} must equal the schedule horizon T={schedule.T}")

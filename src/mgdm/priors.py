@@ -67,8 +67,10 @@ def _eigh_spd(cov: np.ndarray, what: str):
 
 
 def _normalize_exp(logs: np.ndarray, axis: int = 0) -> np.ndarray:
-    """exp(logs) normalized to sum to 1 along ``axis``."""
+    """exp(logs) normalized to sum to 1 along ``axis``; weights below 1e-200 of the largest
+    become 0, which no float64 sum can feel, as subnormal weights slow every product tenfold."""
     w = np.exp(logs - logs.max(axis=axis, keepdims=True))
+    w[w < 1e-200] = 0.0
     return w / w.sum(axis=axis, keepdims=True)
 
 
@@ -215,7 +217,8 @@ class GaussianPrior:
     ) -> np.ndarray:
         """Exact draw from p_{s|t}: gain and noise root Q diag(sd) from diagonal scalings in Q."""
         gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self.mean @ self._eigvecs)
-        mean = np.asarray(x_t, dtype=np.float64) @ self._spectral(gain) + self._eigvecs @ shift
+        mean = np.asarray(x_t, dtype=np.float64) @ self._spectral(gain)
+        mean += np.tile(self._eigvecs @ shift, mean.shape[:-1] + (1,))  # a broadcast (d,) add loops over d
         return mean + rng.standard_normal(mean.shape) @ (sd[:, None] * self._eigvecs.T)
 
     def log_density(self, x: np.ndarray):
@@ -234,18 +237,21 @@ class GaussianPrior:
 class GmmPrior:
     """Gaussian mixture prior sum_j w_j N(m_j, Sigma_j).
 
-    Internally the components lead: a batch of M points has coordinates
-    of shape (J, M, d) in the component eigenbases, from one batched
-    matmul (one plain matmul when all components share an eigenbasis).
+    Internally the points come last: M points are a (d, M) array, component
+    terms are (J, M), and coordinates in the eigenbases are (G, d, M), with
+    G = 1 when all components share one eigenbasis and G = J otherwise.
+    Sums over components are small matmuls inside the basis change (see
+    ``_terms``), so a shared basis never builds a (J, M, d) array.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     _eigvals: np.ndarray = field(init=False, repr=False)  # (J, d)
-    _eigvecs: np.ndarray = field(init=False, repr=False)  # (J, d, d), or (1, d, d) when shared
-    _mean_coords: np.ndarray = field(init=False, repr=False)  # (J, 1, d): Q_j^T m_j
-    _log_weights: np.ndarray = field(init=False, repr=False)  # (J, 1)
+    _eigvecs: np.ndarray = field(init=False, repr=False)  # (G, d, d)
+    _basis: np.ndarray = field(init=False, repr=False)  # (d, G d): [Q_1 ... Q_G]
+    _mean_coords: np.ndarray = field(init=False, repr=False)  # (J, d): Q_j^T m_j
+    _log_weights: np.ndarray = field(init=False, repr=False)  # (J,)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
@@ -259,15 +265,17 @@ class GmmPrior:
             raise ValueError("weights, means, covs must agree on the number of components")
         factors = [_eigh_spd(covs[j], f"component {j} covariance") for j in range(covs.shape[0])]
         vecs = np.stack([q for _, _, q in factors])
-        shared = all(np.array_equal(q, vecs[0]) for q in vecs)
+        if all(np.array_equal(q, vecs[0]) for q in vecs):
+            vecs = vecs[:1].copy()
         with np.errstate(divide="ignore"):
-            log_w = np.log(w)[:, None]
+            log_w = np.log(w)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "_eigvals", np.stack([lam for _, lam, _ in factors]))
-        object.__setattr__(self, "_eigvecs", vecs[:1].copy() if shared else vecs)
-        object.__setattr__(self, "_mean_coords", means[:, None, :] @ vecs)
+        object.__setattr__(self, "_eigvecs", vecs)
+        object.__setattr__(self, "_basis", vecs.transpose(1, 0, 2).reshape(means.shape[1], -1))
+        object.__setattr__(self, "_mean_coords", (means[:, None, :] @ vecs)[:, 0])
         object.__setattr__(self, "_log_weights", log_w)
 
     @property
@@ -278,38 +286,57 @@ class GmmPrior:
     def n_components(self) -> int:
         return self.weights.shape[0]
 
-    # -- one pass over the components ------------------------------------------
+    # -- one pass over the components, points last -----------------------------
+
+    def _points(self, x: np.ndarray) -> np.ndarray:
+        """The M = x.size / d points of x as a (d, M) view."""
+        return np.asarray(x, dtype=np.float64).reshape(-1, self.dim).T
+
+    def _coords(self, pts: np.ndarray) -> np.ndarray:
+        """Coordinates Q_g^T x of points (d, M) in each eigenbasis: (G, d, M)."""
+        return (self._basis.T @ pts).reshape(len(self._eigvecs), self.dim, -1)
 
     def _from_coords(self, c: np.ndarray) -> np.ndarray:
-        """sum_j Q_j c_j for per-component coordinates c of shape (J, M, d)."""
-        if len(self._eigvecs) == 1:
-            return c.sum(axis=0) @ self._eigvecs[0].T
-        return (c @ self._eigvecs.transpose(0, 2, 1)).sum(axis=0)
+        """sum_g Q_g c_g for coordinates c of shape (G, d, M): (d, M)."""
+        return self._basis @ c.reshape(self._basis.shape[1], -1)
 
-    def _terms(self, a: float, v: float, x: np.ndarray):
-        """Component terms of sum_j w_j N(a m_j, S_j), S_j = a^2 Sigma_j + v I, at M = x.size / d points.
+    def _terms(self, a: float, v: float, pts: np.ndarray):
+        """Component terms of sum_j w_j N(a m_j, S_j), S_j = a^2 Sigma_j + v I, at points (d, M).
 
-        Returns log w_j + log N(x; a m_j, S_j) of shape (J, M), the
-        eigen-coordinates of S_j^{-1}(x - a m_j) (the negated component
-        scores) of shape (J, M, d), and 1 / eig(S_j) of shape (J, 1, d).
+        With iv_j = 1 / eig(S_j) and ivm_j = iv_j Q_j^T m_j, the quadratic form in coordinates xc is
+        iv_j . xc^2 - 2a ivm_j . xc + a^2 ivm_j . Q_j^T m_j: one (J / G, d) x (d, M) matmul per basis.
+        Returns log w_j + log N(x; a m_j, S_j) (J, M), xc (G, d, M) and [iv_j, ivm_j] by basis (G, J / G, 2d).
         """
+        d = self.dim
         var = (a * a) * self._eigvals + v
-        inv_var = 1.0 / var[:, None, :]
-        diff = np.asarray(x, dtype=np.float64).reshape(-1, self.dim) @ self._eigvecs - a * self._mean_coords
-        prec_diff = diff * inv_var
-        quad = np.einsum("jmi,jmi->jm", diff, prec_diff)
-        logs = self._log_weights - 0.5 * (quad + self.dim * _LOG_2PI + np.sum(np.log(var), axis=-1)[:, None])
-        return logs, prec_diff, inv_var
+        prec = np.concatenate([1.0 / var, self._mean_coords / var], axis=1)
+        quad_const = d * _LOG_2PI + np.log(var).sum(axis=1) + (a * a) * np.sum(prec[:, d:] * self._mean_coords, axis=1)
+        prec = prec.reshape(len(self._eigvecs), -1, 2 * d)
+        xc = self._coords(pts)
+        quad = (prec[..., :d] @ (xc * xc) - (2.0 * a) * (prec[..., d:] @ xc)).reshape(len(quad_const), -1)
+        return (self._log_weights - 0.5 * quad_const)[:, None] - 0.5 * quad, xc, prec
+
+    @staticmethod
+    def _weigh(prec: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """[sum_j c_j iv_j, sum_j c_j ivm_j] per basis, (G, 2d, M), for weights c of shape (J, M)."""
+        return prec.transpose(0, 2, 1) @ c.reshape(len(prec), -1, c.shape[-1])
+
+    def _score(self, a: float, v: float, pts: np.ndarray):
+        """Score -sum_j r_j S_j^{-1} (x - a m_j) at points (d, M), and the terms its Jacobian reuses."""
+        logs, xc, prec = self._terms(a, v, pts)
+        resp = _normalize_exp(logs)
+        rw = self._weigh(prec, resp)
+        return -self._from_coords(xc * rw[:, : self.dim] - a * rw[:, self.dim :]), (xc, prec, resp, rw)
 
     def _log_mixture(self, a: float, v: float, x: np.ndarray):
         from scipy.special import logsumexp  # imported on use: no sampling path needs it
 
-        out = logsumexp(self._terms(a, v, x)[0], axis=0).reshape(np.shape(x)[:-1])
+        out = logsumexp(self._terms(a, v, self._points(x))[0], axis=0).reshape(np.shape(x)[:-1])
         return float(out) if np.ndim(out) == 0 else out
 
     def component_log_densities(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
         """log w_j + log N(x_t; alpha_t m_j, S_{t,j}); shape (..., J)."""
-        logs = self._terms(schedule.alpha(t), schedule.sigma2(0, t), x_t)[0]
+        logs = self._terms(schedule.alpha(t), schedule.sigma2(0, t), self._points(x_t))[0]
         return logs.T.reshape(np.shape(x_t)[:-1] + (-1,))
 
     def responsibilities(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
@@ -321,8 +348,7 @@ class GmmPrior:
     def score(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
         if t == 0:
             raise ValueError("score is defined for t >= 1")
-        logs, prec_diff, _ = self._terms(schedule.alpha(t), schedule.sigma2(0, t), x_t)
-        return -self._from_coords(_normalize_exp(logs)[..., None] * prec_diff).reshape(np.shape(x_t))
+        return self._score(schedule.alpha(t), schedule.sigma2(0, t), self._points(x_t))[0].T.reshape(np.shape(x_t))
 
     def denoise(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> DenoiserOutput:
         """Responsibility-weighted combination of component denoisers.
@@ -330,27 +356,26 @@ class GmmPrior:
         The value is Tweedie's (x + v_t score) / alpha_t.  The Jacobian
         is (I - v_t sum_j r_j S_{t,j}^{-1} + v_t Cov_r[score_j]) / alpha_t,
         the rescaled posterior covariance of X_0 given X_t; its product
-        with u costs two batched matmuls and is never formed as a matrix.
+        with u is a few small matmuls in the eigenbases, never a matrix.
+        The covariance term takes centred weights r_j (score_j . u - E_r[score . u]),
+        which keeps the VJP accurate where alpha_t is small and the score large.
         """
         if t == 0:
             raise ValueError("denoiser is defined for t >= 1")
-        a = schedule.alpha(t)
-        v = schedule.sigma2(0, t)
-        x_t = np.asarray(x_t, dtype=np.float64)
-        logs, prec_diff, inv_var = self._terms(a, v, x_t)
-        resp = _normalize_exp(logs)[..., None]
-        mean_score = -self._from_coords(resp * prec_diff)
+        a, v = schedule.alpha(t), schedule.sigma2(0, t)
+        pts = self._points(x_t)
+        mean_score, (xc, prec, resp, rw) = self._score(a, v, pts)
+        d = self.dim
 
         def vjp(u):
-            u = np.asarray(u, dtype=np.float64)
-            flat = u.reshape(-1, self.dim)
-            u_coords = flat @ self._eigvecs
-            neg_proj = np.einsum("jmi,jmi->jm", prec_diff, u_coords)[..., None]  # -score_j . u
-            mixed = self._from_coords(resp * (inv_var * u_coords - neg_proj * prec_diff))
-            cov_term = mean_score * np.einsum("mi,mi->m", mean_score, flat)[:, None]
-            return ((flat - v * (mixed + cov_term)) / a).reshape(u.shape)
+            u_pts = self._points(u)
+            uc = self._coords(u_pts)
+            neg_proj = (prec[..., :d] @ (xc * uc) - a * (prec[..., d:] @ uc)).reshape(resp.shape)  # -score_j . u
+            cw = self._weigh(prec, resp * (neg_proj - np.sum(resp * neg_proj, axis=0)))
+            mixed = self._from_coords(uc * rw[:, :d] - xc * cw[:, :d] + a * cw[:, d:])
+            return ((u_pts - v * mixed) / a).T.reshape(np.shape(u))
 
-        return DenoiserOutput(value=(x_t + v * mean_score.reshape(x_t.shape)) / a, vjp=vjp)
+        return DenoiserOutput(value=((pts + v * mean_score) / a).T.reshape(np.shape(x_t)), vjp=vjp)
 
     def backward_sample(
         self, schedule: NoiseSchedule, s: int, t: int, x_t: np.ndarray, rng: np.random.Generator
@@ -360,22 +385,20 @@ class GmmPrior:
         if not 0 <= s < t:
             raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
         x_t = np.asarray(x_t, dtype=np.float64)
-        squeeze = x_t.ndim == 1
-        x_batch = x_t[None] if squeeze else x_t
-        resp = self.responsibilities(schedule, t, x_batch)
-        u = rng.random(resp.shape[:-1] + (1,))
-        comp = np.sum(u > np.cumsum(resp, axis=-1), axis=-1)
+        flat = x_t.reshape(-1, self.dim)
+        resp = _normalize_exp(self._terms(schedule.alpha(t), schedule.sigma2(0, t), flat.T)[0])
+        comp = np.sum(rng.random(len(flat)) > np.cumsum(resp, axis=0), axis=0)
 
-        out = np.empty_like(x_batch)
-        eps = rng.standard_normal(x_batch.shape)
-        gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self._mean_coords[:, 0])
+        out = np.empty_like(flat)
+        eps = rng.standard_normal(flat.shape)
+        gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self._mean_coords)
         for j in range(self.n_components):
             mask = comp == j
             if not np.any(mask):
                 continue
             q = self._eigvecs[j if len(self._eigvecs) > 1 else 0]
-            out[mask] = ((x_batch[mask] @ q) * gain[j] + shift[j] + eps[mask] * sd[j]) @ q.T
-        return out[0] if squeeze else out
+            out[mask] = ((flat[mask] @ q) * gain[j] + shift[j] + eps[mask] * sd[j]) @ q.T
+        return out.reshape(x_t.shape)
 
     def log_density(self, x: np.ndarray):
         return self._log_mixture(1.0, 0.0, x)

@@ -132,6 +132,8 @@ def sample_index(
             raise ValueError("explicit weights put no mass below t_i")
         return int(rng.choice(support, p=mass / total))
     if dist.kind == "fixed":
+        if len(dist.values) != K - 1:
+            raise ValueError(f"fixed index sequence needs {K - 1} entries, got {len(dist.values)}")
         return int(dist.values[K - i])
     raise AssertionError("unreachable")
 
@@ -218,6 +220,15 @@ class MgdmConfig:
     def validate_against(self, schedule: NoiseSchedule) -> None:
         if self.timesteps[-1] != schedule.T:
             raise ValueError(f"t_K={self.timesteps[-1]} must equal the schedule horizon T={schedule.T}")
+
+    def check_index_support(self) -> None:
+        """Dry-run the level draw of every outer step on a throwaway generator, so that an
+        index distribution with no valid level at some step fails before any run."""
+        ts, rng = self.timesteps, np.random.default_rng(0)
+        for i in range(self.K, 1, -1):
+            s = sample_index(self.index_dist, i, ts[i - 1], ts[i - 2], self.K, rng)
+            if not 1 <= s < ts[i - 1]:
+                raise ValueError(f"outer step i={i} draws s={s} outside 1 <= s < t_i={ts[i - 1]}")
 
 
 def make_timesteps(K: int, T: int, t1: int | None = None) -> tuple[int, ...]:

@@ -26,9 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .likelihoods import LinearGaussianLikelihood, log_g_hat, linearized_potential
+from .likelihoods import linearized_potential, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
-from .priors import GaussianPrior
 from .schedule import NoiseSchedule, gauss_log_density
 
 __all__ = [
@@ -207,10 +206,7 @@ def _exact_factors(likelihood, prior, schedule: NoiseSchedule, s: int, t: int):
     depends on t.
     """
     _check_pair(s, t)
-    if not isinstance(likelihood, LinearGaussianLikelihood):
-        raise TypeError("exact conditional requires a linear-Gaussian likelihood")
-    if not isinstance(prior, GaussianPrior):
-        raise TypeError("exact conditional requires a Gaussian prior")
+    require_linear_gaussian(likelihood, prior, "exact conditional")
     levels = prior.level_memo("_conditionals", schedule, likelihood)
     if s not in levels:
         a_hat, offset = linearized_potential(likelihood, prior, schedule, s)
@@ -245,7 +241,8 @@ def exact_conditional_sample(
     W diag(sqrt(ell)), all from diagonal scalings in W.
     """
     p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t)
-    mean = p.mean(x0, xt) @ ((w * (ell / p.variance)) @ w.T) + w @ (ell * h)
+    mean = p.mean(x0, xt) @ ((w * (ell / p.variance)) @ w.T)
+    mean += np.tile(w @ (ell * h), mean.shape[:-1] + (1,))  # a broadcast (d,) add loops over d
     return mean + rng.standard_normal(mean.shape) @ (np.sqrt(ell)[:, None] * w.T)
 
 

@@ -230,6 +230,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "mgdm: runtime failure: non-finite state at outer step i=10 (t=200, s=" in err
 
+    @staticmethod
+    def bad_configs():
+        """(config, extra args, message): each rejected today only from inside a run."""
+        gmm_exact = compare_config(n_runs=50)
+        gmm_exact["prior"] = {"kind": "gmm", "weights": [0.5, 0.5], "means": [[-1.0, 0.0], [1.0, 0.0]],
+                              "covs": [np.eye(2).tolist(), np.eye(2).tolist()]}
+        high_tau = harness.smoke_config()
+        high_tau["sampler"]["index"]["tau"] = 50  # T = 200, K = 10: t_prev = 40 at outer step 3
+        return [(gmm_exact, [], "exact conditional requires a Gaussian prior"),
+                (high_tau, ["--backend", "exact"], "t_prev=40 < tau=50")]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, case):
+        config, extra, message = self.bad_configs()[case]
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("mgdm_run", "mgdm_run_batch"):
+            monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(args + (extra if command == "compare" else [])) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(harness.smoke_config()))
@@ -261,6 +293,19 @@ class TestExperimentConfig:
         config["sampler"]["timesteps"] = [1, 50]
         with pytest.raises(ValueError):
             harness.ExperimentConfig.from_dict(config)
+
+    def test_rejects_unsupported_levels_and_pairings(self):
+        """K = 10 on T = 200 (t_2 = 40): each config fails in from_dict, before any run."""
+        cases = [({"index": {"kind": "fixed", "values": [3] * 8}}, "needs 9 entries"),
+                 ({"index": {"kind": "fixed", "values": [3] * 8 + [45]}}, "outer step i=2 draws s=45"),
+                 ({"final": "denoise"}, "the denoise final step requires a Gaussian prior")]
+        for sampler, message in cases:
+            config = harness.smoke_config()
+            config["sampler"].update(sampler)
+            if "final" in sampler:
+                config["prior"] = {"kind": "gmm", "weights": [1.0], "means": [[0.0]], "covs": [[[1.0]]]}
+            with pytest.raises((ValueError, TypeError), match=message):
+                harness.ExperimentConfig.from_dict(config)
 
     def test_rejects_nonpositive_runs(self):
         config = harness.smoke_config()
