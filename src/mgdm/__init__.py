@@ -22,7 +22,6 @@ from .likelihoods import (
 from .oracle import (
     FinalKernels,
     GridSpec,
-    OracleConfig,
     OracleKernels,
     QuadratureJoint,
     auto_grids,

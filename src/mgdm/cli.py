@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
             if report["passed"] is None:
                 print(f"vi-error report: mean_rel_error={report['mean_rel_error']:.4g}")
                 return 0
-            peak = max(abs(z) for z in _flatten(report["z_mean"]) + _flatten(report["z_cov"]))
+            peak = np.abs(np.concatenate([np.ravel(report["z_mean"]), np.ravel(report["z_cov"])])).max()
             print(f"compare: passed={report['passed']} max|z|={peak:.3f}")
             return 0 if report["passed"] else 3
         raise AssertionError("unreachable")
@@ -112,15 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, KeyError, FileNotFoundError) as err:
         print(f"mgdm: config error: {err}", file=sys.stderr)
         return 1
-
-
-def _flatten(nested) -> list:
-    if isinstance(nested, list):
-        out = []
-        for item in nested:
-            out.extend(_flatten(item))
-        return out
-    return [nested]
 
 
 if __name__ == "__main__":

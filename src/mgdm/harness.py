@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -23,7 +23,7 @@ import numpy as np
 from .likelihoods import likelihood_from_json, require_linear_gaussian
 from .metrics import SampleSet, sliced_wasserstein2, wasserstein1_1d
 from .moments import GaussianMoments
-from .oracle import OracleConfig, oracle_recursion
+from .oracle import oracle_recursion
 from .priors import exact_posterior, prior_from_json
 from .sampler import (
     IndexDistribution,
@@ -33,7 +33,6 @@ from .sampler import (
     make_timesteps,
     mgdm_run,
     mgdm_run_batch,
-    sample_index,
 )
 from .schedule import NoiseSchedule, make_schedule
 
@@ -98,9 +97,9 @@ _BACKENDS = {
 }
 
 
-def build_mgdm_config(sampler_spec: dict, schedule: NoiseSchedule, backend: str | None = None) -> MgdmConfig:
+def build_mgdm_config(sampler_spec: dict, schedule: NoiseSchedule) -> MgdmConfig:
     spec = dict(sampler_spec)
-    backend = backend or spec.get("backend", "vi")
+    backend = spec.get("backend", "vi")
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     timesteps = spec.get("timesteps")
@@ -132,7 +131,7 @@ class ExperimentConfig:
     Construction builds every referenced object once, so malformed
     sections fail fast with readable errors instead of mid-run, and every
     run of the experiment shares them.  ``mgdm`` is None for the DPS
-    baseline.
+    baseline, whose (K, zeta) are in ``dps``.
     """
 
     raw: dict
@@ -142,6 +141,7 @@ class ExperimentConfig:
     likelihood: object
     schedule: NoiseSchedule
     mgdm: MgdmConfig | None
+    dps: tuple[int, float] | None
 
     @classmethod
     def from_dict(cls, config: dict) -> "ExperimentConfig":
@@ -151,7 +151,7 @@ class ExperimentConfig:
         if not isinstance(sampler, dict):
             raise ValueError("config needs a 'sampler' section")
         prior, likelihood, schedule = build_problem(config)
-        algorithm = sampler.get("algorithm", "mgdm")
+        algorithm, dps = sampler.get("algorithm", "mgdm"), None
         if algorithm == "mgdm":
             mgdm = build_mgdm_config(sampler, schedule)
             mgdm.validate_against(schedule)
@@ -161,7 +161,10 @@ class ExperimentConfig:
                 require_linear_gaussian(likelihood, prior, "the denoise final step")
             mgdm.check_index_support()
         elif algorithm == "dps":
-            mgdm = None
+            mgdm, dps = None, (int(sampler.get("K", 100)), float(sampler.get("zeta", 1.0)))
+            make_timesteps(dps[0], schedule.T)  # dps_run's grid: K >= 2 distinct levels up to T
+            if dps[1] < 0.0:
+                raise ValueError("zeta must be >= 0")
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         n_runs = int(config.get("n_runs", 1))
@@ -169,7 +172,7 @@ class ExperimentConfig:
             raise ValueError("n_runs must be >= 1")
         return cls(
             raw=config, n_runs=n_runs, master_seed=int(config["master_seed"]), prior=prior,
-            likelihood=likelihood, schedule=schedule, mgdm=mgdm,
+            likelihood=likelihood, schedule=schedule, mgdm=mgdm, dps=dps,
         )
 
     @cached_property
@@ -191,10 +194,8 @@ def _execute_run(experiment: ExperimentConfig, run_idx: int, combo_idx: int | No
     problem = (experiment.likelihood, experiment.prior, experiment.schedule)
     mcfg = experiment.mgdm
     if mcfg is None:
-        sampler_spec = experiment.raw["sampler"]
-        sample = dps_run(
-            *problem, K=int(sampler_spec.get("K", 100)), zeta=float(sampler_spec.get("zeta", 1.0)), rng=rng
-        )
+        K, zeta = experiment.dps
+        sample = dps_run(*problem, K=K, zeta=zeta, rng=rng)
         r_val, g_val, index_kind = 0, 0, "none"
     else:
         sample = mgdm_run(*problem, mcfg, rng)
@@ -346,41 +347,30 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
 # -- oracle paths ---------------------------------------------------------------
 
 
-def _fixed_index_sequence(config: dict, schedule: NoiseSchedule) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Resolve (timesteps, per-step index sequence) from the config.
-
-    Random index kinds are realized once with the master seed and
-    recorded, matching the rule that the oracle replays a concrete
-    sequence rather than averaging over the index distribution.
-    """
-    mcfg = build_mgdm_config(config["sampler"], schedule)
-    ts, K = mcfg.timesteps, mcfg.K
-    rng = np.random.default_rng(_run_seed(int(config["master_seed"]), 424_243))
-    return ts, tuple(sample_index(mcfg.index_dist, i, ts[i - 1], ts[i - 2], K, rng) for i in range(K, 1, -1))
+def _replay_config(experiment: ExperimentConfig) -> MgdmConfig:
+    """The sampler config with its levels drawn once from the master seed and recorded as
+    a ``fixed`` sequence: the one chain that both the sampler and the moment oracle run."""
+    mcfg = experiment.mgdm
+    if mcfg is None:
+        raise ValueError("the moment oracle models the MGDM sampler, not algorithm 'dps'")
+    seq = mcfg.draw_levels(np.random.default_rng(_run_seed(experiment.master_seed, 424_243)))
+    return replace(mcfg, index_dist=IndexDistribution("fixed", values=seq))
 
 
 def run_oracle(config: dict, out_dir: str | Path) -> dict:
     """Evaluate the moment recursion and write oracle.json."""
-    ExperimentConfig.from_dict(config)
+    experiment = ExperimentConfig.from_dict(config)
+    mcfg = _replay_config(experiment)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prior, likelihood, schedule = build_problem(config)
-    ts, seq = _fixed_index_sequence(config, schedule)
-    ocfg = OracleConfig(
-        timesteps=ts,
-        index_sequence=seq,
-        R=int(config["sampler"].get("R", 1)),
-        final=config["sampler"].get("final", "sample"),
-        final_s=int(config["sampler"].get("final_s", 1)),
-    )
-    moments = oracle_recursion(prior, likelihood, schedule, ocfg)
+    moments = oracle_recursion(experiment.prior, experiment.likelihood, experiment.schedule, mcfg)
     report = {
         "mean": moments.mean.tolist(),
         "cov": moments.cov.tolist(),
-        "index_sequence": list(seq),
-        "timesteps": list(ts),
+        "index_sequence": list(mcfg.index_dist.values),
+        "timesteps": list(mcfg.timesteps),
         "config_hash": config_hash(config),
-        "master_seed": int(config["master_seed"]),
+        "master_seed": experiment.master_seed,
     }
     with open(out / "oracle.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -403,41 +393,32 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
     conditional); pass ``measure_vi_error`` to run the VI backend anyway
     and report its discrepancy without a pass/fail verdict.
     """
-    backend = config["sampler"].get("backend", "vi")
+    experiment = ExperimentConfig.from_dict(config)
+    mcfg = _replay_config(experiment)
+    backend, n_runs = mcfg.conditional, experiment.n_runs
     if backend != "exact" and not measure_vi_error:
         raise ValueError(
             "compare_to_oracle requires backend='exact'; use measure_vi_error=True to "
             "report the discrepancy of an approximate backend instead"
         )
-    n_runs = int(config.get("n_runs", 0))
     if n_runs < 2:
         raise ValueError("compare_to_oracle needs n_runs >= 2 for z-scores")
-    experiment = ExperimentConfig.from_dict(config)
     prior, likelihood, schedule = experiment.prior, experiment.likelihood, experiment.schedule
     require_linear_gaussian(likelihood, prior, "the moment oracle")
-    ts, seq = _fixed_index_sequence(config, schedule)
-    sampler_spec = dict(config["sampler"])
-    sampler_spec["timesteps"] = list(ts)
-    sampler_spec["index"] = {"kind": "fixed", "values": list(seq)}
-    mcfg = build_mgdm_config(sampler_spec, schedule, backend=backend)
 
-    rng = np.random.default_rng(_run_seed(int(config["master_seed"]), 77_377))
+    rng = np.random.default_rng(_run_seed(experiment.master_seed, 77_377))
     samples = mgdm_run_batch(likelihood, prior, schedule, mcfg, n_runs, rng)
-    ocfg = OracleConfig(
-        timesteps=ts, index_sequence=seq, R=mcfg.R,
-        final=mcfg.final, final_s=mcfg.final_s,
-    )
-    oracle = oracle_recursion(prior, likelihood, schedule, ocfg)
+    oracle = oracle_recursion(prior, likelihood, schedule, mcfg)
 
     emp_mean = samples.mean(axis=0)
     emp_cov = np.atleast_2d(np.cov(samples.T, bias=False))
     report: dict = {
         "config_hash": config_hash(config),
-        "master_seed": int(config["master_seed"]),
+        "master_seed": experiment.master_seed,
         "n_runs": n_runs,
         "backend": backend,
-        "index_sequence": list(seq),
-        "timesteps": list(ts),
+        "index_sequence": list(mcfg.index_dist.values),
+        "timesteps": list(mcfg.timesteps),
         "oracle_mean": oracle.mean.tolist(),
         "oracle_cov": oracle.cov.tolist(),
         "empirical_mean": emp_mean.tolist(),

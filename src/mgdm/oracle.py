@@ -4,7 +4,8 @@ With a Gaussian prior and a linear-Gaussian observation every update of
 the guided Gibbs sampler is affine-Gaussian, so the law of the driver's
 output is a Gaussian whose moments follow a closed recursion:
 
-  * an init kernel mapping the time-0 state to the joint (x_0, x_k),
+  * the start x_{t_K} ~ N(0, I) with x_0 = m_{t_K}(x_{t_K}), a joint
+    Gaussian over (x_0, x_{t_K}),
   * one 2d x 2d affine kernel per Gibbs repetition (B_k, Gamma_k, b_k),
   * a final affine kernel (H, h, L) for the denoiser-valued last step.
 
@@ -20,13 +21,14 @@ marginal moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .likelihoods import LinearGaussianLikelihood, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
 from .priors import GaussianPrior, spd_inverse
+from .sampler import MgdmConfig
 from .schedule import NoiseSchedule, gauss_log_density
 from .vi import conditional_coefficients
 
@@ -34,7 +36,6 @@ __all__ = [
     "GaussianMoments",
     "OracleKernels",
     "FinalKernels",
-    "OracleConfig",
     "build_kernels",
     "build_final_kernels",
     "forward_init_moments",
@@ -171,58 +172,32 @@ def forward_init_moments(prior: GaussianPrior, schedule: NoiseSchedule, k: int, 
     return GaussianMoments(mean=mean, cov=cov)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Deterministic replay plan for the moment recursion.
-
-    ``index_sequence`` lists the auxiliary level used at each outer step,
-    ordered for i = K down to 2 (K - 1 entries).  Random index
-    distributions are rejected by construction: averaging over levels
-    breaks the Gaussianity of the output law, so callers replay recorded
-    sequences instead.  ``final`` = "sample" mirrors the driver's default
-    output (the last backward draw); "denoise" appends the denoiser-valued
-    final kernel at (final_s, t_2).
-    """
-
-    timesteps: tuple[int, ...]
-    index_sequence: tuple[int, ...]
-    R: int = 1
-    final: str = "sample"
-    final_s: int = 1
-
-    def __post_init__(self):
-        ts = tuple(int(t) for t in self.timesteps)
-        seq = tuple(int(s) for s in self.index_sequence)
-        object.__setattr__(self, "timesteps", ts)
-        object.__setattr__(self, "index_sequence", seq)
-        if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 1:
-            raise ValueError("timesteps must be strictly increasing with t_1 > 1")
-        if len(seq) != len(ts) - 1:
-            raise ValueError(f"index_sequence needs {len(ts) - 1} entries, got {len(seq)}")
-        if self.R < 1:
-            raise ValueError("R must be >= 1")
-        if self.final not in ("sample", "denoise"):
-            raise ValueError(f"unknown final mode {self.final!r}")
-
-
 def oracle_recursion(
     prior: GaussianPrior,
     likelihood: LinearGaussianLikelihood,
     schedule: NoiseSchedule,
-    config: OracleConfig,
+    config: MgdmConfig,
 ) -> GaussianMoments:
     """Exact output moments of the driver under the exact backends.
 
+    Replays the sampler's own ``config``: its timesteps, R, final mode and
+    its ``fixed`` index sequence (one level per outer step, i = K down to
+    2).  Other index kinds are rejected: averaging over random levels
+    breaks the Gaussianity of the output law, so callers replay a recorded
+    sequence instead.  The backend fields are not read, so the same config
+    also serves to measure how far a VI run lands from the exact law.
+
     Tracks the joint Gaussian of (x_0, x_t-carried), pushing it through
-    the standard-normal init + denoiser, the per-step bridge
+    the standard-normal start + denoiser, the per-step bridge
     initialization, R repetition kernels per step, and the configured
     final convention.
     """
     require_linear_gaussian(likelihood, prior, "the moment oracle")
-    ts = config.timesteps
-    if ts[-1] != schedule.T:
-        raise ValueError(f"t_K={ts[-1]} must equal the schedule horizon T={schedule.T}")
-    K = len(ts)
+    if config.index_dist.kind != "fixed":
+        raise ValueError(f"the moment oracle replays a fixed index sequence, not {config.index_dist.kind!r}")
+    config.validate_against(schedule)
+    config.check_index_support()
+    ts, K = config.timesteps, config.K
     d = prior.dim
     eye = np.eye(d)
 
@@ -231,11 +206,8 @@ def oracle_recursion(
     mean = np.concatenate([bias_n, np.zeros(d)])
     cov = np.block([[jac_n @ jac_n.T, jac_n], [jac_n.T, eye]])
 
-    for i in range(K, 1, -1):
+    for i, tau in zip(range(K, 1, -1), config.index_dist.values):
         t_i = ts[i - 1]
-        tau = config.index_sequence[K - i]
-        if not 1 <= tau < t_i:
-            raise ValueError(f"index {tau} invalid for step at t={t_i}")
         if i < K:
             p = schedule.bridge_params(t_i, ts[i])
             f_mat = np.block(

@@ -239,7 +239,8 @@ class GmmPrior:
 
     Internally the points come last: M points are a (d, M) array, component
     terms are (J, M), and coordinates in the eigenbases are (G, d, M), with
-    G = 1 when all components share one eigenbasis and G = J otherwise.
+    G = 1 when all components share one eigenbasis (their covariances
+    commute) and G = J otherwise.
     Sums over components are small matmuls inside the basis change (see
     ``_terms``), so a shared basis never builds a (J, M, d) array.
     """
@@ -265,14 +266,22 @@ class GmmPrior:
             raise ValueError("weights, means, covs must agree on the number of components")
         factors = [_eigh_spd(covs[j], f"component {j} covariance") for j in range(covs.shape[0])]
         vecs = np.stack([q for _, _, q in factors])
+        lams = np.stack([lam for _, lam, _ in factors])
         if all(np.array_equal(q, vecs[0]) for q in vecs):
             vecs = vecs[:1].copy()
+        else:
+            # Commuting covariances share an eigenbasis that eigh need not return bit for bit:
+            # when Q_0 diagonalizes every Sigma_j to roundoff, use Q_0 and those diagonals.
+            rot = vecs[0].T @ covs @ vecs[0]
+            diag = np.diagonal(rot, axis1=1, axis2=2)
+            if np.all(np.abs(rot - diag[:, :, None] * np.eye(rot.shape[1])) <= 1e-12 * lams[:, -1:, None]):
+                vecs, lams = vecs[:1].copy(), diag.copy()
         with np.errstate(divide="ignore"):
             log_w = np.log(w)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "_eigvals", np.stack([lam for _, lam, _ in factors]))
+        object.__setattr__(self, "_eigvals", lams)
         object.__setattr__(self, "_eigvecs", vecs)
         object.__setattr__(self, "_basis", vecs.transpose(1, 0, 2).reshape(means.shape[1], -1))
         object.__setattr__(self, "_mean_coords", (means[:, None, :] @ vecs)[:, 0])

@@ -221,12 +221,16 @@ class MgdmConfig:
         if self.timesteps[-1] != schedule.T:
             raise ValueError(f"t_K={self.timesteps[-1]} must equal the schedule horizon T={schedule.T}")
 
+    def draw_levels(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """One auxiliary level per outer step, in the order the outer loop runs them, i = K down to 2."""
+        ts, K = self.timesteps, self.K
+        return tuple(sample_index(self.index_dist, i, ts[i - 1], ts[i - 2], K, rng) for i in range(K, 1, -1))
+
     def check_index_support(self) -> None:
         """Dry-run the level draw of every outer step on a throwaway generator, so that an
         index distribution with no valid level at some step fails before any run."""
-        ts, rng = self.timesteps, np.random.default_rng(0)
-        for i in range(self.K, 1, -1):
-            s = sample_index(self.index_dist, i, ts[i - 1], ts[i - 2], self.K, rng)
+        ts = self.timesteps
+        for i, s in zip(range(self.K, 1, -1), self.draw_levels(np.random.default_rng(0))):
             if not 1 <= s < ts[i - 1]:
                 raise ValueError(f"outer step i={i} draws s={s} outside 1 <= s < t_i={ts[i - 1]}")
 
@@ -270,6 +274,8 @@ def _draw_conditional(state: GibbsState, likelihood, prior, schedule, config, vi
     s, t = state.s, state.t
     if config.conditional == "exact":
         return vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, t, state.x0, state.xt, rng)
+    if vi_config is None:
+        raise ValueError(f"the {config.conditional!r} conditional backend needs vi_config")
     params = vi_mod.fit_variational(likelihood, prior, schedule, s, t, state.x0, state.xt, vi_config, rng)
     draw = params.sample(rng)
     if config.conditional == "vi-mh":
@@ -290,15 +296,10 @@ def gibbs_step(
 ) -> GibbsState:
     """One deterministic-scan sweep of the three conditionals.
 
-    Leaves (s, t) unchanged.  ``vi_config`` overrides the phase schedule
-    when the caller (the driver) has already resolved it.
+    Leaves (s, t) unchanged.  ``vi_config`` is the VI fit's settings at
+    this outer step, as ``mgdm_run`` resolves them from ``config.vi``; the
+    VI backends need it and the exact backend ignores it.
     """
-    if vi_config is None:
-        vi_config = ViConfig(
-            steps=config.vi.steps,
-            learning_rate=config.vi.eta,
-            mc_samples_per_step=config.vi.mc_samples_per_step,
-        )
     xs = _draw_conditional(state, likelihood, prior, schedule, config, vi_config, rng)
     xt = schedule.forward_sample(xs, state.s, state.t, rng)
     if config.denoise == "exact":

@@ -15,7 +15,7 @@ import pytest
 from mgdm.likelihoods import LinearGaussianLikelihood, log_g_hat
 from mgdm.metrics import SampleSet, gaussian_kl, sliced_wasserstein2
 from mgdm.moments import GaussianMoments
-from mgdm.oracle import OracleConfig, auto_grids, oracle_recursion, quadrature_joint
+from mgdm.oracle import auto_grids, oracle_recursion, quadrature_joint
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior
 from mgdm.sampler import (
     GibbsState,
@@ -210,7 +210,7 @@ def test_criterion_05_oracle_equivalence_flagship():
     )
     n = 10_000
     samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(1005))
-    oracle = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=4))
+    oracle = oracle_recursion(prior, lik, sched, cfg)
 
     z_mean = (samples.mean(axis=0) - oracle.mean) / np.sqrt(np.diag(oracle.cov) / n)
     assert np.all(np.abs(z_mean) < 3.0), z_mean
@@ -240,7 +240,9 @@ def test_criterion_06_posterior_consistency():
     seq = midpoint_sequence(ts)
     kls = []
     for r_val in (1, 2, 4, 8):
-        om = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=r_val))
+        om = oracle_recursion(prior, lik, sched, MgdmConfig(
+            timesteps=ts, R=r_val, index_dist=IndexDistribution(kind="fixed", values=seq)
+        ))
         kls.append(gaussian_kl(GaussianMoments(om.mean, om.cov), post_moments))
     assert kls[-1] < 1e-2, kls
     assert all(b <= a + 1e-12 for a, b in zip(kls, kls[1:])), kls

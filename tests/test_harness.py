@@ -117,15 +117,17 @@ class TestCompare:
     def test_analytic_se_matches_bootstrap(self):
         """On one n = 10,000 exact-backend run of the flagship config, the closed-form
         sample-covariance SE is within 10% of a 2,000-resample bootstrap."""
-        from mgdm.oracle import OracleConfig, oracle_recursion
-        from mgdm.sampler import mgdm_run_batch
+        from mgdm.oracle import oracle_recursion
+        from mgdm.sampler import IndexDistribution, MgdmConfig, mgdm_run_batch
 
         config = compare_config(n_runs=10_000, K=25, R=4)
         prior, lik, sched = harness.build_problem(config)
         mcfg = harness.build_mgdm_config(config["sampler"], sched)
         seq = tuple(max(2, mcfg.timesteps[i - 2] // 2) for i in range(mcfg.K, 1, -1))
         samples = mgdm_run_batch(lik, prior, sched, mcfg, 10_000, np.random.default_rng(2024))
-        oracle = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=mcfg.timesteps, index_sequence=seq, R=4))
+        oracle = oracle_recursion(prior, lik, sched, MgdmConfig(
+            timesteps=mcfg.timesteps, R=4, index_dist=IndexDistribution(kind="fixed", values=seq)
+        ))
         rng = np.random.default_rng(2025)
         boots = np.stack([np.cov(samples[rng.integers(0, 10_000, size=10_000)].T) for _ in range(2000)])
         ratio = harness.covariance_se(oracle.cov, 10_000) / boots.std(axis=0, ddof=1)
@@ -241,10 +243,9 @@ class TestCli:
         return [(gmm_exact, [], "exact conditional requires a Gaussian prior"),
                 (high_tau, ["--backend", "exact"], "t_prev=40 < tau=50")]
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize("case", [0, 1])
-    def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, case):
-        config, extra, message = self.bad_configs()[case]
+    @staticmethod
+    def assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, extra, message):
+        """``mgdm <command>`` exits 1 naming ``message`` without calling any sampler."""
         calls = []
 
         def counted(fn):
@@ -253,14 +254,34 @@ class TestCli:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("mgdm_run", "mgdm_run_batch"):
+        for name in ("mgdm_run", "mgdm_run_batch", "dps_run"):
             monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-        assert main(args + (extra if command == "compare" else [])) == 1
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")] + extra) == 1
         assert message in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, case):
+        config, extra, message = self.bad_configs()[case]
+        extra = extra if command == "compare" else []
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, extra, message)
+
+    @pytest.mark.parametrize("command,sampler,message", [
+        ("run", {"K": 1}, "need K >= 2"),
+        ("run", {"zeta": -1.0}, "zeta must be >= 0"),
+        ("run", {"K": 500}, "cannot place 500 distinct timesteps"),  # T = 200
+        ("oracle", {}, "the moment oracle models the MGDM sampler, not algorithm 'dps'"),
+        ("compare", {}, "the moment oracle models the MGDM sampler, not algorithm 'dps'"),
+    ], ids=["K-1", "negative-zeta", "K-above-T", "oracle", "compare"])
+    def test_bad_dps_config_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, sampler, message):
+        """A DPS grid or zeta that dps_run would refuse, and a DPS config handed to the oracle
+        (even one naming the exact backend), fail before any run."""
+        config = harness.smoke_config()
+        config["sampler"] = {"algorithm": "dps", "K": 10, "zeta": 0.5, "backend": "exact", **sampler}
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

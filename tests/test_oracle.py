@@ -9,7 +9,6 @@ from mgdm.likelihoods import LinearGaussianLikelihood, linearized_potential, qua
 from mgdm.moments import GaussianMoments
 from mgdm.oracle import (
     GridSpec,
-    OracleConfig,
     auto_grids,
     build_final_kernels,
     build_kernels,
@@ -227,14 +226,20 @@ class TestFinalKernels:
 
 class TestOracleRecursion:
     def test_validation(self):
+        """The oracle replays only a fixed sequence, with the sampler's own checks on it."""
         lik, prior, sched = instance_2d()
-        with pytest.raises(ValueError):
-            OracleConfig(timesteps=(10, 100), index_sequence=(2, 3))
-        with pytest.raises(ValueError):
-            OracleConfig(timesteps=(10, 100), index_sequence=(2,), R=0)
-        cfg = OracleConfig(timesteps=(10, 500), index_sequence=(5,))
-        with pytest.raises(ValueError):
-            oracle_recursion(prior, lik, sched, cfg)
+
+        def config(timesteps, index_dist):
+            return MgdmConfig(timesteps=timesteps, conditional="exact", denoise="exact", index_dist=index_dist)
+
+        cases = [(config((10, 1000), IndexDistribution(kind="fixed-midpoint")), "replays a fixed index sequence"),
+                 (config((10, 1000), IndexDistribution(kind="fixed", values=(2, 3))), "needs 1 entries, got 2"),
+                 (config((10, 1000), IndexDistribution(kind="fixed", values=(1000,))), "draws s=1000 outside"),
+                 (config((10, 1000), IndexDistribution(kind="fixed", values=(0,))), "draws s=0 outside"),
+                 (config((10, 500), IndexDistribution(kind="fixed", values=(5,))), "t_K=500 must equal")]
+        for cfg, message in cases:
+            with pytest.raises(ValueError, match=message):
+                oracle_recursion(prior, lik, sched, cfg)
 
     def test_matches_simulation_moments(self):
         """Exact-backend driver replications agree with the recursion
@@ -248,7 +253,7 @@ class TestOracleRecursion:
                          index_dist=IndexDistribution(kind="fixed", values=seq))
         n = 30_000
         samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(19))
-        om = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=2))
+        om = oracle_recursion(prior, lik, sched, cfg)
         z = (samples.mean(0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
         assert np.all(np.abs(z) < 4.0)
         emp_cov = np.cov(samples.T)
@@ -267,7 +272,7 @@ class TestOracleRecursion:
                          index_dist=IndexDistribution(kind="fixed", values=seq))
         n = 30_000
         samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(23))
-        om = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=2))
+        om = oracle_recursion(prior, lik, sched, cfg)
         z = (samples.mean(0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
         assert np.all(np.abs(z) < 4.0)
         emp_cov = np.cov(samples.T)
@@ -290,7 +295,7 @@ class TestOracleRecursion:
                          index_dist=IndexDistribution(kind="fixed", values=seq))
         n = 30_000
         samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(56))
-        om = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=1))
+        om = oracle_recursion(prior, lik, sched, cfg)
         z = (samples.mean(0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
         assert np.all(np.abs(z) < 4.0)
 
@@ -307,10 +312,7 @@ class TestOracleRecursion:
                          final="denoise", final_s=1)
         n = 30_000
         samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(23))
-        om = oracle_recursion(
-            prior, lik, sched,
-            OracleConfig(timesteps=ts, index_sequence=seq, R=2, final="denoise", final_s=1),
-        )
+        om = oracle_recursion(prior, lik, sched, cfg)
         z = (samples.mean(0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
         assert np.all(np.abs(z) < 4.0)
         assert abs(np.var(samples[:, 0]) / om.cov[0, 0] - 1.0) < 0.05
@@ -325,7 +327,9 @@ class TestOracleRecursion:
 
         ts = make_timesteps(50, 1000, t1=4)
         seq = midpoint_sequence(ts)
-        om = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=200))
+        om = oracle_recursion(prior, lik, sched, MgdmConfig(
+            timesteps=ts, R=200, index_dist=IndexDistribution(kind="fixed", values=seq)
+        ))
         rel_mean = np.linalg.norm(om.mean - post.mean) / np.linalg.norm(post.mean)
         rel_cov = np.linalg.norm(om.cov - post.cov) / np.linalg.norm(post.cov)
         assert rel_mean < 1e-2
@@ -340,7 +344,9 @@ class TestOracleRecursion:
         seq = midpoint_sequence(ts)
         gaps = []
         for r_val in (1, 4):
-            om = oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=r_val))
+            om = oracle_recursion(prior, lik, sched, MgdmConfig(
+                timesteps=ts, R=r_val, index_dist=IndexDistribution(kind="fixed", values=seq)
+            ))
             gaps.append(np.linalg.norm(om.cov - post.cov))
         assert gaps[1] <= gaps[0]
 
@@ -354,7 +360,9 @@ class TestOracleRecursion:
         ts = make_timesteps(12, 1000)
         seq = midpoint_sequence(ts)
         R = 3
-        om = oracle_recursion(prior, flat, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=R))
+        om = oracle_recursion(prior, flat, sched, MgdmConfig(
+            timesteps=ts, R=R, index_dist=IndexDistribution(kind="fixed", values=seq)
+        ))
 
         d = prior.dim
         eye = np.eye(d)

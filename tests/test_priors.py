@@ -285,11 +285,13 @@ def reference_gmm_pass(prior, sched, t, x, u):
 
 def gmm_instance(basis, d, n_comp, rng):
     """Means scaled to 50 and eigenvalues in [e^-6, e]; "shared": diagonal covariances with
-    per-component eigenvalues (the one basis eigh returns for all), "separate": random rotations."""
+    per-component eigenvalues (the one basis eigh returns for all), "commuting": one random
+    rotation for all, "separate": a random rotation each."""
     covs = []
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0] if basis == "commuting" else np.eye(d)
     for _ in range(n_comp):
         lam = np.sort(np.exp(rng.uniform(-6.0, 1.0, d)))
-        q = np.eye(d) if basis == "shared" else np.linalg.qr(rng.standard_normal((d, d)))[0]
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0] if basis == "separate" else rotation
         covs.append((q * lam) @ q.T)
     weights = rng.uniform(0.5, 1.5, n_comp)
     return GmmPrior(weights=weights / weights.sum(), means=rng.uniform(-50.0, 50.0, (n_comp, d)), covs=covs)
@@ -299,9 +301,10 @@ class TestGmmComponentPass:
     """The points-last pass, with sums over components inside the basis change, against
     the per-component formulas."""
 
-    # one component, or d = 1, always has a single eigenbasis
+    # one component, or d = 1, always has a single eigenbasis; commuting covariances share
+    # one even when eigh returns it only up to roundoff
     CASES = [(b, d, j) for b in ("shared", "separate") for d in (1, 2, 5, 80) for j in (1, 2, 25)
-             if b == "shared" or (d > 1 and j > 1)]
+             if b == "shared" or (d > 1 and j > 1)] + [("commuting", d, 3) for d in (2, 5, 80)]
 
     @pytest.mark.parametrize("family", ["linear", "cosine"])
     @pytest.mark.parametrize("basis,d,n_comp", CASES)
@@ -313,7 +316,7 @@ class TestGmmComponentPass:
         sched = make_schedule(family, 1000)
         rng = np.random.default_rng(d * 100 + n_comp)
         prior = gmm_instance(basis, d, n_comp, rng)
-        assert (len(prior._eigvecs) == 1) == (basis == "shared")
+        assert (len(prior._eigvecs) == 1) == (basis != "separate")
         for t in (1, 10, 500, sched.T):
             x0 = prior.sample(12, rng)
             far = rng.uniform(-60.0, 60.0, (0 if t == sched.T else 4, d))

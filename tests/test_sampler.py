@@ -158,6 +158,15 @@ class TestGibbsStep:
         assert (out.s, out.t) == (100, 600)
         assert out.x0.shape == out.xs.shape == out.xt.shape == (1,)
 
+    @pytest.mark.parametrize("backend", ["vi", "vi-mh"])
+    def test_vi_backend_needs_resolved_vi_config(self, backend):
+        """Only the outer loop maps the phase schedule to a ViConfig; a VI sweep without one is refused."""
+        lik, prior, sched = problem_1d()
+        cfg = MgdmConfig(timesteps=(100, 1000), conditional=backend, mh_steps=1)
+        state = GibbsState(x0=np.zeros(1), xs=np.zeros(1), xt=np.ones(1), s=100, t=600)
+        with pytest.raises(ValueError, match=f"the '{backend}' conditional backend needs vi_config"):
+            gibbs_step(state, lik, prior, sched, cfg, np.random.default_rng(0))
+
     def test_exact_sweep_preserves_quadrature_marginals(self):
         """One sweep from exact-joint draws keeps all three marginals
         within W1 < 0.02 of the quadrature marginals (1e5 chains)."""

@@ -404,7 +404,7 @@ class TestConditionalMemo:
 
     def test_exact_run_and_oracle_factorize_once_per_level(self, monkeypatch):
         """An exact-backend batch plus its oracle make one eigh per distinct level and no Cholesky."""
-        from mgdm.oracle import OracleConfig, oracle_recursion
+        from mgdm.oracle import oracle_recursion
         from mgdm.sampler import IndexDistribution, MgdmConfig, make_timesteps, mgdm_run_batch
 
         lik = LinearGaussianLikelihood(A=[[1.0, 0.4], [0.0, 0.8]], y=[2.4, -1.6], sigma_y=0.5)
@@ -424,7 +424,7 @@ class TestConditionalMemo:
 
             monkeypatch.setattr(np.linalg, name, counted)
         mgdm_run_batch(lik, prior, sched, cfg, 50, np.random.default_rng(0))
-        oracle_recursion(prior, lik, sched, OracleConfig(timesteps=ts, index_sequence=seq, R=3))
+        oracle_recursion(prior, lik, sched, cfg)
         assert calls == {"eigh": len(set(seq)), "cholesky": 0}
 
 
