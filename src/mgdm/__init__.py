@@ -22,12 +22,10 @@ from .likelihoods import (
 from .oracle import (
     FinalKernels,
     GridSpec,
-    OracleKernels,
     QuadratureJoint,
     auto_grids,
     build_final_kernels,
     build_kernels,
-    forward_init_moments,
     oracle_recursion,
     quadrature_joint,
 )
@@ -59,7 +57,6 @@ from .vi import (
     bridge_init,
     exact_conditional,
     fit_variational,
-    gauss_vi,
     independent_mh,
     kl_gradient_estimate,
     mh_correct,

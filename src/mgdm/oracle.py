@@ -34,46 +34,15 @@ from .vi import conditional_coefficients
 
 __all__ = [
     "GaussianMoments",
-    "OracleKernels",
     "FinalKernels",
     "build_kernels",
     "build_final_kernels",
-    "forward_init_moments",
     "oracle_recursion",
     "GridSpec",
     "QuadratureJoint",
     "quadrature_joint",
     "auto_grids",
 ]
-
-
-@dataclass(frozen=True)
-class OracleKernels:
-    """All matrices of one Gibbs-repetition kernel at levels (tau, k).
-
-    The per-repetition update of the joint state z = (x_0, x_k) is
-    z' = b + B z + Gamma^{1/2} xi.  ``B``, ``b``, ``Gamma`` come from
-    direct composition of the three conditional draws.
-    """
-
-    k: int
-    tau: int
-    # conditional pibar(x_tau | x_0, x_k) = N(M x_0 + N x_k + e, lam)
-    lam: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
-    e: np.ndarray
-    # denoising draw x_0' ~ N(C x_tau + c, Sigma_c)
-    C: np.ndarray
-    c: np.ndarray
-    Sigma_c: np.ndarray
-    # noising draw x_k' ~ N(D x_tau, Sigma_d)
-    D: np.ndarray
-    Sigma_d: np.ndarray
-    # one-repetition joint kernel
-    B: np.ndarray
-    b: np.ndarray
-    Gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,8 +70,14 @@ def build_kernels(
     schedule: NoiseSchedule,
     k: int,
     tau: int,
-) -> OracleKernels:
-    """Assemble the one-repetition kernel matrices at levels (tau, k)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-repetition kernel (B, b, Gamma) at levels (tau, k).
+
+    The joint state z = (x_0, x_k) updates as z' = b + B z + Gamma^{1/2} xi,
+    the direct composition of the conditional draw
+    x_tau ~ N(M x_0 + N x_k + e, lam), the denoising draw
+    x_0' ~ N(C x_tau + c, Sigma_c) and the noising draw x_k' ~ N(D x_tau, Sigma_d).
+    """
     require_linear_gaussian(likelihood, prior, "the moment oracle")
     if not 1 <= tau < k:
         raise ValueError(f"need 1 <= tau < k, got tau={tau}, k={k}")
@@ -115,7 +90,6 @@ def build_kernels(
     D = schedule.alpha_ratio(tau, k) * eye
     Sigma_d = schedule.sigma2(tau, k) * eye
 
-    # Direct composition of the three Gaussian draws.
     B = np.block([[C @ M, C @ N], [D @ M, D @ N]])
     b = np.concatenate([C @ e + c, D @ e])
     Gamma = np.block(
@@ -124,11 +98,7 @@ def build_kernels(
             [D @ lam @ C.T, D @ lam @ D.T + Sigma_d],
         ]
     )
-    Gamma = 0.5 * (Gamma + Gamma.T)
-    return OracleKernels(
-        k=k, tau=tau, lam=lam, M=M, N=N, e=e, C=C, c=c, Sigma_c=Sigma_c, D=D, Sigma_d=Sigma_d,
-        B=B, b=b, Gamma=Gamma,
-    )
+    return B, b, 0.5 * (Gamma + Gamma.T)
 
 
 def build_final_kernels(
@@ -155,21 +125,6 @@ def build_final_kernels(
     h = jac_s @ h_under + bias_s
     L = jac_s @ L_under @ jac_s.T
     return FinalKernels(s=s, t=t, H_under=H_under, h_under=h_under, L_under=L_under, H=H, h=h, L=0.5 * (L + L.T))
-
-
-def forward_init_moments(prior: GaussianPrior, schedule: NoiseSchedule, k: int, x0: GaussianMoments) -> GaussianMoments:
-    """Init kernel: keep x_0, draw x_k from the forward kernel q(. | x_0).
-
-    Joint moments of (x_0', x_k'): the cross block is alpha_k V[x_0].
-    """
-    d = x0.dim
-    a = schedule.alpha(k)
-    v = schedule.sigma2(0, k)
-    mean = np.concatenate([x0.mean, a * x0.mean])
-    cov = np.block(
-        [[x0.cov, a * x0.cov], [a * x0.cov, v * np.eye(d) + a * a * x0.cov]]
-    )
-    return GaussianMoments(mean=mean, cov=cov)
 
 
 def oracle_recursion(
@@ -216,10 +171,10 @@ def oracle_recursion(
             mean = f_mat @ mean
             cov = f_mat @ cov @ f_mat.T
             cov[d:, d:] += p.variance * eye
-        kern = build_kernels(prior, likelihood, schedule, k=t_i, tau=tau)
+        B, b, Gamma = build_kernels(prior, likelihood, schedule, k=t_i, tau=tau)
         for _ in range(config.R):
-            mean = kern.b + kern.B @ mean
-            cov = kern.B @ cov @ kern.B.T + kern.Gamma
+            mean = b + B @ mean
+            cov = B @ cov @ B.T + Gamma
             cov = 0.5 * (cov + cov.T)
 
     if config.final == "denoise":

@@ -152,18 +152,20 @@ class ViPhaseSchedule:
     eta: float = 0.03
     steps_late: int = 20
     steps: int = 5
-    mc_samples_per_step: int = 1
+
+    def __post_init__(self):
+        # Build both phases' settings now, so a bad budget or rate fails before any run.
+        ViConfig(steps=self.steps, learning_rate=self.eta_early)
+        ViConfig(steps=self.steps_late, learning_rate=self.eta)
 
     def resolve(self, i: int, K: int) -> ViConfig:
         lr = self.eta_early if i >= math.floor(3 * K / 4) else self.eta
         g = self.steps_late if i <= math.floor(K / 4) else self.steps
-        return ViConfig(steps=g, learning_rate=lr, mc_samples_per_step=self.mc_samples_per_step)
+        return ViConfig(steps=g, learning_rate=lr)
 
     @staticmethod
-    def constant(eta: float, steps: int, mc_samples_per_step: int = 1) -> "ViPhaseSchedule":
-        return ViPhaseSchedule(
-            eta_early=eta, eta=eta, steps_late=steps, steps=steps, mc_samples_per_step=mc_samples_per_step
-        )
+    def constant(eta: float, steps: int) -> "ViPhaseSchedule":
+        return ViPhaseSchedule(eta_early=eta, eta=eta, steps_late=steps, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,6 @@ def _mgdm_core(
     config: MgdmConfig,
     rng: np.random.Generator,
     shape: tuple[int, ...],
-    record_indices: list[int] | None = None,
 ):
     config.validate_against(schedule)
     ts = config.timesteps
@@ -330,8 +331,6 @@ def _mgdm_core(
         t_i = ts[i - 1]
         t_prev_grid = ts[i - 2]
         s = sample_index(config.index_dist, i, t_i, t_prev_grid, K, rng)
-        if record_indices is not None:
-            record_indices.append(s)
         x0 = x0_star
         if i == K:
             xt = x_tk
@@ -365,16 +364,13 @@ def mgdm_run(
     schedule: NoiseSchedule,
     config: MgdmConfig,
     rng: np.random.Generator,
-    record_indices: list[int] | None = None,
 ) -> np.ndarray:
     """One posterior sample: the running time-0 state after the outer loop.
 
-    Pass ``record_indices`` to capture the realized auxiliary levels (one
-    per outer step), e.g. to replay them through the moment oracle.
     Raises ``NonFiniteStateError`` naming the outer step (i, t, s) as soon
     as a carried state turns non-finite.
     """
-    return _mgdm_core(likelihood, prior, schedule, config, rng, (prior.dim,), record_indices)
+    return _mgdm_core(likelihood, prior, schedule, config, rng, (prior.dim,))
 
 
 def mgdm_run_batch(
@@ -384,13 +380,12 @@ def mgdm_run_batch(
     config: MgdmConfig,
     n_chains: int,
     rng: np.random.Generator,
-    record_indices: list[int] | None = None,
 ) -> np.ndarray:
     """n_chains independent runs, vectorized; the auxiliary level at each
     outer step is shared across chains (required for oracle replay)."""
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    return _mgdm_core(likelihood, prior, schedule, config, rng, (n_chains, prior.dim), record_indices)
+    return _mgdm_core(likelihood, prior, schedule, config, rng, (n_chains, prior.dim))
 
 
 def dps_run(

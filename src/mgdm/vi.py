@@ -36,7 +36,6 @@ __all__ = [
     "bridge_init",
     "kl_gradient_estimate",
     "fit_variational",
-    "gauss_vi",
     "exact_conditional",
     "conditional_coefficients",
     "exact_conditional_sample",
@@ -74,20 +73,17 @@ class ViConfig:
     """Gradient-step budget and learning rate for the variational fit.
 
     The optimizer is Adam with the conventional (0.9, 0.999, 1e-8)
-    moment constants; one Monte Carlo draw per step by default.
+    moment constants; one Monte Carlo draw per step.
     """
 
     steps: int = 5
     learning_rate: float = 0.03
-    mc_samples_per_step: int = 1
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.mc_samples_per_step < 1:
-            raise ValueError("mc_samples_per_step must be >= 1")
 
 
 def _check_pair(s: int, t: int) -> None:
@@ -115,7 +111,6 @@ def kl_gradient_estimate(
     xt: np.ndarray,
     params: VariationalParams,
     rng: np.random.Generator,
-    n_samples: int = 1,
 ):
     """Reparameterized gradient of the reverse-KL surrogate wrt (mu, rho).
 
@@ -131,15 +126,10 @@ def kl_gradient_estimate(
     p = schedule.bridge_params(s, t)
     m_b = p.mean(x0, xt)
     sd = np.exp(0.5 * params.rho)
-    grads = np.zeros((2,) + params.mu.shape)
-    for _ in range(n_samples):
-        z = rng.standard_normal(params.mu.shape)
-        x = params.mu + sd * z
-        pot = log_g_hat(likelihood, prior, schedule, s, x)
-        common = -pot.gradient + (x - m_b) / p.variance
-        grads[0] += common
-        grads[1] += common * (0.5 * sd * z) - 0.5
-    return grads / n_samples
+    z = rng.standard_normal(params.mu.shape)
+    x = params.mu + sd * z
+    common = -log_g_hat(likelihood, prior, schedule, s, x).gradient + (x - m_b) / p.variance
+    return np.stack([common, common * (0.5 * sd * z) - 0.5])
 
 
 def fit_variational(
@@ -165,9 +155,7 @@ def fit_variational(
     vel = np.zeros_like(theta)
     lr = config.learning_rate
     for step in range(1, config.steps + 1):
-        grads = kl_gradient_estimate(
-            likelihood, prior, schedule, s, t, x0, xt, params, rng, config.mc_samples_per_step
-        )
+        grads = kl_gradient_estimate(likelihood, prior, schedule, s, t, x0, xt, params, rng)
         mom *= ADAM_BETA1
         mom += (1.0 - ADAM_BETA1) * grads
         vel *= ADAM_BETA2
@@ -176,22 +164,6 @@ def fit_variational(
         v_hat = vel / (1.0 - ADAM_BETA2**step)
         theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
-
-
-def gauss_vi(
-    likelihood,
-    prior,
-    schedule: NoiseSchedule,
-    s: int,
-    t: int,
-    x0: np.ndarray,
-    xt: np.ndarray,
-    config: ViConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Fit lambda and return one draw mu + exp(rho/2) Z from it."""
-    params = fit_variational(likelihood, prior, schedule, s, t, x0, xt, config, rng)
-    return params.sample(rng)
 
 
 # -- exact conditional (linear-Gaussian + Gaussian prior) ---------------------

@@ -283,6 +283,19 @@ class TestCli:
         config["sampler"] = {"algorithm": "dps", "K": 10, "zeta": 0.5, "backend": "exact", **sampler}
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("vi,message", [
+        ({"steps_late": -1}, "steps must be >= 0"),
+        ({"eta": 0.0}, "learning_rate must be positive"),
+        ({"mc_samples_per_step": 2}, "unexpected keyword argument 'mc_samples_per_step'"),
+    ], ids=["steps-late", "eta", "mc-samples"])
+    def test_bad_vi_budget_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, vi, message):
+        """A VI step budget or learning rate that a later phase would refuse, and a setting
+        the VI fit does not have, fail before any sweep."""
+        config = harness.smoke_config()
+        config["sampler"]["vi"].update(vi)
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(harness.smoke_config()))

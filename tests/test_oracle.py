@@ -1,24 +1,24 @@
 """Moment-recursion kernels, their identities, and the quadrature engine."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mgdm.likelihoods import LinearGaussianLikelihood, linearized_potential, quadratic_toy
-from mgdm.moments import GaussianMoments
 from mgdm.oracle import (
     GridSpec,
     auto_grids,
     build_final_kernels,
     build_kernels,
-    forward_init_moments,
     oracle_recursion,
     quadrature_joint,
 )
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior, spd_inverse
 from mgdm.sampler import GibbsState, IndexDistribution, MgdmConfig, gibbs_step, mgdm_run_batch
 from mgdm.schedule import gauss_log_density, make_schedule
+from mgdm.vi import conditional_coefficients
 
 
 def instance_2d():
@@ -37,6 +37,20 @@ def instance_1d(sigma_y=0.5):
 
 def midpoint_sequence(ts):
     return tuple(max(2, ts[i - 2] // 2) for i in range(len(ts), 1, -1))
+
+
+def kernel(prior, lik, sched, k, tau):
+    """The one-repetition kernel (B, b, Gamma) from ``build_kernels`` together with
+    the three conditional draws it composes: x_tau ~ N(M x_0 + N x_k + e, lam),
+    x_0' ~ N(C x_tau + c, Sigma_c) and x_k' ~ N(D x_tau, Sigma_d)."""
+    B, b, Gamma = build_kernels(prior, lik, sched, k=k, tau=tau)
+    M, N, e, lam = conditional_coefficients(lik, prior, sched, tau, k)
+    C, c = prior.denoiser_affine(sched, tau)
+    eye = np.eye(prior.dim)
+    return SimpleNamespace(
+        lam=lam, M=M, N=N, e=e, C=C, c=c, Sigma_c=prior.posterior_x0_cov(sched, tau),
+        D=sched.alpha_ratio(tau, k) * eye, Sigma_d=sched.sigma2(tau, k) * eye, B=B, b=b, Gamma=Gamma,
+    )
 
 
 def completion_of_squares(kern):
@@ -80,8 +94,8 @@ class TestBuildKernels:
         for _ in range(100):
             tau = int(rng.integers(2, 500))
             k = int(rng.integers(tau + 1, 1001))
-            kern = build_kernels(prior, lik, sched, k=k, tau=tau)
-            np.linalg.cholesky(kern.Gamma)
+            _, _, gamma = build_kernels(prior, lik, sched, k=k, tau=tau)
+            np.linalg.cholesky(gamma)
 
     def test_assembly_matches_direct_composition(self):
         """The completion-of-squares blocks (Psi, Gamma, J, K) reproduce
@@ -91,7 +105,7 @@ class TestBuildKernels:
         for _ in range(20):
             tau = int(rng.integers(2, 400))
             k = int(rng.integers(tau + 1, 1001))
-            kern = build_kernels(prior, lik, sched, k=k, tau=tau)
+            kern = kernel(prior, lik, sched, k=k, tau=tau)
             _, gamma_assembled, j_block, k_block = completion_of_squares(kern)
             np.testing.assert_allclose(gamma_assembled, kern.Gamma, atol=1e-8)
             np.testing.assert_allclose(gamma_assembled @ j_block @ k_block, kern.B, atol=1e-8)
@@ -105,7 +119,7 @@ class TestBuildKernels:
         lik, prior, sched = instance_2d()
         flat = LinearGaussianLikelihood(A=lik.A, y=lik.y, sigma_y=1e9)
         tau, k = 120, 700
-        kern = build_kernels(prior, flat, sched, k=k, tau=tau)
+        kern = kernel(prior, flat, sched, k=k, tau=tau)
         p = sched.bridge_params(tau, k)
         np.testing.assert_allclose(kern.lam, p.variance * np.eye(2), atol=1e-10)
         np.testing.assert_allclose(kern.e, np.zeros(2), atol=1e-10)
@@ -125,7 +139,7 @@ class TestBuildKernels:
         state = GibbsState(x0=z[:, :1], xs=np.zeros((n, 1)), xt=z[:, 1:], s=tau, t=k)
         out = gibbs_step(state, lik, prior, sched, cfg, rng)
         zp = np.concatenate([out.x0, out.xt], axis=1)
-        kern = build_kernels(prior, lik, sched, k=k, tau=tau)
+        kern = kernel(prior, lik, sched, k=k, tau=tau)
 
         blocks = 50
         size = n // blocks
@@ -153,7 +167,7 @@ class TestBuildKernels:
         matches the assembled joint Gaussian pointwise to 1e-8 (1-D)."""
         lik, prior, sched = instance_1d()
         tau, k = 100, 500
-        kern = build_kernels(prior, lik, sched, k=k, tau=tau)
+        kern = kernel(prior, lik, sched, k=k, tau=tau)
         rng = np.random.default_rng(3)
         z_in = np.array([0.3, -0.2])  # (x0, xk)
         mu_x = kern.M @ z_in[:1] + kern.N @ z_in[1:] + kern.e
@@ -176,20 +190,6 @@ class TestBuildKernels:
             sol = np.linalg.solve(joint_cov, diff)
             direct = -0.5 * (diff @ sol + 2 * math.log(2 * math.pi) + np.log(np.linalg.det(joint_cov)))
             np.testing.assert_allclose(integral, direct, atol=1e-8)
-
-
-class TestInitKernel:
-    def test_cross_covariance_is_alpha_scaled(self):
-        """After the forward init kernel, Cov(x_0', x_k') = alpha_k V[x_0]."""
-        _, prior, sched = instance_2d()
-        x0 = GaussianMoments(mean=[0.2, -0.4], cov=[[0.5, 0.1], [0.1, 0.3]])
-        k = 640
-        out = forward_init_moments(prior, sched, k, x0)
-        a = sched.alpha(k)
-        np.testing.assert_allclose(out.cov[:2, 2:], a * x0.cov, atol=1e-14)
-        np.testing.assert_allclose(out.mean[2:], a * x0.mean, atol=1e-14)
-        v = sched.sigma2(0, k)
-        np.testing.assert_allclose(out.cov[2:, 2:], v * np.eye(2) + a * a * x0.cov, atol=1e-14)
 
 
 class TestFinalKernels:
@@ -280,7 +280,7 @@ class TestOracleRecursion:
         assert np.all(np.abs(emp_cov - om.cov) < 4.0 * se)
 
     def test_replays_recorded_random_index_sequence(self):
-        """Record the levels drawn by a seeded uniform-mix run, then
+        """Draw the levels of a seeded uniform-mix run, then
         replay them through the recursion: moments still agree."""
         lik, prior, sched = instance_2d()
         from mgdm.sampler import make_timesteps
@@ -288,9 +288,7 @@ class TestOracleRecursion:
         ts = make_timesteps(10, 1000)
         probe = MgdmConfig(timesteps=ts, R=1, conditional="exact", denoise="exact",
                            index_dist=IndexDistribution(kind="uniform-mix", tau=10))
-        recorded: list[int] = []
-        mgdm_run_batch(lik, prior, sched, probe, 1, np.random.default_rng(55), record_indices=recorded)
-        seq = tuple(max(2, v) for v in recorded)
+        seq = tuple(max(2, v) for v in probe.draw_levels(np.random.default_rng(55)))
         cfg = MgdmConfig(timesteps=ts, R=1, conditional="exact", denoise="exact",
                          index_dist=IndexDistribution(kind="fixed", values=seq))
         n = 30_000

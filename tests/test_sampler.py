@@ -293,6 +293,17 @@ class TestConfig:
         assert vi.resolve(10, K).steps == 20
         assert vi.resolve(50, K).steps == 5
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("steps", -1, "steps must be >= 0"),
+        ("steps_late", -1, "steps must be >= 0"),
+        ("eta_early", 0.0, "learning_rate must be positive"),
+        ("eta", -0.1, "learning_rate must be positive"),
+    ], ids=["steps", "steps-late", "eta-early", "eta"])
+    def test_phase_schedule_rejects_bad_budgets_at_construction(self, field, value, message):
+        """Both phases' settings are checked when the schedule is built, not when a step resolves them."""
+        with pytest.raises(ValueError, match=message):
+            ViPhaseSchedule(**{field: value})
+
 
 class TestMgdmRun:
     def test_deterministic_given_seed(self):
@@ -303,12 +314,24 @@ class TestMgdmRun:
         b = mgdm_run(lik, prior, sched, cfg, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
-    def test_records_one_index_per_outer_step(self):
+    def test_records_one_index_per_outer_step(self, monkeypatch):
+        """The run sweeps once per outer step at one level 1 <= s < t_i, as many as draw_levels draws."""
+        import mgdm.sampler as sampler_mod
+
         lik, prior, sched = problem_1d()
         cfg = MgdmConfig(timesteps=make_timesteps(10, 1000), M=4)
-        recorded: list[int] = []
-        mgdm_run(lik, prior, sched, cfg, np.random.default_rng(5), record_indices=recorded)
-        assert len(recorded) == 9
+        levels = []
+        sweep = sampler_mod.gibbs_step
+
+        def recording(state, *args, **kwargs):
+            levels.append((state.s, state.t))
+            return sweep(state, *args, **kwargs)
+
+        monkeypatch.setattr(sampler_mod, "gibbs_step", recording)
+        mgdm_run(lik, prior, sched, cfg, np.random.default_rng(5))
+        assert [t for _, t in levels] == list(cfg.timesteps[:0:-1])
+        assert len(levels) == len(cfg.draw_levels(np.random.default_rng(5))) == 9
+        assert all(1 <= s < t for s, t in levels)
 
     def test_uninformative_limit_recovers_prior(self):
         lik, prior, sched = problem_1d(sigma_y=1e6)

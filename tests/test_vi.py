@@ -15,7 +15,6 @@ from mgdm.vi import (
     exact_conditional,
     exact_conditional_sample,
     fit_variational,
-    gauss_vi,
     independent_mh,
     kl_gradient_estimate,
     mh_correct,
@@ -69,7 +68,8 @@ class TestInitialization:
         lik, prior, sched = problem_1d()
         x0, xt = np.array([0.4]), np.array([-0.2])
         s, t = 120, 500
-        draw = gauss_vi(lik, prior, sched, s, t, x0, xt, ViConfig(steps=0), np.random.default_rng(99))
+        rng = np.random.default_rng(99)
+        draw = fit_variational(lik, prior, sched, s, t, x0, xt, ViConfig(steps=0), rng).sample(rng)
         ref = sched.bridge_sample(x0, xt, s, t, np.random.default_rng(99))
         np.testing.assert_allclose(draw, ref, atol=1e-12)
 
@@ -205,14 +205,14 @@ class TestFit:
         s, t = 120, 400
         rng = np.random.default_rng(8)
         x0, xt = rng.standard_normal(shape), rng.standard_normal(shape)
-        cfg = ViConfig(steps=15, learning_rate=0.05, mc_samples_per_step=2)
+        cfg = ViConfig(steps=15, learning_rate=0.05)
 
         gen = np.random.default_rng(9)
         params = bridge_init(sched, s, t, x0, xt)
         mom = [np.zeros(shape), np.zeros(shape)]
         vel = [np.zeros(shape), np.zeros(shape)]
         for step in range(1, cfg.steps + 1):
-            grads = kl_gradient_estimate(lik, prior, sched, s, t, x0, xt, params, gen, cfg.mc_samples_per_step)
+            grads = kl_gradient_estimate(lik, prior, sched, s, t, x0, xt, params, gen)
             for slot, grad in enumerate(grads):
                 mom[slot] = ADAM_BETA1 * mom[slot] + (1.0 - ADAM_BETA1) * grad
                 vel[slot] = ADAM_BETA2 * vel[slot] + (1.0 - ADAM_BETA2) * grad**2
