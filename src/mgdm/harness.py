@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -79,14 +79,25 @@ def build_problem(config: dict):
     return prior, likelihood, schedule
 
 
+# The keys the harness reads; any other key fails before a run (a misspelled one would run on its default).
+_CONFIG_KEYS = ("prior", "likelihood", "schedule", "sampler", "n_runs", "master_seed", "sweep")
+_SAMPLER_KEYS = (
+    "algorithm", "backend", "timesteps", "K", "R", "M", "index", "vi", "mh_steps", "final", "final_s", "zeta"
+)
+
+
+def _check_keys(section: dict, known: tuple, name: str) -> dict:
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {name}; known keys: {', '.join(known)}")
+    return section
+
+
 def _build_index_dist(spec: dict | None) -> IndexDistribution:
-    if spec is None:
-        return IndexDistribution()
-    kw = dict(spec)
-    if "weights" in kw and kw["weights"] is not None:
-        kw["weights"] = tuple(kw["weights"])
-    if "values" in kw and kw["values"] is not None:
-        kw["values"] = tuple(kw["values"])
+    kw = dict(_check_keys(spec or {}, tuple(f.name for f in fields(IndexDistribution)), "sampler.index"))
+    for key in ("weights", "values"):
+        if kw.get(key) is not None:
+            kw[key] = tuple(kw[key])
     return IndexDistribution(**kw)
 
 
@@ -97,16 +108,18 @@ _BACKENDS = {
 }
 
 
-def build_mgdm_config(sampler_spec: dict, schedule: NoiseSchedule) -> MgdmConfig:
-    spec = dict(sampler_spec)
+def build_mgdm_config(spec: dict, schedule: NoiseSchedule) -> MgdmConfig:
     backend = spec.get("backend", "vi")
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     timesteps = spec.get("timesteps")
     if timesteps is None:
         timesteps = make_timesteps(int(spec.get("K", 100)), schedule.T)
-    vi_spec = spec.get("vi", {})
-    vi = ViPhaseSchedule(**vi_spec) if vi_spec else ViPhaseSchedule()
+    vi_spec = _check_keys(spec.get("vi") or {}, tuple(f.name for f in fields(ViPhaseSchedule)), "sampler.vi")
+    try:
+        vi = ViPhaseSchedule(**vi_spec)
+    except ValueError as err:  # its messages start with the field name, which is the config key
+        raise ValueError(f"sampler.vi.{err}") from None
     return MgdmConfig(
         timesteps=tuple(timesteps),
         R=int(spec.get("R", 1)),
@@ -145,11 +158,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, config: dict) -> "ExperimentConfig":
+        _check_keys(config, _CONFIG_KEYS, "the config")
         if "master_seed" not in config:
             raise ValueError("config needs a 'master_seed'")
         sampler = config.get("sampler")
         if not isinstance(sampler, dict):
             raise ValueError("config needs a 'sampler' section")
+        _check_keys(sampler, _SAMPLER_KEYS, "sampler")
+        _check_keys(config.get("sweep") or {}, ("R", "G", "index"), "sweep")
         prior, likelihood, schedule = build_problem(config)
         algorithm, dps = sampler.get("algorithm", "mgdm"), None
         if algorithm == "mgdm":

@@ -140,7 +140,7 @@ class GaussianPrior:
         """The per-level dict of memo ``slot`` ("_levels" or "_conditionals") for these
         owners, compared by identity; other owners start the memo afresh."""
         memo = getattr(self, slot)
-        if any(a is not b for a, b in zip(memo, owners)):
+        if memo[0] is not owners[0] or memo[-2] is not owners[-1]:  # one or two owners
             memo = (*owners, {})
             object.__setattr__(self, slot, memo)
         return memo[-1]
@@ -242,7 +242,9 @@ class GmmPrior:
     G = 1 when all components share one eigenbasis (their covariances
     commute) and G = J otherwise.
     Sums over components are small matmuls inside the basis change (see
-    ``_terms``), so a shared basis never builds a (J, M, d) array.
+    ``_terms``), so a shared basis never builds a (J, M, d) array.  The
+    level constants of ``_terms`` are kept, read-only, for the last
+    (alpha_t, v_t) seen: the calls of one Gibbs sweep share a level.
     """
 
     weights: np.ndarray
@@ -253,6 +255,7 @@ class GmmPrior:
     _basis: np.ndarray = field(init=False, repr=False)  # (d, G d): [Q_1 ... Q_G]
     _mean_coords: np.ndarray = field(init=False, repr=False)  # (J, d): Q_j^T m_j
     _log_weights: np.ndarray = field(init=False, repr=False)  # (J,)
+    _level: tuple = field(init=False, repr=False, compare=False)  # (alpha, v, prec, log w_j - quad_const_j / 2)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
@@ -286,6 +289,7 @@ class GmmPrior:
         object.__setattr__(self, "_basis", vecs.transpose(1, 0, 2).reshape(means.shape[1], -1))
         object.__setattr__(self, "_mean_coords", (means[:, None, :] @ vecs)[:, 0])
         object.__setattr__(self, "_log_weights", log_w)
+        object.__setattr__(self, "_level", (None, None))
 
     @property
     def dim(self) -> int:
@@ -316,14 +320,20 @@ class GmmPrior:
         iv_j . xc^2 - 2a ivm_j . xc + a^2 ivm_j . Q_j^T m_j: one (J / G, d) x (d, M) matmul per basis.
         Returns log w_j + log N(x; a m_j, S_j) (J, M), xc (G, d, M) and [iv_j, ivm_j] by basis (G, J / G, 2d).
         """
-        d = self.dim
-        var = (a * a) * self._eigvals + v
-        prec = np.concatenate([1.0 / var, self._mean_coords / var], axis=1)
-        quad_const = d * _LOG_2PI + np.log(var).sum(axis=1) + (a * a) * np.sum(prec[:, d:] * self._mean_coords, axis=1)
-        prec = prec.reshape(len(self._eigvecs), -1, 2 * d)
+        d, level = self.dim, self._level  # one read: another thread may replace the entry meanwhile
+        if level[:2] != (a, v):
+            var = (a * a) * self._eigvals + v
+            prec = np.concatenate([1.0 / var, self._mean_coords / var], axis=1)
+            quad_const = d * _LOG_2PI + np.log(var).sum(axis=1)
+            quad_const += (a * a) * np.sum(prec[:, d:] * self._mean_coords, axis=1)
+            level = (a, v, prec.reshape(len(self._eigvecs), -1, 2 * d), (self._log_weights - 0.5 * quad_const)[:, None])
+            for arr in level[2:]:
+                arr.flags.writeable = False
+            object.__setattr__(self, "_level", level)
+        _, _, prec, log_norm = level
         xc = self._coords(pts)
-        quad = (prec[..., :d] @ (xc * xc) - (2.0 * a) * (prec[..., d:] @ xc)).reshape(len(quad_const), -1)
-        return (self._log_weights - 0.5 * quad_const)[:, None] - 0.5 * quad, xc, prec
+        quad = (prec[..., :d] @ (xc * xc) - (2.0 * a) * (prec[..., d:] @ xc)).reshape(self.n_components, -1)
+        return log_norm - 0.5 * quad, xc, prec
 
     @staticmethod
     def _weigh(prec: np.ndarray, c: np.ndarray) -> np.ndarray:

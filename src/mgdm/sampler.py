@@ -154,9 +154,13 @@ class ViPhaseSchedule:
     steps: int = 5
 
     def __post_init__(self):
-        # Build both phases' settings now, so a bad budget or rate fails before any run.
-        ViConfig(steps=self.steps, learning_rate=self.eta_early)
-        ViConfig(steps=self.steps_late, learning_rate=self.eta)
+        # Check both phases' settings now, so a bad budget or rate fails before any run.
+        for name in ("steps", "steps_late"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("eta_early", "eta"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
 
     def resolve(self, i: int, K: int) -> ViConfig:
         lr = self.eta_early if i >= math.floor(3 * K / 4) else self.eta

@@ -94,11 +94,9 @@ def _check_pair(s: int, t: int) -> None:
 
 
 def bridge_init(schedule: NoiseSchedule, s: int, t: int, x0: np.ndarray, xt: np.ndarray) -> VariationalParams:
-    """Bridge moments as variational parameters (the fit's starting point)."""
-    _check_pair(s, t)
-    p = schedule.bridge_params(s, t)
-    mu = p.mean(x0, xt)
-    return VariationalParams(mu=mu, rho=np.full_like(mu, math.log(p.variance)))
+    """Bridge moments as variational parameters: the fit's starting point, which a
+    zero-step fit returns without reading the likelihood, the prior or a generator."""
+    return fit_variational(None, None, schedule, s, t, x0, xt, ViConfig(steps=0), None)
 
 
 def kl_gradient_estimate(
@@ -106,9 +104,8 @@ def kl_gradient_estimate(
     prior,
     schedule: NoiseSchedule,
     s: int,
-    t: int,
-    x0: np.ndarray,
-    xt: np.ndarray,
+    bridge_mean: np.ndarray,
+    bridge_var: float,
     params: VariationalParams,
     rng: np.random.Generator,
 ):
@@ -119,17 +116,15 @@ def kl_gradient_estimate(
         d/dmu  = -grad log ghat_s(X) + (X - bridge_mean) / bridge_var
         d/drho = (same) * dX/drho - 1/2,
 
-    unbiased for the objective -E[log ghat_s] + KL(lambda || bridge).
+    unbiased for the objective -E[log ghat_s] + KL(lambda || bridge); the
+    bridge q(x_s | x_0, x_t) enters only through its mean and variance.
     Returned as one array of shape (2, ...): [d/dmu, d/drho].
     """
-    _check_pair(s, t)
-    p = schedule.bridge_params(s, t)
-    m_b = p.mean(x0, xt)
     sd = np.exp(0.5 * params.rho)
     z = rng.standard_normal(params.mu.shape)
     x = params.mu + sd * z
-    common = -log_g_hat(likelihood, prior, schedule, s, x).gradient + (x - m_b) / p.variance
-    return np.stack([common, common * (0.5 * sd * z) - 0.5])
+    common = -log_g_hat(likelihood, prior, schedule, s, x).gradient + (x - bridge_mean) / bridge_var
+    return np.array((common, common * (0.5 * sd * z) - 0.5))
 
 
 def fit_variational(
@@ -145,17 +140,20 @@ def fit_variational(
 ) -> VariationalParams:
     """Run ``config.steps`` Adam updates from the bridge initialization.
 
-    Both parameter blocks step together, in place, as one (2, ...) array
-    whose two rows are the ``mu`` and ``rho`` of the result.
+    The bridge is built once per fit and every step reads its mean and
+    variance.  Both parameter blocks step together, in place, as one
+    (2, ...) array whose two rows are the ``mu`` and ``rho`` of the result.
     """
-    params = bridge_init(schedule, s, t, x0, xt)
-    theta = np.stack([params.mu, params.rho])
-    params.mu, params.rho = theta
+    _check_pair(s, t)
+    bridge = schedule.bridge_params(s, t)
+    bridge_mean = bridge.mean(x0, xt)
+    theta = np.array((bridge_mean, np.full_like(bridge_mean, math.log(bridge.variance))))
+    params = VariationalParams(*theta)
     mom = np.zeros_like(theta)
     vel = np.zeros_like(theta)
     lr = config.learning_rate
     for step in range(1, config.steps + 1):
-        grads = kl_gradient_estimate(likelihood, prior, schedule, s, t, x0, xt, params, rng)
+        grads = kl_gradient_estimate(likelihood, prior, schedule, s, bridge_mean, bridge.variance, params, rng)
         mom *= ADAM_BETA1
         mom += (1.0 - ADAM_BETA1) * grads
         vel *= ADAM_BETA2

@@ -285,15 +285,29 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("vi,message", [
-        ({"steps_late": -1}, "steps must be >= 0"),
-        ({"eta": 0.0}, "learning_rate must be positive"),
-        ({"mc_samples_per_step": 2}, "unexpected keyword argument 'mc_samples_per_step'"),
+        ({"steps_late": -1}, "sampler.vi.steps_late must be >= 0"),
+        ({"eta": 0.0}, "sampler.vi.eta must be positive"),
+        ({"mc_samples_per_step": 2}, "unknown key 'mc_samples_per_step' in sampler.vi"),
     ], ids=["steps-late", "eta", "mc-samples"])
     def test_bad_vi_budget_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, vi, message):
         """A VI step budget or learning rate that a later phase would refuse, and a setting
-        the VI fit does not have, fail before any sweep."""
+        the VI fit does not have, fail before any sweep, naming the config key."""
         config = harness.smoke_config()
         config["sampler"]["vi"].update(vi)
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    @pytest.mark.parametrize("section,key,message", [
+        (None, "n_run", "unknown key 'n_run' in the config"),
+        ("sampler", "RR", "unknown key 'RR' in sampler"),
+        ("sampler", "mh_step", "unknown key 'mh_step' in sampler"),
+        ("sweep", "g", "unknown key 'g' in sweep"),
+    ], ids=["n-run", "RR", "mh-step", "sweep-g"])
+    def test_unknown_key_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, section, key, message):
+        """A misspelled setting fails, naming its section and key, instead of running on its default."""
+        config = harness.smoke_config()
+        config["sweep"] = {"R": [1, 2]}
+        (config if section is None else config[section])[key] = 3
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
 
     def test_seed_override(self, tmp_path):

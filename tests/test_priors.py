@@ -192,6 +192,63 @@ class TestDenoiserAffineLevels:
                 prior.denoiser_affine(sched, t)
 
 
+class TestGmmLevelConstants:
+    """The level constants of ``GmmPrior._terms`` are kept for the last (alpha_t, v_t) only, read-only."""
+
+    @staticmethod
+    def outputs(prior, sched, t, x, u):
+        den = prior.denoise(sched, t, x)
+        draw = prior.backward_sample(sched, t // 2, t, x, np.random.default_rng(t))
+        return (den.value, den.vjp(u), prior.score(sched, t, x), prior.component_log_densities(sched, t, x),
+                prior.responsibilities(sched, t, x), draw)
+
+    @pytest.mark.parametrize("basis", ["shared", "separate"])
+    def test_interleaved_levels_match_a_fresh_prior(self, basis):
+        prior = gmm_instance(basis, 3, 4, np.random.default_rng(5))
+        assert len(prior._eigvecs) == (1 if basis == "shared" else 4)
+        linear, cosine = make_schedule("linear", 100), make_schedule("cosine", 100)
+        rng = np.random.default_rng(6)
+        x = prior.sample(7, rng) + rng.standard_normal((7, 3))
+        u = rng.standard_normal((7, 3))
+        for sched, t in ((linear, 40), (linear, 70), (linear, 40), (cosine, 40), (linear, 40)):
+            fresh = GmmPrior(weights=prior.weights, means=prior.means, covs=prior.covs)
+            for got, want in zip(self.outputs(prior, sched, t, x, u), self.outputs(fresh, sched, t, x, u)):
+                assert np.array_equal(got, want)
+            alpha, v, *arrays = prior._level
+            assert (alpha, v) == (sched.alpha(t), sched.sigma2(0, t)) and len(arrays) == 2
+            for arr in arrays:
+                assert not arr.flags.writeable
+
+    def test_threads_alternating_levels_on_one_prior(self):
+        """Threads that share a prior, each at its own level, get their own level's values."""
+        import sys
+        import threading
+
+        prior = gmm_instance("separate", 3, 4, np.random.default_rng(5))
+        sched = make_schedule("linear", 100)
+        x = prior.sample(5, np.random.default_rng(6))
+        fresh = GmmPrior(weights=prior.weights, means=prior.means, covs=prior.covs)
+        want = {t: fresh.score(sched, t, x) for t in (20, 60)}
+        wrong = []
+
+        def work(t):
+            for _ in range(5000):
+                if not np.array_equal(prior.score(sched, t, x), want[t]):
+                    wrong.append(t)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in (20, 60, 20, 60)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and wrong == []
+
+
 class TestDenoiserVjp:
     def test_mcgdiff_scale_instance_matches_finite_differences(self):
         sched = make_schedule("linear", 1000)

@@ -294,10 +294,10 @@ class TestConfig:
         assert vi.resolve(50, K).steps == 5
 
     @pytest.mark.parametrize("field,value,message", [
-        ("steps", -1, "steps must be >= 0"),
-        ("steps_late", -1, "steps must be >= 0"),
-        ("eta_early", 0.0, "learning_rate must be positive"),
-        ("eta", -0.1, "learning_rate must be positive"),
+        ("steps", -1, "^steps must be >= 0$"),
+        ("steps_late", -1, "^steps_late must be >= 0$"),
+        ("eta_early", 0.0, "^eta_early must be positive$"),
+        ("eta", -0.1, "^eta must be positive$"),
     ], ids=["steps", "steps-late", "eta-early", "eta"])
     def test_phase_schedule_rejects_bad_budgets_at_construction(self, field, value, message):
         """Both phases' settings are checked when the schedule is built, not when a step resolves them."""

@@ -36,6 +36,12 @@ def problem_2d():
     return lik, prior, sched
 
 
+def bridge(sched, s, t, x0, xt):
+    """(mean, variance) of the bridge q(x_s | x_0, x_t), the form kl_gradient_estimate reads it in."""
+    p = sched.bridge_params(s, t)
+    return p.mean(x0, xt), p.variance
+
+
 class _ZeroDraws:
     """Stub generator whose normal draws are all zero."""
 
@@ -76,10 +82,34 @@ class TestInitialization:
     def test_rejects_bad_levels(self):
         lik, prior, sched = problem_1d()
         with pytest.raises(ValueError):
-            kl_gradient_estimate(lik, prior, sched, 0, 10, np.zeros(1), np.zeros(1),
+            kl_gradient_estimate(lik, prior, sched, 0, np.zeros(1), 0.5,
                                  bridge_init(sched, 1, 10, np.zeros(1), np.zeros(1)), np.random.default_rng(0))
         with pytest.raises(ValueError):
             bridge_init(sched, 10, 10, np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError):
+            fit_variational(lik, prior, sched, 0, 10, np.zeros(1), np.zeros(1), ViConfig(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("steps", [0, 1, 10])
+    def test_one_bridge_per_fit(self, steps, monkeypatch):
+        """The fit builds its bridge once and makes one gradient estimate per Adam step."""
+        import mgdm.vi as vi_mod
+        from mgdm.schedule import NoiseSchedule
+
+        lik, prior, sched = problem_2d()
+        calls = {"bridge_params": 0, "kl_gradient_estimate": 0}
+        bridge_params, gradient = NoiseSchedule.bridge_params, vi_mod.kl_gradient_estimate
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(NoiseSchedule, "bridge_params", counted("bridge_params", bridge_params))
+        monkeypatch.setattr(vi_mod, "kl_gradient_estimate", counted("kl_gradient_estimate", gradient))
+        x0, xt = np.array([[0.3, -0.2], [1.0, 0.4]]), np.array([[0.1, 0.5], [-0.7, 0.2]])
+        fit_variational(lik, prior, sched, 120, 400, x0, xt, ViConfig(steps=steps), np.random.default_rng(3))
+        assert calls == {"bridge_params": 1, "kl_gradient_estimate": steps}
 
 
 class TestGradientEstimator:
@@ -91,7 +121,7 @@ class TestGradientEstimator:
         lik = LinearGaussianLikelihood(A=np.eye(2), y=[0.5, 0.5], sigma_y=1.0)
         x0, xt = np.full(2, 0.1), np.full(2, -0.3)
         params = bridge_init(sched, 20, 70, x0, xt)
-        _, grad_rho = kl_gradient_estimate(lik, prior, sched, 20, 70, x0, xt, params, _ZeroDraws())
+        _, grad_rho = kl_gradient_estimate(lik, prior, sched, 20, *bridge(sched, 20, 70, x0, xt), params, _ZeroDraws())
         np.testing.assert_allclose(grad_rho, [-0.5, -0.5], atol=1e-10)
 
     def test_flat_potential_zero_expected_mu_gradient_at_init(self):
@@ -106,7 +136,7 @@ class TestGradientEstimator:
         from mgdm.vi import VariationalParams
 
         batch = VariationalParams(mu=np.tile(params.mu, (n, 1)), rho=np.tile(params.rho, (n, 1)))
-        gmu, _ = kl_gradient_estimate(lik, prior, sched, 20, 70, x0, xt, batch, rng)
+        gmu, _ = kl_gradient_estimate(lik, prior, sched, 20, *bridge(sched, 20, 70, x0, xt), batch, rng)
         se = gmu.std() / math.sqrt(n)
         assert abs(gmu.mean()) < 3 * se + 1e-12
 
@@ -123,7 +153,7 @@ class TestGradientEstimator:
         n = 200_000
         rng = np.random.default_rng(5)
         batch = VariationalParams(mu=np.full((n, 1), mu0), rho=np.full((n, 1), rho0))
-        gmu, grho = kl_gradient_estimate(lik, prior, sched, s, t, x0, xt, batch, rng)
+        gmu, grho = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), batch, rng)
 
         h = 1e-4
 
@@ -188,7 +218,8 @@ class TestFit:
         batch = VariationalParams(
             mu=np.tile(mom.mean, (n, 1)), rho=np.tile(np.log(np.diag(mom.cov)), (n, 1))
         )
-        gmu, grho = kl_gradient_estimate(lik, prior, sched, s, t, x0, xt, batch, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        gmu, grho = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), batch, rng)
         for grad in (gmu, grho):
             se = grad.std(axis=0) / math.sqrt(n)
             assert np.all(np.abs(grad.mean(axis=0)) < 3 * se + 1e-12)
@@ -212,7 +243,7 @@ class TestFit:
         mom = [np.zeros(shape), np.zeros(shape)]
         vel = [np.zeros(shape), np.zeros(shape)]
         for step in range(1, cfg.steps + 1):
-            grads = kl_gradient_estimate(lik, prior, sched, s, t, x0, xt, params, gen)
+            grads = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), params, gen)
             for slot, grad in enumerate(grads):
                 mom[slot] = ADAM_BETA1 * mom[slot] + (1.0 - ADAM_BETA1) * grad
                 vel[slot] = ADAM_BETA2 * vel[slot] + (1.0 - ADAM_BETA2) * grad**2
