@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .likelihoods import likelihood_from_json, require_linear_gaussian
-from .metrics import SampleSet, sliced_wasserstein2, wasserstein1_1d
-from .moments import GaussianMoments
+from .metrics import sliced_wasserstein2, wasserstein1_1d
 from .oracle import oracle_recursion
 from .priors import exact_posterior, prior_from_json
 from .sampler import (
@@ -35,20 +34,6 @@ from .sampler import (
     mgdm_run_batch,
 )
 from .schedule import NoiseSchedule, make_schedule
-
-__all__ = [
-    "ExperimentConfig",
-    "load_config",
-    "config_hash",
-    "build_problem",
-    "build_mgdm_config",
-    "run_experiment",
-    "run_sweep",
-    "run_oracle",
-    "compare_to_oracle",
-    "covariance_se",
-    "smoke_config",
-]
 
 log = logging.getLogger("mgdm")
 
@@ -73,6 +58,13 @@ def _build_schedule(spec: dict) -> NoiseSchedule:
 
 
 def build_problem(config: dict):
+    for name, kinds in _PROBLEM_KEYS.items():
+        spec = config.get(name)
+        if not isinstance(spec, dict):
+            raise ValueError(f"config needs a '{name}' section")
+        kind = "alphas" in spec if name == "schedule" else spec.get("kind")
+        if kind in kinds:  # an unknown kind is named by the section's reader
+            _check_keys(spec, kinds[kind], name)
     prior = prior_from_json(config["prior"])
     likelihood = likelihood_from_json(config["likelihood"])
     schedule = _build_schedule(config["schedule"])
@@ -84,6 +76,12 @@ _CONFIG_KEYS = ("prior", "likelihood", "schedule", "sampler", "n_runs", "master_
 _SAMPLER_KEYS = (
     "algorithm", "backend", "timesteps", "K", "R", "M", "index", "vi", "mh_steps", "final", "final_s", "zeta"
 )
+# The keys each kind of problem section reads; a schedule's kind is whether it lists its alphas.
+_PROBLEM_KEYS = {
+    "prior": {"gaussian": ("kind", "mean", "cov"), "gmm": ("kind", "weights", "means", "covs")},
+    "likelihood": dict.fromkeys(("linear", "quadratic"), ("kind", "A", "y", "sigma_y")),
+    "schedule": {True: ("alphas", "family", "T"), False: ("family", "T", "alpha_end")},
+}
 
 
 def _check_keys(section: dict, known: tuple, name: str) -> dict:
@@ -277,11 +275,11 @@ def _aggregate(experiment: ExperimentConfig, rows: list[dict], seed_tag: int) ->
         emp_cov = np.atleast_2d(np.cov(samples.T, bias=False))
         agg["cov_error_fro"] = float(np.linalg.norm(emp_cov - post_cov))
     agg["sliced_w2"] = float(
-        sliced_wasserstein2(SampleSet(samples), SampleSet(ref), rng=np.random.default_rng(_run_seed(seed_tag, 999_979)))
+        sliced_wasserstein2(samples, ref, rng=np.random.default_rng(_run_seed(seed_tag, 999_979)))
     )
     if d == 1:
         ref_eq = post.sample(len(rows), np.random.default_rng(_run_seed(seed_tag, 999_961)))
-        agg["w1"] = float(wasserstein1_1d(SampleSet(samples), SampleSet(ref_eq)))
+        agg["w1"] = float(wasserstein1_1d(samples, ref_eq))
     return agg
 
 
@@ -308,7 +306,8 @@ def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
 
 def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     """Cross-product sweep over sampler axes (R / G / index kinds)."""
-    ExperimentConfig.from_dict(config)
+    if ExperimentConfig.from_dict(config).mgdm is None:
+        raise ValueError("sweep varies R, G and index, which algorithm 'dps' does not read")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sweep = config.get("sweep", {})

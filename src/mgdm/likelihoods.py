@@ -7,8 +7,6 @@ potential at noise level s plugs the denoiser into it:
 
 with analytic gradient Jac(m_s)^T grad log g evaluated at m_s(x_s), taken
 as the denoiser's vector-Jacobian product (no Jacobian is formed).
-For a Gaussian prior and linear observation the smoothed potential
-g_t = E[g(y | X_0) | x_t] is also available in closed form.
 """
 
 from __future__ import annotations
@@ -21,19 +19,6 @@ import numpy as np
 
 from .priors import GaussianPrior
 from .schedule import NoiseSchedule
-
-__all__ = [
-    "LinearGaussianLikelihood",
-    "NonlinearLikelihood",
-    "PotentialEval",
-    "quadratic_toy",
-    "log_g_hat",
-    "exact_log_g_t",
-    "linearized_potential",
-    "require_linear_gaussian",
-    "likelihood_to_json",
-    "likelihood_from_json",
-]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -101,25 +86,19 @@ class LinearGaussianLikelihood:
         resid = self.y - self.forward(x)
         return resid @ self.A / self.sigma_y**2
 
-    def to_json(self) -> dict:
-        return {"kind": "linear", "A": self.A.tolist(), "y": self.y.tolist(), "sigma_y": self.sigma_y}
-
 
 @dataclass(frozen=True)
 class NonlinearLikelihood:
     """y = F(x) + noise with a differentiable forward map.
 
     ``forward_map(x)`` maps (..., d) -> (..., d_y); ``vjp(x, u)`` returns
-    Jac_F(x)^T u with u of shape (..., d_y).  ``A`` optionally records the
-    linear part of a parameterized map for serialization.
+    Jac_F(x)^T u with u of shape (..., d_y).
     """
 
     forward_map: Callable[[np.ndarray], np.ndarray]
     vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     y: np.ndarray
     sigma_y: float
-    tag: str = "nonlinear"
-    A: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=np.float64)))
@@ -162,20 +141,7 @@ def quadratic_toy(A: np.ndarray, y: np.ndarray, sigma_y: float) -> NonlinearLike
     def vjp(x, u):
         return (2.0 * (x @ a_mat.T) * u) @ a_mat
 
-    return NonlinearLikelihood(forward_map=fwd, vjp=vjp, y=y, sigma_y=sigma_y, tag="quadratic", A=a_mat)
-
-
-def likelihood_to_json(likelihood) -> dict:
-    if isinstance(likelihood, LinearGaussianLikelihood):
-        return likelihood.to_json()
-    if isinstance(likelihood, NonlinearLikelihood) and likelihood.tag == "quadratic":
-        return {
-            "kind": "quadratic",
-            "A": np.asarray(likelihood.A).tolist(),
-            "y": likelihood.y.tolist(),
-            "sigma_y": likelihood.sigma_y,
-        }
-    raise TypeError(f"cannot serialize likelihood {type(likelihood).__name__}")
+    return NonlinearLikelihood(forward_map=fwd, vjp=vjp, y=y, sigma_y=sigma_y)
 
 
 def likelihood_from_json(obj: dict):
@@ -208,20 +174,6 @@ def require_linear_gaussian(likelihood, prior, what: str) -> None:
         raise TypeError(f"{what} requires a linear-Gaussian likelihood")
     if not isinstance(prior, GaussianPrior):
         raise TypeError(f"{what} requires a Gaussian prior")
-
-
-def exact_log_g_t(likelihood, prior, schedule: NoiseSchedule, t: int, x_t: np.ndarray):
-    """Closed-form smoothed potential log g_t(x_t) = log E[g0(X_0) | x_t].
-
-    Only the linear-Gaussian likelihood + Gaussian prior pair admits this
-    integral in closed form: N(y; A m_t(x_t), sigma_y^2 I + A Cov_{0|t} A^T).
-    """
-    require_linear_gaussian(likelihood, prior, "exact_log_g_t")
-    cov_0t = prior.posterior_x0_cov(schedule, t)
-    obs_cov = likelihood.sigma_y**2 * np.eye(likelihood.dim_obs) + likelihood.A @ cov_0t @ likelihood.A.T
-    resid = likelihood.y - prior.denoise(schedule, t, x_t).value @ likelihood.A.T
-    out = GaussianPrior(np.zeros(likelihood.dim_obs), obs_cov).log_density(resid)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def linearized_potential(likelihood, prior, schedule: NoiseSchedule, s: int):

@@ -6,48 +6,19 @@ sliced variant) deterministic given the projection seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .moments import GaussianMoments
 
-__all__ = [
-    "SampleSet",
-    "gaussian_kl",
-    "wasserstein1_1d",
-    "sliced_wasserstein2",
-]
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """An (N, d) sample matrix plus provenance for reproducibility."""
-
-    samples: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-        object.__setattr__(self, "samples", arr)
-        if arr.shape[0] < 1:
-            raise ValueError("need at least one sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
 
 def _as_samples(x) -> np.ndarray:
-    if isinstance(x, SampleSet):
-        return x.samples
-    return SampleSet(samples=x).samples
+    """x as an (N, d) sample matrix: at least one sample, all finite."""
+    arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if arr.shape[0] < 1:
+        raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
+    return arr
 
 
 def gaussian_kl(p: GaussianMoments, q: GaussianMoments) -> float:

@@ -6,16 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GaussianMoments"]
-
 
 @dataclass(frozen=True)
 class GaussianMoments:
     """First two moments of a Gaussian law.
 
     ``cov`` must be symmetric with eigenvalues >= -1e-10; tiny negative
-    eigenvalues from accumulated roundoff are tolerated (clamped by
-    consumers that factorize).
+    eigenvalues from accumulated roundoff are tolerated.
     """
 
     mean: np.ndarray
@@ -37,9 +34,3 @@ class GaussianMoments:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n samples; uses an eigendecomposition so PSD covs work."""
-        w, q = np.linalg.eigh(self.cov)
-        root = q * np.sqrt(np.clip(w, 0.0, None))
-        return self.mean + rng.standard_normal((n, self.dim)) @ root.T

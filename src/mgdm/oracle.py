@@ -32,18 +32,6 @@ from .sampler import MgdmConfig
 from .schedule import NoiseSchedule, gauss_log_density
 from .vi import conditional_coefficients
 
-__all__ = [
-    "GaussianMoments",
-    "FinalKernels",
-    "build_kernels",
-    "build_final_kernels",
-    "oracle_recursion",
-    "GridSpec",
-    "QuadratureJoint",
-    "quadrature_joint",
-    "auto_grids",
-]
-
 
 @dataclass(frozen=True)
 class FinalKernels:
@@ -220,18 +208,16 @@ class QuadratureJoint:
 
     The joint factors as F1(x_0, x_s) * F2(x_s, x_t) with
     F1 = p_0(x_0) q(x_s | x_0) ghat_s(x_s) and F2 = q(x_t | x_s), so all
-    marginals reduce to matrix contractions; the full cube is available
-    through :meth:`log_joint` without ever being materialized.
+    marginals reduce to matrix contractions and the cube is never materialized.
     """
 
     AXES = ("x0", "xs", "xt")
 
     def __init__(self, likelihood, prior, schedule: NoiseSchedule, s: int, t: int, grids):
         if prior.dim != 1:
-            raise ValueError("quadrature_joint supports d = 1 only")
+            raise ValueError("QuadratureJoint supports d = 1 only")
         if not 1 <= s < t:
             raise ValueError(f"need 1 <= s < t, got s={s}, t={t}")
-        self.s, self.t = s, t
         self.grids = dict(zip(self.AXES, grids))
         g0, gs, gt = (self.grids[a] for a in self.AXES)
         x0 = g0.points[:, None]
@@ -259,10 +245,6 @@ class QuadratureJoint:
         self._log_b = logsumexp(self._log_f2 + logwt[None, :], axis=1)
         self.log_z = float(logsumexp(logws + self._log_a + self._log_b, axis=0))
 
-    def log_joint(self, x0_idx, xs_idx, xt_idx) -> np.ndarray:
-        """Normalized log density at grid index triples."""
-        return self._log_f1[x0_idx, xs_idx] + self._log_f2[xs_idx, xt_idx] - self.log_z
-
     def marginal(self, axis: str):
         """(points, density) of a 1-D marginal, normalized on the grid."""
         from scipy.special import logsumexp
@@ -282,31 +264,12 @@ class QuadratureJoint:
             return self.grids["xt"].points, np.exp(logs - self.log_z)
         raise ValueError(f"unknown axis {axis!r}")
 
-    def pair_marginal(self, axes: tuple[str, str]):
-        """Normalized density on the (x0, xs) or (xs, xt) sub-grid."""
-        if axes == ("x0", "xs"):
-            logs = self._log_f1 + self._log_b[None, :] - self.log_z
-        elif axes == ("xs", "xt"):
-            logs = self._log_a[:, None] + self._log_f2 - self.log_z
-        else:
-            raise ValueError("pair_marginal supports ('x0','xs') and ('xs','xt')")
-        return np.exp(logs)
-
     def moments(self, axis: str) -> tuple[float, float]:
         pts, dens = self.marginal(axis)
         w = self.grids[axis].weights
         mean = float(np.sum(w * pts * dens))
         var = float(np.sum(w * pts**2 * dens)) - mean**2
         return mean, var
-
-    def mass(self, axis: str) -> float:
-        pts, dens = self.marginal(axis)
-        return float(np.sum(self.grids[axis].weights * dens))
-
-
-def quadrature_joint(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, grids) -> QuadratureJoint:
-    """Build the normalized 1-D quadrature view of pibar(x_0, x_s, x_t)."""
-    return QuadratureJoint(likelihood, prior, schedule, s, t, grids)
 
 
 def auto_grids(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, n: int = 512, width: float = 10.0):

@@ -24,16 +24,6 @@ from scipy.linalg import solve_triangular
 
 from .schedule import NoiseSchedule
 
-__all__ = [
-    "GaussianPrior",
-    "GmmPrior",
-    "DenoiserOutput",
-    "exact_posterior",
-    "prior_to_json",
-    "prior_from_json",
-    "spd_inverse",
-]
-
 _MIN_EIGVAL = 1e-12
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -66,17 +56,17 @@ def _eigh_spd(cov: np.ndarray, what: str):
     return cov, lam, vecs
 
 
-def _normalize_exp(logs: np.ndarray, axis: int = 0) -> np.ndarray:
-    """exp(logs) normalized to sum to 1 along ``axis``; weights below 1e-200 of the largest
+def _normalize_exp(logs: np.ndarray) -> np.ndarray:
+    """exp(logs) normalized to sum to 1 along axis 0; weights below 1e-200 of the largest
     become 0, which no float64 sum can feel, as subnormal weights slow every product tenfold."""
-    w = np.exp(logs - logs.max(axis=axis, keepdims=True))
+    w = np.exp(logs - logs.max(axis=0, keepdims=True))
     w[w < 1e-200] = 0.0
-    return w / w.sum(axis=axis, keepdims=True)
+    return w / w.sum(axis=0, keepdims=True)
 
 
 def _backward_scalings(schedule: NoiseSchedule, s: int, t: int, lam: np.ndarray, mean_coords: np.ndarray):
     """(gain, shift, sd) with p_{s|t} = N(Q diag(gain) Q^T x_t + Q shift, Q diag(sd^2) Q^T)
-    for a prior N(m, Q diag(lam) Q^T); broadcasts over leading component axes.
+    for a prior N(m, Q diag(lam) Q^T).
 
     With S_u = alpha_u^2 lam + v_u: gain = (alpha_t / alpha_s) S_s / S_t,
     shift = (alpha_s - gain alpha_t) Q^T m and sd^2 = S_s sigma2_{t|s} / S_t.
@@ -147,21 +137,6 @@ class GaussianPrior:
 
     # -- smoothed marginal p_t ---------------------------------------------
 
-    def marginal_moments(self, schedule: NoiseSchedule, t: int):
-        """Mean and covariance of p_t = N(alpha_t m, abar_t Sigma + v_t I)."""
-        a = schedule.alpha(t)
-        v = schedule.sigma2(0, t)
-        return a * self.mean, (a * a) * self.cov + v * np.eye(self.dim)
-
-    def _logpdf(self, a: float, v: float, x: np.ndarray):
-        """log N(x; a m, a^2 Sigma + v I) for x of shape (..., d)."""
-        var = (a * a) * self._eigvals + v
-        z = (np.asarray(x, dtype=np.float64) - a * self.mean) @ self._eigvecs
-        return -0.5 * (np.sum(z * z / var, axis=-1) + self.dim * _LOG_2PI + np.sum(np.log(var)))
-
-    def marginal_log_density(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray):
-        return self._logpdf(schedule.alpha(t), schedule.sigma2(0, t), x_t)
-
     def score(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
         """Score of p_t; rejects t = 0 (the Tweedie route needs v_t > 0)."""
         if t == 0:
@@ -207,11 +182,6 @@ class GaussianPrior:
 
     # -- exact backward transition p_{s|t} ------------------------------------
 
-    def backward_moments(self, schedule: NoiseSchedule, s: int, t: int):
-        """(G, g, V): p_{s|t}(x_t; .) = N(G x_t + g, V), for 0 <= s < t."""
-        gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self.mean @ self._eigvecs)
-        return self._spectral(gain), self._eigvecs @ shift, self._spectral(sd * sd)
-
     def backward_sample(
         self, schedule: NoiseSchedule, s: int, t: int, x_t: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
@@ -222,7 +192,10 @@ class GaussianPrior:
         return mean + rng.standard_normal(mean.shape) @ (sd[:, None] * self._eigvecs.T)
 
     def log_density(self, x: np.ndarray):
-        return self._logpdf(1.0, 0.0, x)
+        """log N(x; m, Sigma) for x of shape (..., d)."""
+        lam = self._eigvals
+        z = (np.asarray(x, dtype=np.float64) - self.mean) @ self._eigvecs
+        return -0.5 * (np.sum(z * z / lam, axis=-1) + self.dim * _LOG_2PI + np.sum(np.log(lam)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + rng.standard_normal((n, self.dim)) @ self._chol.T
@@ -347,23 +320,6 @@ class GmmPrior:
         rw = self._weigh(prec, resp)
         return -self._from_coords(xc * rw[:, : self.dim] - a * rw[:, self.dim :]), (xc, prec, resp, rw)
 
-    def _log_mixture(self, a: float, v: float, x: np.ndarray):
-        from scipy.special import logsumexp  # imported on use: no sampling path needs it
-
-        out = logsumexp(self._terms(a, v, self._points(x))[0], axis=0).reshape(np.shape(x)[:-1])
-        return float(out) if np.ndim(out) == 0 else out
-
-    def component_log_densities(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
-        """log w_j + log N(x_t; alpha_t m_j, S_{t,j}); shape (..., J)."""
-        logs = self._terms(schedule.alpha(t), schedule.sigma2(0, t), self._points(x_t))[0]
-        return logs.T.reshape(np.shape(x_t)[:-1] + (-1,))
-
-    def responsibilities(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
-        return _normalize_exp(self.component_log_densities(schedule, t, x_t), axis=-1)
-
-    def marginal_log_density(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray):
-        return self._log_mixture(schedule.alpha(t), schedule.sigma2(0, t), x_t)
-
     def score(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray) -> np.ndarray:
         if t == 0:
             raise ValueError("score is defined for t >= 1")
@@ -396,31 +352,11 @@ class GmmPrior:
 
         return DenoiserOutput(value=((pts + v * mean_score) / a).T.reshape(np.shape(x_t)), vjp=vjp)
 
-    def backward_sample(
-        self, schedule: NoiseSchedule, s: int, t: int, x_t: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Exact draw from p_{s|t}: component by responsibility at time t,
-        then the component's Gaussian backward conditional."""
-        if not 0 <= s < t:
-            raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
-        x_t = np.asarray(x_t, dtype=np.float64)
-        flat = x_t.reshape(-1, self.dim)
-        resp = _normalize_exp(self._terms(schedule.alpha(t), schedule.sigma2(0, t), flat.T)[0])
-        comp = np.sum(rng.random(len(flat)) > np.cumsum(resp, axis=0), axis=0)
-
-        out = np.empty_like(flat)
-        eps = rng.standard_normal(flat.shape)
-        gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self._mean_coords)
-        for j in range(self.n_components):
-            mask = comp == j
-            if not np.any(mask):
-                continue
-            q = self._eigvecs[j if len(self._eigvecs) > 1 else 0]
-            out[mask] = ((flat[mask] @ q) * gain[j] + shift[j] + eps[mask] * sd[j]) @ q.T
-        return out.reshape(x_t.shape)
-
     def log_density(self, x: np.ndarray):
-        return self._log_mixture(1.0, 0.0, x)
+        from scipy.special import logsumexp  # imported on use: no sampling path needs it
+
+        out = logsumexp(self._terms(1.0, 0.0, self._points(x))[0], axis=0).reshape(np.shape(x)[:-1])
+        return float(out) if np.ndim(out) == 0 else out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comp = rng.choice(self.n_components, size=n, p=self.weights)
@@ -481,40 +417,14 @@ def _conjugate_update(mean, cov, a_mat, y, s2):
     return post_mean, post_cov
 
 
-def prior_to_json(prior) -> dict:
-    if isinstance(prior, GaussianPrior):
-        return {
-            "kind": "gaussian",
-            "means": [prior.mean.tolist()],
-            "covariances": [prior.cov.reshape(-1).tolist()],
-        }
-    if isinstance(prior, GmmPrior):
-        return {
-            "kind": "gmm",
-            "weights": prior.weights.tolist(),
-            "means": prior.means.tolist(),
-            "covariances": [c.reshape(-1).tolist() for c in prior.covs],
-        }
-    raise TypeError(f"unsupported prior type {type(prior).__name__}")
-
-
 def prior_from_json(obj: dict):
-    """Prior from either JSON form: ``prior_to_json``'s flattened ``covariances``,
-    or the config form (``mean``/``cov`` for a Gaussian, ``means``/``covs`` for a GMM)."""
+    """Prior from its config form: ``mean``/``cov`` for a Gaussian, ``weights``/``means``/``covs`` for a GMM."""
     kind = obj["kind"]
-    if kind not in ("gaussian", "gmm"):
-        raise ValueError(f"unknown prior kind {kind!r}")
-    if "covariances" in obj:
-        means = np.asarray(obj["means"], dtype=np.float64)
-        d = means.shape[1]
-        covs = np.asarray([np.reshape(c, (d, d)) for c in obj["covariances"]])
-    elif kind == "gaussian":
-        means, covs = [obj["mean"]], [obj["cov"]]
-    else:
-        means, covs = obj["means"], obj["covs"]
     if kind == "gaussian":
-        return GaussianPrior(mean=means[0], cov=covs[0])
-    return GmmPrior(weights=np.asarray(obj["weights"], dtype=np.float64), means=means, covs=covs)
+        return GaussianPrior(mean=obj["mean"], cov=obj["cov"])
+    if kind == "gmm":
+        return GmmPrior(weights=np.asarray(obj["weights"], dtype=np.float64), means=obj["means"], covs=obj["covs"])
+    raise ValueError(f"unknown prior kind {kind!r}")
 
 
 def spd_inverse(mat: np.ndarray) -> np.ndarray:

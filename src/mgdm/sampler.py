@@ -25,21 +25,6 @@ from . import vi as vi_mod
 from .schedule import NoiseSchedule
 from .vi import ViConfig
 
-__all__ = [
-    "GibbsState",
-    "IndexDistribution",
-    "ViPhaseSchedule",
-    "MgdmConfig",
-    "make_timesteps",
-    "sample_index",
-    "ddpm_denoise",
-    "gibbs_step",
-    "mgdm_run",
-    "mgdm_run_batch",
-    "dps_run",
-    "NonFiniteStateError",
-]
-
 CONDITIONAL_BACKENDS = ("exact", "vi", "vi-mh")
 DENOISE_BACKENDS = ("ddpm", "exact")
 

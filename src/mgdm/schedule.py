@@ -12,18 +12,10 @@ is strictly decreasing with ``alpha_T > 0``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-__all__ = [
-    "NoiseSchedule",
-    "BridgeParams",
-    "make_schedule",
-    "gauss_log_density",
-]
 
 _FAMILIES = ("linear", "cosine", "custom")
 
@@ -153,13 +145,8 @@ class NoiseSchedule:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"family": self.family, "T": self.T, "alphas": self.alphas.tolist()}
-
     @classmethod
-    def from_json(cls, obj: dict | str) -> "NoiseSchedule":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "NoiseSchedule":
         sched = cls(alphas=np.asarray(obj["alphas"], dtype=np.float64), family=obj.get("family", "custom"))
         if "T" in obj and int(obj["T"]) != sched.T:
             raise ValueError("stated T inconsistent with len(alphas) - 1")

@@ -30,20 +30,6 @@ from .likelihoods import linearized_potential, log_g_hat, require_linear_gaussia
 from .moments import GaussianMoments
 from .schedule import NoiseSchedule, gauss_log_density
 
-__all__ = [
-    "VariationalParams",
-    "ViConfig",
-    "bridge_init",
-    "kl_gradient_estimate",
-    "fit_variational",
-    "exact_conditional",
-    "conditional_coefficients",
-    "exact_conditional_sample",
-    "mh_correct",
-    "independent_mh",
-    "reverse_kl_quadrature",
-]
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -91,12 +77,6 @@ def _check_pair(s: int, t: int) -> None:
         raise ValueError("conditional target needs s >= 1")
     if s >= t:
         raise ValueError(f"need s < t, got s={s}, t={t}")
-
-
-def bridge_init(schedule: NoiseSchedule, s: int, t: int, x0: np.ndarray, xt: np.ndarray) -> VariationalParams:
-    """Bridge moments as variational parameters: the fit's starting point, which a
-    zero-step fit returns without reading the likelihood, the prior or a generator."""
-    return fit_variational(None, None, schedule, s, t, x0, xt, ViConfig(steps=0), None)
 
 
 def kl_gradient_estimate(
@@ -294,51 +274,3 @@ def mh_correct(
         return params.sample(gen)
 
     return independent_mh(log_target, log_proposal, draw_proposal, current, n_steps, rng)
-
-
-# -- quadrature diagnostics (1-D) ---------------------------------------------
-
-
-def _hermite_nodes(n_nodes: int):
-    from scipy.special import roots_hermitenorm
-
-    nodes, weights = roots_hermitenorm(n_nodes)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    keep = weights > 0.0  # extreme nodes underflow for large n_nodes
-    return nodes[keep], weights[keep]
-
-
-def reverse_kl_quadrature(
-    likelihood,
-    prior,
-    schedule: NoiseSchedule,
-    s: int,
-    t: int,
-    x0: np.ndarray,
-    xt: np.ndarray,
-    params: VariationalParams,
-    n_nodes: int = 257,
-) -> float:
-    """KL(lambda || normalized ghat_s * bridge) by Gauss-Hermite, d = 1."""
-    _check_pair(s, t)
-    mu = np.atleast_1d(params.mu)
-    if mu.shape != (1,):
-        raise ValueError("quadrature KL is implemented for d = 1 only")
-    p = schedule.bridge_params(s, t)
-    m_b = float(np.atleast_1d(p.mean(x0, xt))[0])
-    nodes, weights = _hermite_nodes(n_nodes)
-    from scipy.special import logsumexp
-
-    # log Z under the bridge measure.
-    xs_bridge = (m_b + math.sqrt(p.variance) * nodes)[:, None]
-    log_pot = log_g_hat(likelihood, prior, schedule, s, xs_bridge).log_value
-    log_z = logsumexp(np.log(weights) + log_pot)
-
-    # E_lambda[log lambda - log ghat - log bridge].
-    sd = float(np.exp(0.5 * params.rho.reshape(-1)[0]))
-    xs = (float(mu[0]) + sd * nodes)[:, None]
-    log_lam = gauss_log_density(xs, mu, np.exp(params.rho))
-    log_pot_lam = log_g_hat(likelihood, prior, schedule, s, xs).log_value
-    log_bridge = gauss_log_density(xs, np.atleast_1d(m_b), p.variance)
-    inner = float(np.sum(weights * (log_lam - log_pot_lam - log_bridge)))
-    return inner + float(log_z)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from mgdm.likelihoods import LinearGaussianLikelihood, log_g_hat
-from mgdm.metrics import SampleSet, gaussian_kl, sliced_wasserstein2
+from mgdm.metrics import gaussian_kl, sliced_wasserstein2
 from mgdm.moments import GaussianMoments
-from mgdm.oracle import auto_grids, oracle_recursion, quadrature_joint
+from mgdm.oracle import QuadratureJoint, auto_grids, oracle_recursion
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior
 from mgdm.sampler import (
     GibbsState,
@@ -172,7 +172,7 @@ def test_criterion_04_gibbs_stationarity():
     lik, prior, sched = reference_1d()
     s, t, n = 60, 400, 100_000
     rng = np.random.default_rng(1004)
-    joint = quadrature_joint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t, n=1024))
+    joint = QuadratureJoint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t, n=1024))
     pts, dens = joint.marginal("xs")
     cdf = np.cumsum(dens * joint.grids["xs"].weights)
     cdf /= cdf[-1]
@@ -300,7 +300,7 @@ def test_criterion_08_scaling_trend():
             ref = post.sample(n_chains, np.random.default_rng((202, seed)))
             vals.append(
                 sliced_wasserstein2(
-                    SampleSet(samples), SampleSet(ref), n_projections=96, rng=np.random.default_rng(3)
+                    samples, ref, n_projections=96, rng=np.random.default_rng(3)
                 )
             )
         medians.append(float(np.median(vals)))

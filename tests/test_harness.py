@@ -297,18 +297,38 @@ class TestCli:
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
 
     @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
-    @pytest.mark.parametrize("section,key,message", [
-        (None, "n_run", "unknown key 'n_run' in the config"),
-        ("sampler", "RR", "unknown key 'RR' in sampler"),
-        ("sampler", "mh_step", "unknown key 'mh_step' in sampler"),
-        ("sweep", "g", "unknown key 'g' in sweep"),
-    ], ids=["n-run", "RR", "mh-step", "sweep-g"])
-    def test_unknown_key_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, section, key, message):
-        """A misspelled setting fails, naming its section and key, instead of running on its default."""
+    @pytest.mark.parametrize("section,entries,message", [
+        (None, {"n_run": 3}, "unknown key 'n_run' in the config"),
+        ("sampler", {"RR": 3}, "unknown key 'RR' in sampler"),
+        ("sampler", {"mh_step": 3}, "unknown key 'mh_step' in sampler"),
+        ("sweep", {"g": 3}, "unknown key 'g' in sweep"),
+        ("schedule", {"alpha_ned": 0.5}, "unknown key 'alpha_ned' in schedule"),
+        ("likelihood", {"sigma": 0.1}, "unknown key 'sigma' in likelihood"),
+        ("prior", {"covs": [[[1.0]]]}, "unknown key 'covs' in prior"),
+        ("prior", {"mean": None, "cov": None, "covariances": [[1.0]], "means": [[0.0]]},
+         "unknown key 'covariances' in prior"),  # the flattened form that no reader takes
+    ], ids=["n-run", "RR", "mh-step", "sweep-g", "schedule", "likelihood", "prior", "prior-covariances"])
+    def test_unknown_key_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, section, entries,
+                                                 message):
+        """A misspelled setting fails, naming its section and key, instead of running on its default;
+        an entry of None removes the key."""
         config = harness.smoke_config()
         config["sweep"] = {"R": [1, 2]}
-        (config if section is None else config[section])[key] = 3
+        target = config if section is None else config[section]
+        for key, value in entries.items():
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
+
+    def test_dps_sweep_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        """DPS reads neither R, G nor an index law, so a sweep over them would relabel one sampler."""
+        config = harness.smoke_config()
+        config["sampler"] = {"algorithm": "dps", "K": 10, "zeta": 0.3}
+        config["sweep"] = {"R": [1, 2], "G": [3, 30]}
+        message = "sweep varies R, G and index, which algorithm 'dps' does not read"
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "sweep", config, [], message)
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -335,6 +355,12 @@ class TestExperimentConfig:
         del config["sampler"]
         with pytest.raises(ValueError):
             harness.ExperimentConfig.from_dict(config)
+        for section in ("prior", "likelihood", "schedule"):
+            for value in (None, [1.0]):
+                config = harness.smoke_config()
+                config[section] = value
+                with pytest.raises(ValueError, match=f"config needs a '{section}' section"):
+                    harness.ExperimentConfig.from_dict(config)
 
     def test_rejects_bad_sampler_grid(self):
         config = harness.smoke_config()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mgdm.metrics import SampleSet, _linear_quantiles, gaussian_kl, sliced_wasserstein2, wasserstein1_1d
+from mgdm.metrics import _linear_quantiles, gaussian_kl, sliced_wasserstein2, wasserstein1_1d
 from mgdm.moments import GaussianMoments
 
 
@@ -132,9 +132,8 @@ class TestSlicedWasserstein:
         want = float(np.sqrt(2 * np.mean(np.mean((qa - qb) ** 2, axis=1))))
         assert sliced_wasserstein2(a, b, rng=np.random.default_rng(42)) == want
 
-    def test_sample_set_wrapper(self):
+    def test_rejects_empty_or_non_finite_samples(self):
         arr = np.random.default_rng(8).standard_normal((50, 2))
-        s = SampleSet(samples=arr, provenance={"seed": 8})
-        assert s.n == 50 and s.dim == 2
-        with pytest.raises(ValueError):
-            SampleSet(samples=np.array([[np.inf, 0.0]]))
+        for bad in (np.array([[np.inf, 0.0]]), np.empty((0, 2))):
+            with pytest.raises(ValueError):
+                sliced_wasserstein2(bad, arr)

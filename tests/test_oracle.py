@@ -9,11 +9,11 @@ import pytest
 from mgdm.likelihoods import LinearGaussianLikelihood, linearized_potential, quadratic_toy
 from mgdm.oracle import (
     GridSpec,
+    QuadratureJoint,
     auto_grids,
     build_final_kernels,
     build_kernels,
     oracle_recursion,
-    quadrature_joint,
 )
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior, spd_inverse
 from mgdm.sampler import GibbsState, IndexDistribution, MgdmConfig, gibbs_step, mgdm_run_batch
@@ -26,6 +26,12 @@ def instance_2d():
     prior = GaussianPrior(mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.7]])
     lik = LinearGaussianLikelihood(A=[[1.0, 0.4], [0.0, 0.8]], y=[2.4, -1.6], sigma_y=0.5)
     return lik, prior, sched
+
+
+def smoothed(prior, sched, t):
+    """The smoothed marginal p_t = N(alpha_t m, alpha_t^2 Sigma + v_t I) of a Gaussian prior."""
+    a = sched.alpha(t)
+    return GaussianPrior(a * prior.mean, (a * a) * prior.cov + sched.sigma2(0, t) * np.eye(prior.dim))
 
 
 def instance_1d(sigma_y=0.5):
@@ -407,38 +413,30 @@ class TestQuadratureJoint:
         lik, prior, sched = instance_2d()
         grids = (GridSpec(-5, 5), GridSpec(-5, 5), GridSpec(-5, 5))
         with pytest.raises(ValueError):
-            quadrature_joint(lik, prior, sched, 100, 500, grids)
+            QuadratureJoint(lik, prior, sched, 100, 500, grids)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             GridSpec(-5, 5, n=128)
-
-    def test_pair_marginal_normalized(self):
-        lik, prior, sched = instance_1d()
-        s, t = 60, 400
-        joint = quadrature_joint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t))
-        dens = joint.pair_marginal(("x0", "xs"))
-        mass = joint.grids["x0"].weights @ dens @ joint.grids["xs"].weights
-        np.testing.assert_allclose(mass, 1.0, atol=1e-6)
-        for axis in ("x0", "xs", "xt"):
-            np.testing.assert_allclose(joint.mass(axis), 1.0, atol=1e-6)
 
     def test_marginal_moments_match_analytic(self):
         """All three grid marginals match the closed-form Gaussian moments
         of the extended target to 1e-6."""
         lik, prior, sched = instance_1d()
         s, t = 60, 400
-        joint = quadrature_joint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t, n=1024))
+        joint = QuadratureJoint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t, n=1024))
 
         a_hat, offset = linearized_potential(lik, prior, sched, s)
-        mean_s, cov_s = prior.marginal_moments(sched, s)
+        p_s = smoothed(prior, sched, s)
+        mean_s, cov_s = p_s.mean, p_s.cov
         prec = np.linalg.inv(cov_s) + a_hat.T @ a_hat / lik.sigma_y**2
         var_s = 1.0 / prec[0, 0]
         m_s = var_s * (mean_s[0] / cov_s[0, 0] + (a_hat[0, 0] * (lik.y[0] - offset[0])) / lik.sigma_y**2)
 
-        gain, const, var0 = prior.backward_moments(sched, 0, s)
-        m_0 = gain[0, 0] * m_s + const[0]
-        var_x0 = gain[0, 0] ** 2 * var_s + var0[0, 0]
+        gain = sched.alpha(s) * prior.cov[0, 0] / cov_s[0, 0]  # p_{0|s} = N(gain x_s + keep m, keep Sigma)
+        keep = 1.0 - gain * sched.alpha(s)
+        m_0 = gain * m_s + keep * prior.mean[0]
+        var_x0 = gain**2 * var_s + keep * prior.cov[0, 0]
         ratio = sched.alpha_ratio(s, t)
         m_t = ratio * m_s
         var_t = ratio**2 * var_s + sched.sigma2(s, t)
@@ -453,14 +451,14 @@ class TestQuadratureJoint:
         lik = LinearGaussianLikelihood(A=[[1.0]], y=[0.4], sigma_y=0.3)
         sched = make_schedule("linear", 1000)
         grids = (GridSpec(-6, 6, 768),) * 3
-        joint = quadrature_joint(lik, prior, sched, 60, 400, grids)
+        joint = QuadratureJoint(lik, prior, sched, 60, 400, grids)
         for axis in ("x0", "xs", "xt"):
-            np.testing.assert_allclose(joint.mass(axis), 1.0, atol=1e-6)
+            np.testing.assert_allclose(np.sum(joint.grids[axis].weights * joint.marginal(axis)[1]), 1.0, atol=1e-6)
 
     def test_flat_potential_xt_marginal_is_smoothed_prior(self):
         lik, prior, sched = instance_1d(sigma_y=1e8)
         s, t = 60, 400
-        joint = quadrature_joint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t, n=1024))
+        joint = QuadratureJoint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t, n=1024))
         pts, dens = joint.marginal("xt")
-        ref = np.exp(prior.marginal_log_density(sched, t, pts[:, None]))
+        ref = np.exp(smoothed(prior, sched, t).log_density(pts[:, None]))
         np.testing.assert_allclose(dens, ref, atol=1e-8)

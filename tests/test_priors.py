@@ -1,17 +1,20 @@
 """Analytic prior machinery: denoisers, scores, backward kernels, posteriors."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
-from mgdm.metrics import SampleSet, gaussian_kl, sliced_wasserstein2
+from mgdm.metrics import gaussian_kl, sliced_wasserstein2
 from mgdm.moments import GaussianMoments
 from mgdm.priors import (
     GaussianPrior,
     GmmPrior,
+    _backward_scalings,
     exact_posterior,
     prior_from_json,
-    prior_to_json,
 )
 from mgdm.likelihoods import LinearGaussianLikelihood, quadratic_toy
 from mgdm.schedule import NoiseSchedule, make_schedule
@@ -29,6 +32,32 @@ def gauss_1d():
 def jacobian_of(out, d):
     """Jac(m_t) at one point, stacked from vjp(e_k): row k is e_k^T Jac."""
     return np.stack([out.vjp(e) for e in np.eye(d)])
+
+
+def smoothed(prior, sched, t):
+    """The smoothed marginal p_t = N(alpha_t m, alpha_t^2 Sigma + v_t I) of a Gaussian prior."""
+    a = sched.alpha(t)
+    return GaussianPrior(a * prior.mean, (a * a) * prior.cov + sched.sigma2(0, t) * np.eye(prior.dim))
+
+
+def marginal_log_density(prior, sched, t, x):
+    """log p_t(x) in closed form: one smoothed Gaussian, or the log-sum-exp of the weighted smoothed components."""
+    if isinstance(prior, GaussianPrior):
+        return smoothed(prior, sched, t).log_density(x)
+    logs = [np.log(w) + smoothed(GaussianPrior(m, c), sched, t).log_density(x)
+            for w, m, c in zip(prior.weights, prior.means, prior.covs)]
+    return logsumexp(logs, axis=0)
+
+
+def component_log_densities(prior, sched, t, x):
+    """log w_j + log N(x; alpha_t m_j, S_{t,j}) from the mixture's own points-last pass; shape (..., J)."""
+    logs = prior._terms(sched.alpha(t), sched.sigma2(0, t), prior._points(x))[0]
+    return logs.T.reshape(np.shape(x)[:-1] + (-1,))
+
+
+def responsibilities(prior, sched, t, x):
+    logs = component_log_densities(prior, sched, t, x)
+    return np.exp(logs - logsumexp(logs, axis=-1, keepdims=True))
 
 
 def gmm_2d():
@@ -198,9 +227,8 @@ class TestGmmLevelConstants:
     @staticmethod
     def outputs(prior, sched, t, x, u):
         den = prior.denoise(sched, t, x)
-        draw = prior.backward_sample(sched, t // 2, t, x, np.random.default_rng(t))
-        return (den.value, den.vjp(u), prior.score(sched, t, x), prior.component_log_densities(sched, t, x),
-                prior.responsibilities(sched, t, x), draw)
+        return (den.value, den.vjp(u), prior.score(sched, t, x), component_log_densities(prior, sched, t, x),
+                responsibilities(prior, sched, t, x))
 
     @pytest.mark.parametrize("basis", ["shared", "separate"])
     def test_interleaved_levels_match_a_fresh_prior(self, basis):
@@ -303,12 +331,12 @@ class TestDenoiserVjp:
                 np.testing.assert_allclose(out.value.reshape(-1, 3)[n], one.value, atol=1e-12)
                 np.testing.assert_allclose(out.vjp(w).reshape(-1, 3)[n], one.vjp(flat_w[n]), atol=1e-12)
             if isinstance(prior, GmmPrior):
-                for method in (prior.score, prior.component_log_densities, prior.responsibilities):
-                    batch = method(sched, 80, x)
-                    assert batch.shape == shape[:-1] + (3 if method == prior.score else prior.n_components,)
+                for method in (GmmPrior.score, component_log_densities, responsibilities):
+                    batch = method(prior, sched, 80, x)
+                    assert batch.shape == shape[:-1] + (3 if method is GmmPrior.score else prior.n_components,)
                     for n in range(flat_x.shape[0]):
-                        np.testing.assert_allclose(batch.reshape(flat_x.shape[0], -1)[n], method(sched, 80, flat_x[n]),
-                                                   rtol=1e-12, atol=1e-12)
+                        np.testing.assert_allclose(batch.reshape(flat_x.shape[0], -1)[n],
+                                                   method(prior, sched, 80, flat_x[n]), rtol=1e-12, atol=1e-12)
 
 
 def reference_gmm_pass(prior, sched, t, x, u):
@@ -381,7 +409,7 @@ class TestGmmComponentPass:
             u = rng.standard_normal(x.shape)
             want = reference_gmm_pass(prior, sched, t, x, u)
             out = prior.denoise(sched, t, x)
-            got = (prior.component_log_densities(sched, t, x), prior.responsibilities(sched, t, x),
+            got = (component_log_densities(prior, sched, t, x), responsibilities(prior, sched, t, x),
                    prior.score(sched, t, x), out.value, out.vjp(u))
             for name, g, w in zip(("logs", "resp", "score", "value", "vjp"), got, want):
                 assert g.shape == w.shape
@@ -412,7 +440,8 @@ class TestScore:
         prior = GaussianPrior(mean=[0.5, -0.3], cov=[[1.0, 0.3], [0.3, 0.7]])
         rng = np.random.default_rng(1)
         t = 200
-        mean, cov = prior.marginal_moments(sched, t)
+        p_t = smoothed(prior, sched, t)
+        mean, cov = p_t.mean, p_t.cov
         for _ in range(20):
             x = rng.standard_normal(2) * 2.0
             expected = -np.linalg.solve(cov, x - mean)
@@ -433,8 +462,8 @@ class TestScore:
                     e = np.zeros(d)
                     e[j] = h
                     fd[j] = (
-                        prior.marginal_log_density(sched, t, x + e)
-                        - prior.marginal_log_density(sched, t, x - e)
+                        marginal_log_density(prior, sched, t, x + e)
+                        - marginal_log_density(prior, sched, t, x - e)
                     ) / (2 * h)
                 np.testing.assert_allclose(grad, fd, atol=1e-5)
 
@@ -464,14 +493,14 @@ class TestMarginalDensity:
         prior = gmm_2d()
         x = np.array([0.3, -0.8])
         np.testing.assert_allclose(
-            prior.marginal_log_density(sched, 0, x), prior.log_density(x), atol=1e-12
+            marginal_log_density(prior, sched, 0, x), prior.log_density(x), atol=1e-12
         )
 
     def test_half_alpha_convolution(self):
         """N(0,1) prior, alpha = 0.5: p_t = N(0, 0.25 + 0.75) = N(0, 1)."""
         sched = half_alpha_schedule()
         np.testing.assert_allclose(
-            gauss_1d().marginal_log_density(sched, 1, np.zeros(1)), -0.9189385, atol=1e-7
+            marginal_log_density(gauss_1d(), sched, 1, np.zeros(1)), -0.9189385, atol=1e-7
         )
 
     def test_gmm_log_sum_exp_of_components(self):
@@ -479,9 +508,9 @@ class TestMarginalDensity:
         prior = gmm_2d()
         x = np.array([0.5, 0.1])
         t = 30
-        logs = prior.component_log_densities(sched, t, x)
+        logs = component_log_densities(prior, sched, t, x)
         np.testing.assert_allclose(
-            prior.marginal_log_density(sched, t, x),
+            marginal_log_density(prior, sched, t, x),
             np.log(np.sum(np.exp(logs))),
             atol=1e-12,
         )
@@ -495,7 +524,7 @@ class TestBackwardSampling:
         x_t = np.array([0.7, -0.9])
         rng = np.random.default_rng(10)
         draws = prior.backward_sample(sched, s, t, np.tile(x_t, (n, 1)), rng)
-        gain, const, var = prior.backward_moments(sched, s, t)
+        gain, const, var = cholesky_backward_moments(prior, sched, s, t)
         target_mean = gain @ x_t + const
         se = np.sqrt(np.diag(var) / n)
         assert np.all(np.abs(draws.mean(axis=0) - target_mean) < 4 * se)
@@ -511,18 +540,8 @@ class TestBackwardSampling:
         x_t = sched.forward_sample(x0, 0, t, rng)
         back = prior.backward_sample(sched, 0, t, x_t, rng)
         ref = prior.sample(n, np.random.default_rng(22))
-        sw = sliced_wasserstein2(SampleSet(back), SampleSet(ref), n_projections=64, rng=np.random.default_rng(1))
+        sw = sliced_wasserstein2(back, ref, n_projections=64, rng=np.random.default_rng(1))
         assert sw < 0.05
-
-    def test_gmm_single_component_matches_gaussian(self):
-        sched = make_schedule("linear", 100)
-        gauss = GaussianPrior(mean=[0.3], cov=[[0.5]])
-        mix = GmmPrior(weights=[1.0], means=[[0.3]], covs=[[[0.5]]])
-        x_t = np.full((50_000, 1), 0.4)
-        a = gauss.backward_sample(sched, 20, 80, x_t, np.random.default_rng(3))
-        b = mix.backward_sample(sched, 20, 80, x_t, np.random.default_rng(3))
-        assert abs(a.mean() - b.mean()) < 0.01
-        assert abs(a.std() - b.std()) < 0.01
 
     def test_backward_chapman_kolmogorov_1d(self):
         """t->s->l composition matches t->l in distribution (KS < 0.01)."""
@@ -551,7 +570,7 @@ class TestBackwardSampling:
             x_t = rng.standard_normal(2)
             p = sched.bridge_params(s, t)
             ddpm_mean = p.mean_coeff_x0 * prior.denoise(sched, t, x_t).value + p.mean_coeff_xt * x_t
-            gain, const, _ = prior.backward_moments(sched, s, t)
+            gain, const, _ = cholesky_backward_moments(prior, sched, s, t)
             np.testing.assert_allclose(ddpm_mean, gain @ x_t + const, atol=1e-10)
 
 
@@ -559,13 +578,19 @@ def cholesky_backward_moments(prior, sched, s, t):
     """(G, g, V) of p_{s|t} from the factorized formula: G = Cov(X_s, X_t) S_t^{-1}
     by a Cholesky factor of S_t and two triangular solves."""
     a_s, a_t = sched.alpha(s), sched.alpha(t)
-    _, s_s = prior.marginal_moments(sched, s)
-    _, s_t = prior.marginal_moments(sched, t)
+    s_s, s_t = smoothed(prior, sched, s).cov, smoothed(prior, sched, t).cov
     cross = (a_t / a_s) * s_s
     chol = np.linalg.cholesky(s_t)
     gain = solve_triangular(chol.T, solve_triangular(chol, cross.T, lower=True), lower=False).T
     var = s_s - gain @ cross.T
     return gain, a_s * prior.mean - gain @ (a_t * prior.mean), 0.5 * (var + var.T)
+
+
+def eigen_backward_moments(prior, sched, s, t):
+    """(G, g, V) of p_{s|t} from the diagonal scalings in the prior's eigenbasis that backward_sample draws with."""
+    lam, q = np.linalg.eigh(prior.cov)
+    gain, shift, sd = _backward_scalings(sched, s, t, lam, prior.mean @ q)
+    return (q * gain) @ q.T, q @ shift, (q * (sd * sd)) @ q.T
 
 
 def random_spd(d, rng):
@@ -592,7 +617,7 @@ class TestClosedFormBackward:
             prior = GaussianPrior(mean=rng.standard_normal(d), cov=random_spd(d, rng))
             for s, t in self.LEVELS:
                 want = cholesky_backward_moments(prior, sched, s, t)
-                for got, ref in zip(prior.backward_moments(sched, s, t), want):
+                for got, ref in zip(eigen_backward_moments(prior, sched, s, t), want):
                     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
@@ -610,29 +635,6 @@ class TestClosedFormBackward:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             root = eigen_root(prior.cov, var)
             np.testing.assert_allclose(root @ root.T, var, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_gmm_draw_uses_each_component_kernel(self, shared):
-        """Each chain's draw is its component's Cholesky-formula kernel with the eigen root,
-        component picked by responsibility from the same generator."""
-        sched = make_schedule("linear", 200)
-        rng = np.random.default_rng(3)
-        d, J = 3, 4
-        covs = [np.eye(d) * c for c in (0.3, 0.8, 1.5, 2.0)] if shared else [random_spd(d, rng) for _ in range(J)]
-        prior = GmmPrior(weights=[0.1, 0.2, 0.3, 0.4], means=rng.standard_normal((J, d)) * 2.0, covs=covs)
-        x_t = rng.standard_normal((400, d)) * 2.0
-        for s, t in ((0, 90), (40, 120)):
-            gen = np.random.default_rng(8)
-            resp = prior.responsibilities(sched, t, x_t)
-            comp = np.sum(gen.random((len(x_t), 1)) > np.cumsum(resp, axis=-1), axis=-1)
-            eps = gen.standard_normal(x_t.shape)
-            want = np.empty_like(x_t)
-            for j in range(J):
-                gain, const, var = cholesky_backward_moments(GaussianPrior(prior.means[j], prior.covs[j]), sched, s, t)
-                want[comp == j] = x_t[comp == j] @ gain.T + const + eps[comp == j] @ eigen_root(prior.covs[j], var).T
-            assert len(set(comp.tolist())) == J
-            got = prior.backward_sample(sched, s, t, x_t, np.random.default_rng(8))
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestExactPosterior:
@@ -679,16 +681,23 @@ class TestExactPosterior:
         np.testing.assert_allclose(np.cov(draws.T), mom.cov, atol=0.02)
 
 
+def config_form(prior):
+    """The prior section of a config that ``prior_from_json`` reads back to ``prior``."""
+    if isinstance(prior, GaussianPrior):
+        return {"kind": "gaussian", "mean": prior.mean.tolist(), "cov": prior.cov.tolist()}
+    return {"kind": "gmm", "weights": prior.weights.tolist(), "means": prior.means.tolist(), "covs": prior.covs.tolist()}
+
+
 class TestSerialization:
     def test_gaussian_round_trip(self):
         prior = GaussianPrior(mean=[0.1, 0.2], cov=[[1.0, 0.3], [0.3, 0.9]])
-        clone = prior_from_json(prior_to_json(prior))
+        clone = prior_from_json(json.loads(json.dumps(config_form(prior))))
         np.testing.assert_array_equal(clone.mean, prior.mean)
         np.testing.assert_array_equal(clone.cov, prior.cov)
 
     def test_gmm_round_trip(self):
         prior = gmm_2d()
-        clone = prior_from_json(prior_to_json(prior))
+        clone = prior_from_json(json.loads(json.dumps(config_form(prior))))
         np.testing.assert_array_equal(clone.weights, prior.weights)
         np.testing.assert_array_equal(clone.means, prior.means)
         np.testing.assert_array_equal(clone.covs, prior.covs)
@@ -702,7 +711,7 @@ class TestSerialization:
         }
         for spec, fields in ((gauss_spec, ("mean", "cov")), (gmm_spec, ("weights", "means", "covs"))):
             prior = prior_from_json(spec)
-            clone = prior_from_json(prior_to_json(prior))
+            clone = prior_from_json(config_form(prior))
             assert type(prior) is type(clone)
             for name in fields:
                 np.testing.assert_array_equal(getattr(prior, name), np.asarray(spec[name]))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mgdm.likelihoods import LinearGaussianLikelihood
-from mgdm.metrics import SampleSet, sliced_wasserstein2
-from mgdm.oracle import GridSpec, auto_grids, quadrature_joint
+from mgdm.metrics import sliced_wasserstein2
+from mgdm.oracle import QuadratureJoint, auto_grids
 from mgdm.priors import GaussianPrior, exact_posterior
 from mgdm.sampler import (
     GibbsState,
@@ -21,6 +21,12 @@ from mgdm.sampler import (
     sample_index,
 )
 from mgdm.schedule import make_schedule
+
+
+def smoothed(prior, sched, t):
+    """The smoothed marginal p_t = N(alpha_t m, alpha_t^2 Sigma + v_t I) of a Gaussian prior."""
+    a = sched.alpha(t)
+    return GaussianPrior(a * prior.mean, (a * a) * prior.cov + sched.sigma2(0, t) * np.eye(prior.dim))
 
 
 def problem_1d(sigma_y=0.5):
@@ -139,7 +145,7 @@ class TestDdpmDenoise:
 def exact_joint_draws(lik, prior, sched, s, t, n, rng):
     """Draws from pibar(x_0, x_s, x_t): inverse-CDF on the quadrature
     x_s-marginal, then the exact Gaussian conditionals."""
-    joint = quadrature_joint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t, n=1024))
+    joint = QuadratureJoint(lik, prior, sched, s, t, auto_grids(lik, prior, sched, s, t, n=1024))
     pts, dens = joint.marginal("xs")
     cdf = np.cumsum(dens * joint.grids["xs"].weights)
     cdf /= cdf[-1]
@@ -197,7 +203,8 @@ class TestGibbsStep:
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
         state = GibbsState(x0=x0, xs=xs, xt=xt, s=s, t=t)
         out = gibbs_step(state, lik, prior, sched, cfg, rng)
-        mean_t, cov_t = prior.marginal_moments(sched, t)
+        p_t = smoothed(prior, sched, t)
+        mean_t, cov_t = p_t.mean, p_t.cov
         se_mean = np.sqrt(cov_t[0, 0] / n)
         assert abs(out.xt.mean() - mean_t[0]) < 4 * se_mean
         assert abs(out.xt.var() / cov_t[0, 0] - 1.0) < 0.02
@@ -210,25 +217,28 @@ class TestQuadratureInvariants:
         lik, prior, sched = problem_1d()
         s, t = 60, 400
         grids = auto_grids(lik, prior, sched, s, t, n=1024)
-        joint = quadrature_joint(lik, prior, sched, s, t, grids)
+        joint = QuadratureJoint(lik, prior, sched, s, t, grids)
         pts_t, dens_t = joint.marginal("xt")
 
         # ghat_t^s(x_t) = int ghat_s(x_s) p_{s|t}(x_s | x_t) dx_s
         from mgdm.likelihoods import log_g_hat
         from mgdm.schedule import gauss_log_density
 
-        gain, const, var = prior.backward_moments(sched, s, t)
+        # p_{s|t} from the joint Gaussian of (x_s, x_t), whose cross-covariance is alpha_{t|s} var(x_s)
+        p_s, p_t = smoothed(prior, sched, s), smoothed(prior, sched, t)
+        gain = sched.alpha_ratio(s, t) * p_s.cov[0, 0] / p_t.cov[0, 0]
+        const, var = p_s.mean[0] - gain * p_t.mean[0], p_s.cov[0, 0] * (1.0 - gain * sched.alpha_ratio(s, t))
         xs_pts = grids[1].points
         log_pot_s = log_g_hat(lik, prior, sched, s, xs_pts[:, None]).log_value
         w_s = grids[1].weights
         log_ghat_ts = np.empty(pts_t.size)
         for k, x_t in enumerate(pts_t):
-            cond_mean = gain[0, 0] * x_t + const[0]
-            log_back = gauss_log_density(xs_pts[:, None], np.array([cond_mean]), var[0, 0])
+            cond_mean = gain * x_t + const
+            log_back = gauss_log_density(xs_pts[:, None], np.array([cond_mean]), var)
             v = np.log(w_s) + log_back + log_pot_s
             peak = v.max()
             log_ghat_ts[k] = peak + np.log(np.sum(np.exp(v - peak)))
-        log_pt = prior.marginal_log_density(sched, t, pts_t[:, None])
+        log_pt = p_t.log_density(pts_t[:, None])
         target = np.exp(log_ghat_ts + log_pt)
         target /= np.sum(target * grids[2].weights)
         mask = dens_t > dens_t.max() * 1e-9
@@ -243,7 +253,7 @@ class TestQuadratureInvariants:
         lik = LinearGaussianLikelihood(A=[[1.1]], y=[0.7], sigma_y=0.5)
         post = exact_posterior(prior, lik)
         grids = auto_grids(lik, prior, sched, 1, 2, n=2048)
-        joint = quadrature_joint(lik, prior, sched, 1, 2, grids)
+        joint = QuadratureJoint(lik, prior, sched, 1, 2, grids)
         pts, dens = joint.marginal("x0")
         post_dens = np.exp(post.log_density(pts[:, None]))
         tv = 0.5 * np.sum(np.abs(dens - post_dens) * joint.grids["x0"].weights)
@@ -341,7 +351,7 @@ class TestMgdmRun:
                          index_dist=IndexDistribution(kind="fixed", values=seq))
         samples = mgdm_run_batch(lik, prior, sched, cfg, 4000, np.random.default_rng(31))
         ref = prior.sample(4000, np.random.default_rng(32))
-        sw = sliced_wasserstein2(SampleSet(samples), SampleSet(ref), n_projections=64,
+        sw = sliced_wasserstein2(samples, ref, n_projections=64,
                                  rng=np.random.default_rng(2))
         assert sw < 0.1
 
@@ -387,7 +397,7 @@ class TestDpsRun:
         lik = LinearGaussianLikelihood(A=np.eye(2), y=[2.0, 1.0], sigma_y=0.5)
         samples = dps_run(lik, prior, sched, K=50, zeta=0.0, rng=np.random.default_rng(3), n_chains=4000)
         ref = prior.sample(4000, np.random.default_rng(4))
-        sw = sliced_wasserstein2(SampleSet(samples), SampleSet(ref), n_projections=64,
+        sw = sliced_wasserstein2(samples, ref, n_projections=64,
                                  rng=np.random.default_rng(5))
         assert sw < 0.1
 

@@ -10,7 +10,6 @@ from mgdm.priors import GaussianPrior
 from mgdm.schedule import make_schedule, gauss_log_density
 from mgdm.vi import (
     ViConfig,
-    bridge_init,
     conditional_coefficients,
     exact_conditional,
     exact_conditional_sample,
@@ -18,7 +17,6 @@ from mgdm.vi import (
     independent_mh,
     kl_gradient_estimate,
     mh_correct,
-    reverse_kl_quadrature,
 )
 
 
@@ -40,6 +38,34 @@ def bridge(sched, s, t, x0, xt):
     """(mean, variance) of the bridge q(x_s | x_0, x_t), the form kl_gradient_estimate reads it in."""
     p = sched.bridge_params(s, t)
     return p.mean(x0, xt), p.variance
+
+
+def bridge_init(sched, s, t, x0, xt):
+    """Bridge moments as variational parameters: the fit's starting point, which a
+    zero-step fit returns without reading the likelihood, the prior or a generator."""
+    return fit_variational(None, None, sched, s, t, x0, xt, ViConfig(steps=0), None)
+
+
+def reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, params, n_nodes=257):
+    """KL(lambda || normalized ghat_s * bridge) by Gauss-Hermite, d = 1."""
+    from scipy.special import logsumexp
+
+    p = sched.bridge_params(s, t)
+    m_b = float(p.mean(x0, xt)[0])
+    nodes, weights = _hermite(n_nodes)
+    keep = weights > 0.0  # extreme nodes underflow for large n_nodes
+    nodes, weights = nodes[keep], weights[keep]
+
+    # log Z under the bridge measure.
+    log_pot = log_g_hat(lik, prior, sched, s, (m_b + math.sqrt(p.variance) * nodes)[:, None]).log_value
+    log_z = logsumexp(np.log(weights) + log_pot)
+
+    # E_lambda[log lambda - log ghat - log bridge].
+    xs = (float(params.mu[0]) + float(np.exp(0.5 * params.rho[0])) * nodes)[:, None]
+    log_lam = gauss_log_density(xs, params.mu, np.exp(params.rho))
+    log_pot_lam = log_g_hat(lik, prior, sched, s, xs).log_value
+    log_bridge = gauss_log_density(xs, np.atleast_1d(m_b), p.variance)
+    return float(np.sum(weights * (log_lam - log_pot_lam - log_bridge))) + float(log_z)
 
 
 class _ZeroDraws:
