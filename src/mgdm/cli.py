@@ -77,12 +77,13 @@ def main(argv: list[str] | None = None) -> int:
             started = time.perf_counter()
             summary = harness.run_experiment(config, args.out, jobs=args.jobs)
             agg = summary["aggregate"]
+            diverged = set(agg["diverged_runs"])
             for run_id in range(agg["n_runs"]):
-                print(f"run {run_id}: ok")
+                print(f"run {run_id}: {'diverged' if run_id in diverged else 'ok'}")
             print(
                 f"{agg['n_runs']} runs in {time.perf_counter() - started:.2f}s; "
                 f"mean_error={agg.get('mean_error', float('nan')):.4g} "
-                f"sliced_w2={agg.get('sliced_w2', float('nan')):.4g}"
+                f"sliced_w2={agg.get('sliced_w2', float('nan')):.4g} diverged_frac={agg['diverged_frac']:.4g}"
             )
             return 0
         if args.command == "sweep":

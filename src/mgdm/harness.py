@@ -257,10 +257,15 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
 def _aggregate(experiment: ExperimentConfig, rows: list[dict], seed_tag: int) -> dict:
     d = experiment.prior.dim
     samples = np.asarray([[row[f"x0_{j}"] for j in range(d)] for row in rows])
+    prior = experiment.prior.moments()
+    # a run diverged when a coordinate of x_0 is NaN or more than 100 prior standard deviations from the prior mean
+    diverged = np.any(~(np.abs(samples - prior.mean) <= 100.0 * np.sqrt(np.diag(prior.cov))), axis=1)
     agg: dict = {
         "n_runs": len(rows),
         "mean": samples.mean(axis=0).tolist(),
         "cov": np.atleast_2d(np.cov(samples.T, bias=False)).tolist() if len(rows) > 1 else None,
+        "diverged_frac": float(diverged.mean()),
+        "diverged_runs": [row["run_id"] for row, flag in zip(rows, diverged) if flag],
     }
     post = experiment.posterior
     if post is None:
@@ -340,13 +345,15 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
                 "n_runs": agg["n_runs"],
                 "mean_error": agg.get("mean_error", float("nan")),
                 "sliced_w2": agg.get("sliced_w2", float("nan")),
+                "diverged_frac": agg["diverged_frac"],
             }
         )
     for prev, cur in zip(agg_rows, agg_rows[1:]):
         cur["sw2_nonincreasing"] = bool(cur["sliced_w2"] <= prev["sliced_w2"] + 1e-12)
     if agg_rows:
         agg_rows[0]["sw2_nonincreasing"] = ""
-    columns = ["combo_id", "R", "G", "index_dist", "n_runs", "mean_error", "sliced_w2", "sw2_nonincreasing"]
+    columns = ["combo_id", "R", "G", "index_dist", "n_runs", "mean_error", "sliced_w2", "sw2_nonincreasing",
+               "diverged_frac"]
     _write_csv(out / "sweep.csv", agg_rows, columns)
     summary = {
         "config": config,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .likelihoods import LinearGaussianLikelihood, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
-from .priors import GaussianPrior, spd_inverse
+from .priors import GaussianPrior, logsumexp, spd_inverse
 from .sampler import MgdmConfig
 from .schedule import NoiseSchedule, gauss_log_density
 from .vi import conditional_coefficients
@@ -224,8 +224,6 @@ class QuadratureJoint:
         xs = gs.points[None, :]
         xt = gt.points[None, :]
 
-        from scipy.special import logsumexp
-
         log_prior = prior.log_density(g0.points[:, None, None])[:, 0]
         ratio_s = schedule.alpha_ratio(0, s)
         var_s = schedule.sigma2(0, s)
@@ -247,8 +245,6 @@ class QuadratureJoint:
 
     def marginal(self, axis: str):
         """(points, density) of a 1-D marginal, normalized on the grid."""
-        from scipy.special import logsumexp
-
         if axis == "x0":
             logs = logsumexp(
                 self._log_f1 + (np.log(self.grids["xs"].weights) + self._log_b)[None, :], axis=1

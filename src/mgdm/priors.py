@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .schedule import NoiseSchedule
 
@@ -353,8 +352,6 @@ class GmmPrior:
         return DenoiserOutput(value=((pts + v * mean_score) / a).T.reshape(np.shape(x_t)), vjp=vjp)
 
     def log_density(self, x: np.ndarray):
-        from scipy.special import logsumexp  # imported on use: no sampling path needs it
-
         out = logsumexp(self._terms(1.0, 0.0, self._points(x))[0], axis=0).reshape(np.shape(x)[:-1])
         return float(out) if np.ndim(out) == 0 else out
 
@@ -428,8 +425,17 @@ def prior_from_json(obj: dict):
 
 
 def spd_inverse(mat: np.ndarray) -> np.ndarray:
-    """Symmetrized inverse of an SPD matrix via its Cholesky factor and two triangular solves."""
+    """Symmetrized inverse L^{-T} L^{-1} of an SPD matrix from its Cholesky factor L, which rejects
+    (LinAlgError) a matrix that is not positive definite."""
     mat = 0.5 * (mat + np.asarray(mat).T)
-    chol = np.linalg.cholesky(mat)
-    out = solve_triangular(chol.T, solve_triangular(chol, np.eye(mat.shape[0]), lower=True), lower=False)
+    inv_chol = np.linalg.inv(np.linalg.cholesky(mat))
+    out = inv_chol.T @ inv_chol
     return 0.5 * (out + out.T)
+
+
+def logsumexp(logs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """log sum exp(logs) along ``axis``, shifted by the slice maximum; an all -inf slice gives -inf."""
+    peak = np.max(logs, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(logs - peak), axis=axis)) + np.squeeze(peak, axis=axis)

@@ -1,12 +1,17 @@
 """Harness behavior: runs, sweeps, oracle reports, CLI, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mgdm import harness
+import mgdm
+from mgdm import harness, priors
 from mgdm.cli import main
 
 
@@ -330,6 +335,49 @@ class TestCli:
         message = "sweep varies R, G and index, which algorithm 'dps' does not read"
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "sweep", config, [], message)
 
+    def test_non_spd_inverse_exits_as_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        """The LinAlgError with which spd_inverse rejects a matrix that is not SPD exits 2."""
+        monkeypatch.setattr(priors, "_conjugate_update", lambda mean, cov, *rest: (mean, priors.spd_inverse(-cov)))
+        assert main(["smoke", "--out", str(tmp_path)]) == 2
+        assert "mgdm: runtime failure:" in capsys.readouterr().err
+
+    @staticmethod
+    def diverging_dps_config():
+        """DPS with zeta = 0.5 on a sharp observation of one coordinate of a bimodal 2-D prior:
+        every run's x0_0 grows to about 1e59."""
+        return {
+            "prior": {"kind": "gmm", "weights": [0.5, 0.5], "means": [[1.0, 1.0], [-1.0, -1.0]],
+                      "covs": [(0.3 * np.eye(2)).tolist()] * 2},
+            "likelihood": {"kind": "linear", "A": [[1.0, 0.0]], "y": [0.2], "sigma_y": 0.05},
+            "schedule": {"family": "linear", "T": 1000},
+            "sampler": {"algorithm": "dps", "K": 50, "zeta": 0.5},
+            "n_runs": 20,
+            "master_seed": 1,
+        }
+
+    def test_diverged_runs_are_flagged(self, tmp_path, capsys):
+        """A run whose x_0 lies beyond 100 prior standard deviations reads 'diverged', not 'ok';
+        the exit code stays 0 and the summary and sweep report the share flagged."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.diverging_dps_config()))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:20] == [f"run {i}: diverged" for i in range(20)]
+        assert lines[20].endswith("diverged_frac=1")
+        aggregate = json.loads((tmp_path / "out/summary.json").read_text())["aggregate"]
+        assert aggregate["diverged_frac"] == 1.0 and aggregate["diverged_runs"] == list(range(20))
+
+        assert main(["smoke", "--out", str(tmp_path / "smoke")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:10] == [f"run {i}: ok" for i in range(10)] and lines[10].endswith("diverged_frac=0")
+        assert json.loads((tmp_path / "smoke/summary.json").read_text())["aggregate"]["diverged_frac"] == 0.0
+
+        config = harness.smoke_config()
+        config["n_runs"], config["sweep"] = 4, {"R": [1, 2]}
+        harness.run_sweep(config, tmp_path / "sweep")
+        header, *rows = (tmp_path / "sweep/sweep.csv").read_text().strip().splitlines()
+        assert header.endswith(",diverged_frac") and all(row.endswith(",0") for row in rows)
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(harness.smoke_config()))
@@ -396,3 +444,59 @@ class TestConfigHash:
 
     def test_value_sensitive(self):
         assert harness.config_hash({"x": 1}) != harness.config_hash({"x": 2})
+
+
+class TestNumpyOnly:
+    """numpy is the only runtime dependency: no subcommand may import scipy."""
+
+    @staticmethod
+    def run_python(code, cwd):
+        """Run ``code`` in a fresh interpreter that imports this checkout's mgdm."""
+        env = dict(os.environ, PYTHONPATH=str(Path(mgdm.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+                              timeout=300)
+
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        """With sys.modules["scipy"] = None any scipy import raises ImportError; each subcommand
+        still exits 0.  The GMM vi-mh run reaches exact_posterior and GmmPrior.log_density, and
+        the denoise final step of the criterion-5 compare reaches spd_inverse."""
+        gmm_vimh = harness.smoke_config()
+        gmm_vimh["prior"] = {"kind": "gmm", "weights": [0.3, 0.7], "means": [[1.0, 1.0], [-1.0, -0.5]],
+                             "covs": [[[0.3, 0.1], [0.1, 0.4]], [[0.5, 0.0], [0.0, 0.2]]]}
+        gmm_vimh["likelihood"] = {"kind": "linear", "A": [[1.0, 0.5]], "y": [0.3], "sigma_y": 0.3}
+        gmm_vimh["sampler"].update(backend="vi-mh", mh_steps=2)
+        gmm_vimh["n_runs"] = 4
+        criterion_5 = compare_config(n_runs=10_000, K=25, R=4)
+        criterion_5["master_seed"] = 1
+        criterion_5["sampler"]["final"] = "denoise"
+        sweep = harness.smoke_config()
+        sweep["n_runs"], sweep["sweep"] = 4, {"R": [1, 2]}
+        configs = {"gmm": gmm_vimh, "c5": criterion_5, "oracle": compare_config(), "sweep": sweep}
+        for name, config in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        commands = [["smoke"], ["run", "--config", "gmm.json"], ["compare", "--config", "c5.json"],
+                    ["oracle", "--config", "oracle.json"], ["sweep", "--config", "sweep.json"]]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from mgdm.cli import main\n"
+            f"for args in {commands!r}:\n"
+            "    code = main(args + ['--out', 'out_' + args[0]])\n"
+            "    print('exit', args[0], code)\n"
+            "    assert code == 0, args\n"
+            "assert sys.modules['scipy'] is None\n"
+        )
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        exits = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
+        assert exits == [f"exit {args[0]} 0" for args in commands]
+
+    def test_importing_the_program_loads_no_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import mgdm.cli, mgdm.harness, mgdm.oracle\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,12 +1,14 @@
 """Analytic prior machinery: denoisers, scores, backward kernels, posteriors."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
+from mgdm import priors
 from mgdm.metrics import gaussian_kl, sliced_wasserstein2
 from mgdm.moments import GaussianMoments
 from mgdm.priors import (
@@ -15,6 +17,7 @@ from mgdm.priors import (
     _backward_scalings,
     exact_posterior,
     prior_from_json,
+    spd_inverse,
 )
 from mgdm.likelihoods import LinearGaussianLikelihood, quadratic_toy
 from mgdm.schedule import NoiseSchedule, make_schedule
@@ -679,6 +682,56 @@ class TestExactPosterior:
         mom = post.moments()
         np.testing.assert_allclose(draws.mean(axis=0), mom.mean, atol=0.01)
         np.testing.assert_allclose(np.cov(draws.T), mom.cov, atol=0.02)
+
+
+class TestNumpyKernels:
+    """The numpy spd_inverse and log-sum-exp against scipy, which the tests keep as an independent reference."""
+
+    @staticmethod
+    def triangular_solve_inverse(mat):
+        """Symmetrized inverse from a Cholesky factor and two scipy triangular solves."""
+        chol = np.linalg.cholesky(mat)
+        out = solve_triangular(chol.T, solve_triangular(chol, np.eye(len(mat)), lower=True), lower=False)
+        return 0.5 * (out + out.T)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 80])
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+    def test_spd_inverse_matches_triangular_solves(self, d, cond):
+        """Entrywise within 1e-12 of the entry or of the largest entry, whichever is larger:
+        entries near 0 carry the absolute roundoff of the whole product."""
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            mat = (q * (rng.uniform(0.5, 2.0) * np.logspace(0.0, -np.log10(cond), d))) @ q.T
+            want = self.triangular_solve_inverse(0.5 * (mat + mat.T))
+            got = spd_inverse(mat)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            np.testing.assert_array_equal(got, got.T)
+
+    @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[-1.0]]],
+                             ids=["indefinite", "singular", "negative"])
+    def test_spd_inverse_rejects_non_spd(self, mat):
+        with pytest.raises(np.linalg.LinAlgError):
+            spd_inverse(np.asarray(mat))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_logsumexp_matches_scipy(self, axis):
+        """Random log-weights with -inf entries (zero-weight components) in some slices."""
+        rng = np.random.default_rng(3)
+        logs = 30.0 * rng.standard_normal((6, 9))
+        logs[rng.random(logs.shape) < 0.3] = -np.inf
+        logs[0, 0] = 800.0  # far above the rest: exp overflows without the shift
+        np.testing.assert_allclose(priors.logsumexp(logs, axis=axis), logsumexp(logs, axis=axis), rtol=1e-14)
+        np.testing.assert_allclose(priors.logsumexp(logs[:, 3], axis=0), logsumexp(logs[:, 3]), rtol=1e-14)
+
+    def test_logsumexp_of_all_neg_inf_slice_is_neg_inf_without_warning(self):
+        logs = np.array([[-np.inf, 0.0], [-np.inf, np.log(3.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = priors.logsumexp(logs, axis=0)
+            assert priors.logsumexp(np.full(4, -np.inf), axis=0) == -np.inf
+        assert out[0] == -np.inf
+        np.testing.assert_allclose(out[1], np.log(4.0), rtol=1e-15)
 
 
 def config_form(prior):
