@@ -10,10 +10,8 @@ independent streams and insensitive to execution order.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -47,6 +45,8 @@ def load_config(path: str | Path) -> dict:
 
 
 def config_hash(config: dict) -> str:
+    import hashlib  # here, not at the top: a process that hashes no config need not load OpenSSL's libcrypto
+
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -232,6 +232,8 @@ def _collect_runs(experiment: ExperimentConfig, jobs: int, combo_idx: int | None
     n_runs = experiment.n_runs
     if jobs <= 1:
         return [_execute_run(experiment, r, combo_idx) for r in range(n_runs)]
+    from concurrent.futures import ProcessPoolExecutor  # here, not at the top: it loads multiprocessing
+
     chunks = [range(k, n_runs, jobs) for k in range(min(jobs, n_runs))]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         parts = pool.map(_run_chunk, [experiment.raw] * len(chunks), chunks, [combo_idx] * len(chunks))

@@ -51,6 +51,10 @@ def wasserstein1_1d(a, b) -> float:
     return float(np.mean(np.abs(np.sort(xa[:, 0]) - np.sort(xb[:, 0]))))
 
 
+# Projected values per sample set in one block of directions: 256 KB of float64, within L2.
+_BLOCK_VALUES = 2**15
+
+
 def _w2_sq_1d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Squared 1-D W2 per row of two (m, N) sorted-sample blocks."""
     return np.mean((np.sort(u, axis=1) - np.sort(v, axis=1)) ** 2, axis=1)
@@ -79,26 +83,33 @@ def _linear_quantiles(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def sliced_wasserstein2(a, b, n_projections: int = 512, rng: np.random.Generator | None = None) -> float:
+def sliced_wasserstein2(a, b, n_projections: int = 512, *, rng: np.random.Generator) -> float:
     """Sliced W2, scaled by sqrt(d) so a pure translation by c scores ||c||.
 
     Projects both sets on ``n_projections`` random unit directions and
     root-means the squared 1-D W2 values.  Unequal sample counts are
-    compared through interpolated quantiles.
+    compared through interpolated quantiles.  Directions are projected in
+    blocks of about ``_BLOCK_VALUES`` values per sample set, so memory does
+    not grow with ``n_projections``.  Each direction is scored on its own;
+    the blocking can move a projection only where BLAS rounds a dot product
+    differently in products of different shapes.
     """
     xa, xb = _as_samples(a), _as_samples(b)
     if xa.shape[1] != xb.shape[1]:
         raise ValueError("dimension mismatch")
     d = xa.shape[1]
-    if rng is None:
-        rng = np.random.default_rng(0)
     dirs = rng.standard_normal((n_projections, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pa = xa @ dirs.T  # (Na, m)
-    pb = xb @ dirs.T
-    if xa.shape[0] == xb.shape[0]:
-        w2sq = _w2_sq_1d(pa.T, pb.T)
-    else:
-        grid = (np.arange(max(xa.shape[0], xb.shape[0])) + 0.5) / max(xa.shape[0], xb.shape[0])
-        w2sq = np.mean((_linear_quantiles(pa, grid) - _linear_quantiles(pb, grid)) ** 2, axis=1)
+    n = max(xa.shape[0], xb.shape[0])
+    grid = (np.arange(n) + 0.5) / n
+    w2sq = np.empty(n_projections)
+    # At least two directions per block: numpy sends a one-column product to gemv, which can round
+    # differently from the gemm that projects all directions at once.
+    n_blocks = max(1, n_projections // max(2, _BLOCK_VALUES // n))
+    for sub, out in zip(np.array_split(dirs, n_blocks), np.array_split(w2sq, n_blocks)):
+        pa, pb = xa @ sub.T, xb @ sub.T  # (Na, block), (Nb, block)
+        if xa.shape[0] == xb.shape[0]:
+            out[:] = _w2_sq_1d(pa.T, pb.T)
+        else:
+            out[:] = np.mean((_linear_quantiles(pa, grid) - _linear_quantiles(pb, grid)) ** 2, axis=1)
     return float(np.sqrt(d * np.mean(w2sq)))

@@ -225,8 +225,6 @@ def independent_mh(
     States have shape (..., d); the log densities map them to (...,).
     """
     x = np.array(current, dtype=np.float64)
-    if n_steps == 0:
-        return x
     lt = np.asarray(log_target(x), dtype=np.float64)
     lp = np.asarray(log_proposal(x), dtype=np.float64)
     for _ in range(n_steps):

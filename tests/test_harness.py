@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,20 @@ class TestRunExperiment:
         harness.run_experiment(config, tmp_path / "pool", jobs=2)
         assert (tmp_path / "serial/results.csv").read_bytes() == (tmp_path / "pool/results.csv").read_bytes()
         assert (tmp_path / "serial/summary.json").read_bytes() == (tmp_path / "pool/summary.json").read_bytes()
+
+    def test_summary_memory_stays_small(self, tmp_path):
+        """100 smoke runs peak under 5 MB of traced memory; projecting all 512 sliced-W2
+        directions at once took 25.8 MB."""
+        config = harness.smoke_config()
+        config["n_runs"] = 100
+        harness.run_experiment(config, tmp_path / "warm")  # lazy imports and first-call set-up
+        tracemalloc.start()
+        try:
+            harness.run_experiment(config, tmp_path / "traced")
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 5.0
 
     def test_dps_algorithm_path(self, tmp_path):
         config = harness.smoke_config()
@@ -378,6 +393,23 @@ class TestCli:
         header, *rows = (tmp_path / "sweep/sweep.csv").read_text().strip().splitlines()
         assert header.endswith(",diverged_frac") and all(row.endswith(",0") for row in rows)
 
+    def test_gmm_with_one_2d_covariance_runs_as_one_component(self, tmp_path):
+        """A gmm prior may give ``covs`` as one (d, d) matrix: it reads as a single component and
+        runs exactly as the (1, d, d) form."""
+        cov = [[0.5, 0.1], [0.1, 0.3]]
+        outputs = []
+        for covs in (cov, [cov]):
+            config = harness.smoke_config()
+            config["prior"] = {"kind": "gmm", "weights": [1.0], "means": [[0.4, -0.2]], "covs": covs}
+            config["likelihood"] = {"kind": "linear", "A": [[1.0, 0.5]], "y": [0.3], "sigma_y": 0.3}
+            assert harness.ExperimentConfig.from_dict(config).prior.covs.shape == (1, 2, 2)
+            out = tmp_path / f"covs{len(outputs)}"
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+            outputs.append(((out / "results.csv").read_bytes(), json.loads((out / "summary.json").read_text())))
+        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][1]["aggregate"] == outputs[1][1]["aggregate"]
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(harness.smoke_config()))
@@ -490,6 +522,17 @@ class TestNumpyOnly:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         exits = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
         assert exits == [f"exit {args[0]} 0" for args in commands]
+
+    def test_importing_the_program_loads_no_pool_or_hashlib(self, tmp_path):
+        """The worker pool (multiprocessing) and hashlib (OpenSSL's libcrypto) load only when used."""
+        code = (
+            "import sys\n"
+            "import mgdm.cli, mgdm.harness, mgdm.sampler\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process', 'hashlib'} & set(sys.modules)))\n"
+        )
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_importing_the_program_loads_no_scipy(self, tmp_path):
         code = (

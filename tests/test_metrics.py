@@ -1,5 +1,7 @@
 """Discrepancy measures: closed-form KL, 1-D W1, sliced W2."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,32 @@ class TestWasserstein1:
             wasserstein1_1d(np.zeros((10, 1)), np.zeros((11, 1)))
 
 
+def unblocked_sliced_w2(a, b, n_projections, rng):
+    """Sliced W2 with every direction projected and sorted at once: the reference for the blocked kernel.
+    Its quantiles come from ``_linear_quantiles``, which the test below pins to ``np.quantile``."""
+    d = a.shape[1]
+    dirs = rng.standard_normal((n_projections, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pa, pb = a @ dirs.T, b @ dirs.T
+    if a.shape[0] == b.shape[0]:
+        w2sq = np.mean((np.sort(pa.T, axis=1) - np.sort(pb.T, axis=1)) ** 2, axis=1)
+    else:
+        n = max(a.shape[0], b.shape[0])
+        grid = (np.arange(n) + 0.5) / n
+        w2sq = np.mean((_linear_quantiles(pa, grid) - _linear_quantiles(pb, grid)) ** 2, axis=1)
+    return float(np.sqrt(d * np.mean(w2sq)))
+
+
+def peak_traced_mb(fn):
+    """Peak memory (MB) that tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 class TestSlicedWasserstein:
     def test_zero_on_identical(self):
         a = np.random.default_rng(4).standard_normal((200, 3))
@@ -102,7 +130,7 @@ class TestSlicedWasserstein:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            sliced_wasserstein2(np.zeros((5, 2)), np.zeros((5, 3)))
+            sliced_wasserstein2(np.zeros((5, 2)), np.zeros((5, 3)), rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_unequal_sizes_match_numpy_quantile_reference(self, d):
@@ -136,4 +164,32 @@ class TestSlicedWasserstein:
         arr = np.random.default_rng(8).standard_normal((50, 2))
         for bad in (np.array([[np.inf, 0.0]]), np.empty((0, 2))):
             with pytest.raises(ValueError):
-                sliced_wasserstein2(bad, arr)
+                sliced_wasserstein2(bad, arr, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_blocked_kernel_matches_unblocked_formula(self, d):
+        """Bit for bit on both paths, with projection counts that are not multiples of a block."""
+        counts = (1, 2, 100, 1024, 1025)
+        rng = np.random.default_rng(14)
+        for n_a in counts:
+            for n_b in counts:
+                a, b = rng.standard_normal((n_a, d)), rng.standard_normal((n_b, d)) + 0.3
+                for m in (1, 513, 1000):
+                    got = sliced_wasserstein2(a, b, n_projections=m, rng=np.random.default_rng(m))
+                    assert got == unblocked_sliced_w2(a, b, m, np.random.default_rng(m)), (n_a, n_b, m)
+
+    def test_blocked_kernel_matches_when_the_budget_holds_under_one_direction(self):
+        """At 40,000 samples the value budget covers less than one direction per block."""
+        rng = np.random.default_rng(15)
+        a, b = rng.standard_normal((40_000, 3)), rng.standard_normal((40_000, 3)) + 0.2
+        for x, y in ((a, b), (a, b[:100])):
+            got = sliced_wasserstein2(x, y, n_projections=3, rng=np.random.default_rng(3))
+            assert got == unblocked_sliced_w2(x, y, 3, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("n_a, n_b", [(100, 1024), (10_000, 10_000)])
+    def test_memory_does_not_grow_with_projection_count(self, n_a, n_b):
+        """512 projections of 1-D sets peak under 4 MB; all at once they took 25.7 MB (100 vs 1024)
+        and 164 MB (10,000 vs 10,000)."""
+        rng = np.random.default_rng(16)
+        a, b = rng.standard_normal((n_a, 1)), rng.standard_normal((n_b, 1))
+        assert peak_traced_mb(lambda: sliced_wasserstein2(a, b, n_projections=512, rng=rng)) < 4.0
