@@ -12,7 +12,6 @@ as the denoiser's vector-Jacobian product (no Jacobian is formed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -21,22 +20,6 @@ from .priors import GaussianPrior
 from .schedule import NoiseSchedule
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class PotentialEval:
-    """Gradient of a log potential at the query point(s), and its value.
-
-    The value is computed by ``value_fn`` when ``log_value`` is first read,
-    so gradient-only callers (the VI fit) never evaluate it.
-    """
-
-    gradient: np.ndarray
-    value_fn: Callable[[], np.ndarray | float] = field(repr=False)
-
-    @cached_property
-    def log_value(self) -> np.ndarray | float:
-        return self.value_fn()
 
 
 @dataclass(frozen=True)
@@ -153,18 +136,16 @@ def likelihood_from_json(obj: dict):
     raise ValueError(f"unknown likelihood kind {kind!r}")
 
 
-def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray) -> PotentialEval:
-    """Evaluate log ghat_s(x_s) = log g0(m_s(x_s)) and its gradient.
+def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray):
+    """log ghat_s(x_s) = log g0(m_s(x_s)), with no VJP; the denoiser rejects s = 0 (use log_g0)."""
+    return likelihood.log_g0(prior.denoise(schedule, s, x_s).value)
 
-    The gradient is Jac(m_s)^T grad log g0 at m_s(x_s), the denoiser's
-    vector-Jacobian product applied to grad log g0; the value is evaluated
-    only when read.  Rejects s = 0 (use log_g0).
-    """
-    if s == 0:
-        raise ValueError("ghat_s needs s >= 1; evaluate log_g0 directly at s = 0")
+
+def grad_log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray) -> np.ndarray:
+    """Gradient Jac(m_s)^T grad log g0(m_s(x_s)) of log ghat_s, the denoiser's VJP applied to
+    grad log g0, with no log_g0 evaluation; the denoiser rejects s = 0 (use grad_log_g0)."""
     den = prior.denoise(schedule, s, x_s)
-    value = den.value
-    return PotentialEval(gradient=den.vjp(likelihood.grad_log_g0(value)), value_fn=lambda: likelihood.log_g0(value))
+    return den.vjp(likelihood.grad_log_g0(den.value))
 
 
 def require_linear_gaussian(likelihood, prior, what: str) -> None:

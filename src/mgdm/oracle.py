@@ -228,7 +228,7 @@ class QuadratureJoint:
         ratio_s = schedule.alpha_ratio(0, s)
         var_s = schedule.sigma2(0, s)
         log_fwd_s = gauss_log_density((xs - ratio_s * x0)[..., None], np.zeros(1), var_s)
-        log_pot = log_g_hat(likelihood, prior, schedule, s, gs.points[:, None, None]).log_value[:, 0]
+        log_pot = log_g_hat(likelihood, prior, schedule, s, gs.points[:, None, None])[:, 0]
         self._log_f1 = log_prior[:, None] + log_fwd_s + log_pot[None, :]
 
         ratio_t = schedule.alpha_ratio(s, t)

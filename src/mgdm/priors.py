@@ -57,8 +57,10 @@ def _eigh_spd(cov: np.ndarray, what: str):
 
 def _normalize_exp(logs: np.ndarray) -> np.ndarray:
     """exp(logs) normalized to sum to 1 along axis 0; weights below 1e-200 of the largest
-    become 0, which no float64 sum can feel, as subnormal weights slow every product tenfold."""
-    w = np.exp(logs - logs.max(axis=0, keepdims=True))
+    become 0, which no float64 sum can feel, as subnormal weights slow every product tenfold.
+    Shifted logits are clamped at -500, whose exp is zeroed all the same, to keep exp off its slow
+    path for far-negative arguments: the weights stay bit for bit, -inf gives 0 and NaN stays NaN."""
+    w = np.exp(np.maximum(logs - logs.max(axis=0, keepdims=True), -500.0))
     w[w < 1e-200] = 0.0
     return w / w.sum(axis=0, keepdims=True)
 
@@ -214,9 +216,11 @@ class GmmPrior:
     G = 1 when all components share one eigenbasis (their covariances
     commute) and G = J otherwise.
     Sums over components are small matmuls inside the basis change (see
-    ``_terms``), so a shared basis never builds a (J, M, d) array.  The
-    level constants of ``_terms`` are kept, read-only, for the last
-    (alpha_t, v_t) seen: the calls of one Gibbs sweep share a level.
+    ``_terms``), so a shared basis never builds a (J, M, d) array; one that
+    is exactly I (isotropic covariances, or diagonal ones with ascending
+    entries) is skipped.  The level constants of ``_terms`` are kept,
+    read-only, for the last (alpha_t, v_t) seen: the calls of one Gibbs
+    sweep share a level.
     """
 
     weights: np.ndarray
@@ -224,7 +228,7 @@ class GmmPrior:
     covs: np.ndarray
     _eigvals: np.ndarray = field(init=False, repr=False)  # (J, d)
     _eigvecs: np.ndarray = field(init=False, repr=False)  # (G, d, d)
-    _basis: np.ndarray = field(init=False, repr=False)  # (d, G d): [Q_1 ... Q_G]
+    _basis: np.ndarray | None = field(init=False, repr=False)  # (d, G d): [Q_1 ... Q_G]; None for I
     _mean_coords: np.ndarray = field(init=False, repr=False)  # (J, d): Q_j^T m_j
     _log_weights: np.ndarray = field(init=False, repr=False)  # (J,)
     _level: tuple = field(init=False, repr=False, compare=False)  # (alpha, v, prec, log w_j - quad_const_j / 2)
@@ -258,7 +262,8 @@ class GmmPrior:
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "_eigvals", lams)
         object.__setattr__(self, "_eigvecs", vecs)
-        object.__setattr__(self, "_basis", vecs.transpose(1, 0, 2).reshape(means.shape[1], -1))
+        basis = vecs.transpose(1, 0, 2).reshape(means.shape[1], -1)
+        object.__setattr__(self, "_basis", None if np.array_equal(basis, np.eye(means.shape[1])) else basis)
         object.__setattr__(self, "_mean_coords", (means[:, None, :] @ vecs)[:, 0])
         object.__setattr__(self, "_log_weights", log_w)
         object.__setattr__(self, "_level", (None, None))
@@ -278,11 +283,16 @@ class GmmPrior:
         return np.asarray(x, dtype=np.float64).reshape(-1, self.dim).T
 
     def _coords(self, pts: np.ndarray) -> np.ndarray:
-        """Coordinates Q_g^T x of points (d, M) in each eigenbasis: (G, d, M)."""
+        """Coordinates Q_g^T x of points (d, M) in each eigenbasis: (G, d, M); under I, a C-ordered
+        copy (a matmul's layout) that a VJP closure may keep while the caller overwrites x."""
+        if self._basis is None:
+            return pts[None].copy()
         return (self._basis.T @ pts).reshape(len(self._eigvecs), self.dim, -1)
 
     def _from_coords(self, c: np.ndarray) -> np.ndarray:
         """sum_g Q_g c_g for coordinates c of shape (G, d, M): (d, M)."""
+        if self._basis is None:
+            return c[0]
         return self._basis @ c.reshape(self._basis.shape[1], -1)
 
     def _terms(self, a: float, v: float, pts: np.ndarray):

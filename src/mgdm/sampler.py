@@ -391,7 +391,7 @@ def dps_run(
 
     zeta = 0 reduces to unconditional DDPM sampling from the prior.
     """
-    from .likelihoods import log_g_hat
+    from .likelihoods import grad_log_g_hat
 
     if zeta < 0.0:
         raise ValueError("zeta must be >= 0")
@@ -404,7 +404,7 @@ def dps_run(
         p = schedule.bridge_params(s, t)
         mean = p.mean(x0_hat, x)
         if zeta > 0.0:
-            mean += zeta * log_g_hat(likelihood, prior, schedule, t, x).gradient
+            mean += zeta * grad_log_g_hat(likelihood, prior, schedule, t, x)
         x = mean + math.sqrt(p.variance) * rng.standard_normal(shape)
         _check_finite(j, t, s, x)
     x0 = prior.denoise(schedule, ts[0], x).value

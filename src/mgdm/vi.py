@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .likelihoods import linearized_potential, log_g_hat, require_linear_gaussian
+from .likelihoods import grad_log_g_hat, linearized_potential, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
 from .schedule import NoiseSchedule, gauss_log_density
 
@@ -103,7 +103,7 @@ def kl_gradient_estimate(
     sd = np.exp(0.5 * params.rho)
     z = rng.standard_normal(params.mu.shape)
     x = params.mu + sd * z
-    common = -log_g_hat(likelihood, prior, schedule, s, x).gradient + (x - bridge_mean) / bridge_var
+    common = -grad_log_g_hat(likelihood, prior, schedule, s, x) + (x - bridge_mean) / bridge_var
     return np.array((common, common * (0.5 * sd * z) - 0.5))
 
 
@@ -254,19 +254,20 @@ def mh_correct(
 ) -> np.ndarray:
     """Refine a conditional draw by independent-proposal MH.
 
-    Proposal: lambda = N(mu, diag(exp(rho))).  Target: ghat_s times the
-    bridge, with the acceptance ratio evaluated through log_g_hat.
+    Proposal: lambda = N(mu, diag(exp(rho))), its variance taken once per call.
+    Target: ghat_s times the bridge, through the value of log_g_hat alone:
+    MH reads no gradient, so it applies no vector-Jacobian product.
     """
     _check_pair(s, t)
     p = schedule.bridge_params(s, t)
     m_b = p.mean(x0, xt)
+    var = np.exp(params.rho)
 
     def log_target(x):
-        pot = log_g_hat(likelihood, prior, schedule, s, x)
-        return pot.log_value + gauss_log_density(x, m_b, p.variance)
+        return log_g_hat(likelihood, prior, schedule, s, x) + gauss_log_density(x, m_b, p.variance)
 
     def log_proposal(x):
-        return gauss_log_density(x, params.mu, np.exp(params.rho))
+        return gauss_log_density(x, params.mu, var)
 
     def draw_proposal(gen):
         return params.sample(gen)

@@ -7,6 +7,7 @@ import pytest
 
 from mgdm.likelihoods import (
     LinearGaussianLikelihood,
+    grad_log_g_hat,
     likelihood_from_json,
     linearized_potential,
     log_g_hat,
@@ -76,9 +77,9 @@ class TestLogGHat:
         sched = NoiseSchedule(alphas=np.array([1.0, 0.5, 0.25]))
         prior = GaussianPrior(mean=[0.0], cov=[[1.0]])
         lik = LinearGaussianLikelihood(A=[[1.0]], y=[2.0], sigma_y=1.0)
-        out = log_g_hat(lik, prior, sched, 1, np.array([4.0]))
-        np.testing.assert_allclose(out.log_value, STD_NORMAL_PEAK, atol=1e-7)
-        np.testing.assert_allclose(out.gradient, [0.0], atol=1e-12)
+        x = np.array([4.0])
+        np.testing.assert_allclose(log_g_hat(lik, prior, sched, 1, x), STD_NORMAL_PEAK, atol=1e-7)
+        np.testing.assert_allclose(grad_log_g_hat(lik, prior, sched, 1, x), [0.0], atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_gradient_matches_finite_differences(self, d):
@@ -96,13 +97,13 @@ class TestLogGHat:
                 for _ in range(25):
                     s = int(rng.integers(1, 201))
                     x = rng.standard_normal(d)
-                    grad = log_g_hat(lik, prior, sched, s, x).gradient
+                    grad = grad_log_g_hat(lik, prior, sched, s, x)
                     fd = np.empty(d)
                     for j in range(d):
                         e = np.zeros(d)
                         e[j] = h
-                        hi = log_g_hat(lik, prior, sched, s, x + e).log_value
-                        lo = log_g_hat(lik, prior, sched, s, x - e).log_value
+                        hi = log_g_hat(lik, prior, sched, s, x + e)
+                        lo = log_g_hat(lik, prior, sched, s, x - e)
                         fd[j] = (hi - lo) / (2 * h)
                     np.testing.assert_allclose(grad, fd, atol=1e-5)
 
@@ -110,10 +111,11 @@ class TestLogGHat:
         sched = make_schedule("linear", 100)
         prior = GaussianPrior(mean=[0.5], cov=[[1e-12]])
         lik = LinearGaussianLikelihood(A=[[1.0]], y=[2.0], sigma_y=1.0)
-        vals = [log_g_hat(lik, prior, sched, 40, np.array([x])) for x in (-2.0, 0.0, 3.0)]
-        assert max(v.log_value for v in vals) - min(v.log_value for v in vals) < 1e-8
-        for v in vals:
-            np.testing.assert_allclose(v.gradient, [0.0], atol=1e-8)
+        xs = [np.array([x]) for x in (-2.0, 0.0, 3.0)]
+        vals = [log_g_hat(lik, prior, sched, 40, x) for x in xs]
+        assert max(vals) - min(vals) < 1e-8
+        for x in xs:
+            np.testing.assert_allclose(grad_log_g_hat(lik, prior, sched, 40, x), [0.0], atol=1e-8)
 
     def test_rejects_s_zero(self):
         sched = make_schedule("linear", 10)
@@ -121,6 +123,8 @@ class TestLogGHat:
         lik = LinearGaussianLikelihood(A=[[1.0]], y=[0.0], sigma_y=1.0)
         with pytest.raises(ValueError):
             log_g_hat(lik, prior, sched, 0, np.zeros(1))
+        with pytest.raises(ValueError):
+            grad_log_g_hat(lik, prior, sched, 0, np.zeros(1))
 
 
 def _hermite(n):
@@ -241,4 +245,4 @@ class TestPotentialIdentities:
                 x = rng.standard_normal(2) * 2.0
                 resid = lik.y - (a_hat @ x + offset)
                 expected = -0.5 * (resid @ resid / lik.sigma_y**2 + np.log(2 * np.pi * lik.sigma_y**2))
-                np.testing.assert_allclose(log_g_hat(lik, prior, sched, s, x).log_value, expected, atol=1e-10)
+                np.testing.assert_allclose(log_g_hat(lik, prior, sched, s, x), expected, atol=1e-10)

@@ -437,6 +437,80 @@ class TestGmmComponentPass:
         assert peak < 25 * 96 * 80 * 8
 
 
+def unclamped_normalize_exp(logs):
+    """``_normalize_exp`` without the clamp before its exp: the reference for the weights."""
+    w = np.exp(logs - logs.max(axis=0, keepdims=True))
+    w[w < 1e-200] = 0.0
+    return w / w.sum(axis=0, keepdims=True)
+
+
+class TestNormalizeExp:
+    def test_far_logits_match_unclamped_formula_without_underflow(self):
+        """Logit gaps near 1e4 (far components), gaps around the 1e-200 cut (-460.5), the -500
+        clamp and the subnormal range, and -inf entries (zero-weight components): the clamped
+        weights equal the unclamped ones bit for bit, and no exp underflows on the way."""
+        rng = np.random.default_rng(5)
+        logs = -1e4 * rng.uniform(0.0, 1.0, (25, 96))
+        logs[:, :48] = rng.uniform(-800.0, 0.0, (25, 48))
+        logs[0, :48] = 0.0
+        logs[3, :6] = [-460.0, -460.6, -499.9, -500.0, -500.1, -745.0]
+        logs[rng.random(logs.shape) < 0.2] = -np.inf
+        logs[1] = rng.uniform(-1.0, 3.0, 96)  # every column keeps a finite maximum
+        want = unclamped_normalize_exp(logs)
+        with np.errstate(under="raise"):
+            got = priors._normalize_exp(logs)
+        np.testing.assert_array_equal(got, want)
+        assert np.all(got[np.isneginf(logs)] == 0.0) and np.all(got[logs - logs.max(axis=0) < -460.6] == 0.0)
+
+    def test_nan_column_stays_nan(self):
+        logs = np.array([[0.0, np.nan], [-1e4, 1.0]])
+        got = priors._normalize_exp(logs)
+        np.testing.assert_array_equal(got, unclamped_normalize_exp(logs))
+        assert np.all(np.isnan(got[:, 1])) and not np.any(np.isnan(got[:, 0]))
+
+
+class TestIdentityBasis:
+    """A shared eigenbasis equal to I is skipped: points enter and leave it unchanged."""
+
+    def test_identity_basis_is_kept_only_when_it_is_exactly_i(self):
+        assert mcgdiff_grid_gmm()._basis is None
+        isotropic = GmmPrior(weights=[0.4, 0.6], means=[[0.0, 1.0], [1.0, 0.0]], covs=[np.eye(2) * 0.3, np.eye(2)])
+        assert isotropic._basis is None
+        assert GmmPrior(weights=[1.0], means=[[0.0, 0.0, 0.0]], covs=[np.diag([0.5, 1.0, 2.0])])._basis is None
+        permuted = GmmPrior(weights=[1.0], means=[[0.0, 0.0]], covs=[np.diag([2.0, 1.0])])
+        np.testing.assert_array_equal(permuted._basis, [[0.0, 1.0], [1.0, 0.0]])
+        separate = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]],
+                            covs=[[[0.3, 0.1], [0.1, 0.4]], [[0.5, 0.0], [0.0, 0.2]]])
+        assert len(separate._eigvecs) == 2 and separate._basis.shape == (2, 4)
+
+    @pytest.mark.parametrize("d", [2, 80])
+    def test_bit_equal_to_an_explicit_identity_basis(self, d):
+        sched = make_schedule("linear", 1000)
+        prior, forced = mcgdiff_grid_gmm(d), mcgdiff_grid_gmm(d)
+        object.__setattr__(forced, "_basis", np.eye(d))
+        rng = np.random.default_rng(d)
+        for t in (1, 10, 300, 1000):
+            x = np.vstack([sched.forward_sample(prior.sample(24, rng), 0, t, rng), rng.uniform(-60.0, 60.0, (4, d))])
+            u = rng.standard_normal(x.shape)
+            a, b = prior.denoise(sched, t, x), forced.denoise(sched, t, x)
+            np.testing.assert_array_equal(a.value, b.value)
+            np.testing.assert_array_equal(a.vjp(u), b.vjp(u))
+            np.testing.assert_array_equal(prior.score(sched, t, x), forced.score(sched, t, x))
+        np.testing.assert_array_equal(prior.log_density(x), forced.log_density(x))
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
+    def test_vjp_unchanged_after_the_points_are_overwritten(self, shape):
+        sched = make_schedule("linear", 1000)
+        prior = mcgdiff_grid_gmm(2)
+        rng = np.random.default_rng(9)
+        x = 6.0 * rng.standard_normal(shape)
+        u = rng.standard_normal(shape)
+        out = prior.denoise(sched, 300, x)
+        want = out.vjp(u)
+        x[...] = 123.0
+        np.testing.assert_array_equal(out.vjp(u), want)
+
+
 class TestScore:
     def test_matches_analytic_marginal_score(self):
         sched = make_schedule("linear", 500)

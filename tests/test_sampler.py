@@ -229,7 +229,7 @@ class TestQuadratureInvariants:
         gain = sched.alpha_ratio(s, t) * p_s.cov[0, 0] / p_t.cov[0, 0]
         const, var = p_s.mean[0] - gain * p_t.mean[0], p_s.cov[0, 0] * (1.0 - gain * sched.alpha_ratio(s, t))
         xs_pts = grids[1].points
-        log_pot_s = log_g_hat(lik, prior, sched, s, xs_pts[:, None]).log_value
+        log_pot_s = log_g_hat(lik, prior, sched, s, xs_pts[:, None])
         w_s = grids[1].weights
         log_ghat_ts = np.empty(pts_t.size)
         for k, x_t in enumerate(pts_t):

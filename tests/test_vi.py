@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mgdm.likelihoods import LinearGaussianLikelihood, linearized_potential, log_g_hat, quadratic_toy
-from mgdm.priors import GaussianPrior
+from mgdm.likelihoods import LinearGaussianLikelihood, grad_log_g_hat, linearized_potential, log_g_hat, quadratic_toy
+from mgdm.priors import DenoiserOutput, GaussianPrior, GmmPrior
 from mgdm.schedule import make_schedule, gauss_log_density
 from mgdm.vi import (
+    VariationalParams,
     ViConfig,
     conditional_coefficients,
     exact_conditional,
@@ -57,13 +58,13 @@ def reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, params, n_nodes=257):
     nodes, weights = nodes[keep], weights[keep]
 
     # log Z under the bridge measure.
-    log_pot = log_g_hat(lik, prior, sched, s, (m_b + math.sqrt(p.variance) * nodes)[:, None]).log_value
+    log_pot = log_g_hat(lik, prior, sched, s, (m_b + math.sqrt(p.variance) * nodes)[:, None])
     log_z = logsumexp(np.log(weights) + log_pot)
 
     # E_lambda[log lambda - log ghat - log bridge].
     xs = (float(params.mu[0]) + float(np.exp(0.5 * params.rho[0])) * nodes)[:, None]
     log_lam = gauss_log_density(xs, params.mu, np.exp(params.rho))
-    log_pot_lam = log_g_hat(lik, prior, sched, s, xs).log_value
+    log_pot_lam = log_g_hat(lik, prior, sched, s, xs)
     log_bridge = gauss_log_density(xs, np.atleast_1d(m_b), p.variance)
     return float(np.sum(weights * (log_lam - log_pot_lam - log_bridge))) + float(log_z)
 
@@ -198,6 +199,8 @@ class TestGradientEstimator:
 
 
 class TestPotentialValueOnDemand:
+    """Each caller evaluates only the part of the guidance potential it reads."""
+
     def test_fit_never_evaluates_the_potential_value(self, monkeypatch):
         lik, prior, sched = problem_1d()
         calls = []
@@ -206,10 +209,38 @@ class TestPotentialValueOnDemand:
         fit_variational(lik, prior, sched, 50, 300, np.array([0.2]), np.array([0.1]), ViConfig(steps=7),
                         np.random.default_rng(0))
         assert calls == []
-        pot = log_g_hat(lik, prior, sched, 50, np.array([[0.3], [-0.4]]))
-        want = original(lik, prior.denoise(sched, 50, np.array([[0.3], [-0.4]])).value)
-        np.testing.assert_array_equal(pot.log_value, want)
-        assert pot.log_value is pot.log_value and calls == [1]
+        x = np.array([[0.3], [-0.4]])
+        den = prior.denoise(sched, 50, x)
+        np.testing.assert_array_equal(log_g_hat(lik, prior, sched, 50, x), original(lik, den.value))
+        assert calls == [1]
+        np.testing.assert_array_equal(grad_log_g_hat(lik, prior, sched, 50, x), den.vjp(lik.grad_log_g0(den.value)))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("prior_cls", [GaussianPrior, GmmPrior])
+    def test_mh_applies_no_vjp(self, monkeypatch, prior_cls):
+        """MH reads only the potential's value, so no denoiser VJP runs in mh_correct."""
+        sched = make_schedule("linear", 1000)
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.3)
+        if prior_cls is GaussianPrior:
+            prior = GaussianPrior(mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.7]])
+        else:
+            prior = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]], covs=[np.eye(2) * 0.3, np.eye(2)])
+        denoises, vjps = [], []
+        original = prior_cls.denoise
+
+        def counting_denoise(self, schedule, t, x_t):
+            den = original(self, schedule, t, x_t)
+            denoises.append(1)
+            return DenoiserOutput(value=den.value, vjp=lambda u: vjps.append(1) or den.vjp(u))
+
+        monkeypatch.setattr(prior_cls, "denoise", counting_denoise)
+        rng = np.random.default_rng(3)
+        x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
+        params = fit_variational(lik, prior, sched, 100, 500, x0, xt, ViConfig(steps=4), rng)
+        assert len(vjps) == len(denoises) == 4
+        batch = VariationalParams(mu=np.tile(params.mu, (8, 1)), rho=np.tile(params.rho, (8, 1)))
+        mh_correct(lik, prior, sched, 100, 500, x0, xt, batch.sample(rng), batch, 3, rng)
+        assert len(denoises) == 4 + 4 and len(vjps) == 4
 
 
 class TestFit:
@@ -316,7 +347,7 @@ def quadrature_conditional_moments(lik, prior, sched, s, t, x0, xt, n_nodes=401)
     m_b = p.mean_coeff_x0 * x0[0] + p.mean_coeff_xt * xt[0]
     nodes, weights = _hermite(n_nodes)
     xs = (m_b + math.sqrt(p.variance) * nodes)[:, None]
-    logpot = log_g_hat(lik, prior, sched, s, xs).log_value
+    logpot = log_g_hat(lik, prior, sched, s, xs)
     w = weights * np.exp(logpot - logpot.max())
     w /= w.sum()
     mean = float(np.sum(w * xs[:, 0]))
@@ -512,7 +543,7 @@ class TestMhCorrection:
         diffs = []
         for _ in range(50):
             x = params.sample(rng)
-            log_t = log_g_hat(lik, prior, sched, s, x).log_value + gauss_log_density(x, m_b, p.variance)
+            log_t = log_g_hat(lik, prior, sched, s, x) + gauss_log_density(x, m_b, p.variance)
             log_p = gauss_log_density(x, params.mu, np.exp(params.rho))
             diffs.append(log_t - log_p)
         assert np.max(diffs) - np.min(diffs) < 1e-10
@@ -545,7 +576,7 @@ class TestMhCorrection:
         p = sched.bridge_params(s, t)
         m_b = p.mean_coeff_x0 * x0[0] + p.mean_coeff_xt * xt[0]
         grid = np.linspace(m_b - 9 * math.sqrt(p.variance), m_b + 9 * math.sqrt(p.variance), 4001)
-        logd = log_g_hat(lik, prior, sched, s, grid[:, None]).log_value + gauss_log_density(
+        logd = log_g_hat(lik, prior, sched, s, grid[:, None]) + gauss_log_density(
             grid[:, None], np.array([m_b]), p.variance
         )
         dens = np.exp(logd - logd.max())
