@@ -23,15 +23,22 @@ from . import harness
 log = logging.getLogger("mgdm")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on a config error; argparse's own 2 is the runtime-failure code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
     parser.add_argument("--config", required=config_required, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config's master seed")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent runs (default 1)")
     parser.add_argument("--out", default="out", help="output directory (default ./out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mgdm", description="Guided-diffusion posterior sampling harness")
+    parser = _Parser(prog="mgdm", description="Guided-diffusion posterior sampling harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute n_runs seeded sampler runs")
@@ -50,11 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--measure-vi-error",
         action="store_true",
-        help="allow an approximate backend and report its discrepancy without pass/fail",
+        help="allow an approximate backend; report the whole chain's discrepancy (VI and DDPM), no pass/fail",
     )
 
     p_smoke = sub.add_parser("smoke", help="run the built-in 1-D smoke configuration")
     _add_common(p_smoke, config_required=False)
+    for p in (p_run, p_sweep, p_smoke):
+        p.add_argument("--jobs", type=int, default=1, help="concurrent runs (default 1)")
     return parser
 
 

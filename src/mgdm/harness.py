@@ -415,7 +415,9 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
     take their standard errors from the oracle covariance in closed form.
     Requires the exact backend (the oracle does not model the VI
     conditional); pass ``measure_vi_error`` to run the VI backend anyway
-    and report its discrepancy without a pass/fail verdict.
+    and report, without a pass/fail verdict, the discrepancy of the whole
+    approximate chain: the oracle models the exact x_0 draw, so a DDPM
+    denoise adds its error to that of VI.
     """
     experiment = ExperimentConfig.from_dict(config)
     mcfg = _replay_config(experiment)

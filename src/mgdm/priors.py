@@ -4,9 +4,9 @@ Both families admit closed forms for everything the sampler and its
 oracles need: the denoiser m_t(x) = E[X_0 | X_t = x] and its
 vector-Jacobian product, the score of the smoothed marginal
 p_t = N(alpha_t m, alpha_t^2 Sigma + v_t I) (convolution of the prior with
-the forward kernel, v_t = sigma2_{t|0}), exact backward transitions
-p_{s|t}, and the conjugate Bayesian posterior for linear-Gaussian
-observations.
+the forward kernel, v_t = sigma2_{t|0}), the exact draw of x_0 given x_t
+for a Gaussian prior, and the conjugate Bayesian posterior for
+linear-Gaussian observations.
 
 Each covariance is eigendecomposed once, at construction, as
 Sigma = Q diag(lam) Q^T.  The smoothed covariance at any level then shares
@@ -63,22 +63,6 @@ def _normalize_exp(logs: np.ndarray) -> np.ndarray:
     w = np.exp(np.maximum(logs - logs.max(axis=0, keepdims=True), -500.0))
     w[w < 1e-200] = 0.0
     return w / w.sum(axis=0, keepdims=True)
-
-
-def _backward_scalings(schedule: NoiseSchedule, s: int, t: int, lam: np.ndarray, mean_coords: np.ndarray):
-    """(gain, shift, sd) with p_{s|t} = N(Q diag(gain) Q^T x_t + Q shift, Q diag(sd^2) Q^T)
-    for a prior N(m, Q diag(lam) Q^T).
-
-    With S_u = alpha_u^2 lam + v_u: gain = (alpha_t / alpha_s) S_s / S_t,
-    shift = (alpha_s - gain alpha_t) Q^T m and sd^2 = S_s sigma2_{t|s} / S_t.
-    """
-    if not 0 <= s < t:
-        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
-    a_s, a_t = schedule.alpha(s), schedule.alpha(t)
-    var_s = (a_s * a_s) * lam + schedule.sigma2(0, s)
-    var_t = (a_t * a_t) * lam + schedule.sigma2(0, t)
-    gain = (a_t / a_s) * var_s / var_t
-    return gain, (a_s - gain * a_t) * mean_coords, np.sqrt(var_s * schedule.sigma2(s, t) / var_t)
 
 
 @dataclass(frozen=True)
@@ -181,16 +165,16 @@ class GaussianPrior:
         x_t = np.asarray(x_t, dtype=np.float64)
         return DenoiserOutput(value=x_t @ jac.T + bias, vjp=lambda u: np.asarray(u, dtype=np.float64) @ jac)
 
-    # -- exact backward transition p_{s|t} ------------------------------------
+    # -- exact backward draw x_0 | x_t ----------------------------------------
 
-    def backward_sample(
-        self, schedule: NoiseSchedule, s: int, t: int, x_t: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Exact draw from p_{s|t}: gain and noise root Q diag(sd) from diagonal scalings in Q."""
-        gain, shift, sd = _backward_scalings(schedule, s, t, self._eigvals, self.mean @ self._eigvecs)
-        mean = np.asarray(x_t, dtype=np.float64) @ self._spectral(gain)
-        mean += np.tile(self._eigvecs @ shift, mean.shape[:-1] + (1,))  # a broadcast (d,) add loops over d
-        return mean + rng.standard_normal(mean.shape) @ (sd[:, None] * self._eigvecs.T)
+    def backward_sample(self, schedule: NoiseSchedule, t: int, x_t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Exact draw from p(x_0 | x_t) = N(m_t(x_t), Sigma_{0|t}): mean x_t J_t + b_t from the memoized
+        ``denoiser_affine`` (J_t is symmetric), noise root Q diag(sqrt(v_t lam / S_t))."""
+        jac, bias = self.denoiser_affine(schedule, t)
+        _, v, var = self._smoothed_eigvals(schedule, t)
+        mean = np.asarray(x_t, dtype=np.float64) @ jac
+        mean += np.tile(bias, mean.shape[:-1] + (1,))  # a broadcast (d,) add loops over d
+        return mean + rng.standard_normal(mean.shape) @ (np.sqrt(self._eigvals * v / var)[:, None] * self._eigvecs.T)
 
     def log_density(self, x: np.ndarray):
         """log N(x; m, Sigma) for x of shape (..., d)."""

@@ -17,7 +17,7 @@ so many independent chains run vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,24 +37,6 @@ def _check_finite(i: int, t: int, s: int, *states: np.ndarray) -> None:
     for x in states:
         if not np.isfinite(x).all():
             raise NonFiniteStateError(f"non-finite state at outer step i={i} (t={t}, s={s})")
-
-
-@dataclass(frozen=True)
-class GibbsState:
-    """Current (x_0, x_s, x_t) block at levels 1 <= s < t <= T.
-
-    Arrays share a trailing dimension d and may carry leading batch axes.
-    """
-
-    x0: np.ndarray
-    xs: np.ndarray
-    xt: np.ndarray
-    s: int
-    t: int
-
-    def __post_init__(self):
-        if not 1 <= self.s < self.t:
-            raise ValueError(f"need 1 <= s < t, got s={self.s}, t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -261,43 +243,39 @@ def ddpm_denoise(
     return prior.denoise(schedule, grid[1], x).value
 
 
-def _draw_conditional(state: GibbsState, likelihood, prior, schedule, config, vi_config, rng):
-    s, t = state.s, state.t
-    if config.conditional == "exact":
-        return vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, t, state.x0, state.xt, rng)
-    if vi_config is None:
-        raise ValueError(f"the {config.conditional!r} conditional backend needs vi_config")
-    params = vi_mod.fit_variational(likelihood, prior, schedule, s, t, state.x0, state.xt, vi_config, rng)
-    draw = params.sample(rng)
-    if config.conditional == "vi-mh":
-        draw = vi_mod.mh_correct(
-            likelihood, prior, schedule, s, t, state.x0, state.xt, draw, params, config.mh_steps, rng
-        )
-    return draw
-
-
 def gibbs_step(
-    state: GibbsState,
+    x0: np.ndarray,
+    xt: np.ndarray,
+    s: int,
+    t: int,
     likelihood,
     prior,
     schedule: NoiseSchedule,
     config: MgdmConfig,
     rng: np.random.Generator,
     vi_config: ViConfig | None = None,
-) -> GibbsState:
-    """One deterministic-scan sweep of the three conditionals.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One deterministic-scan sweep of the three conditionals at levels s < t: (x0, xs, xt).
 
-    Leaves (s, t) unchanged.  ``vi_config`` is the VI fit's settings at
-    this outer step, as ``mgdm_run`` resolves them from ``config.vi``; the
-    VI backends need it and the exact backend ignores it.
+    ``vi_config`` is the VI fit's settings at this outer step, as
+    ``mgdm_run`` resolves them from ``config.vi``; the VI backends need it
+    and the exact backend ignores it.
     """
-    xs = _draw_conditional(state, likelihood, prior, schedule, config, vi_config, rng)
-    xt = schedule.forward_sample(xs, state.s, state.t, rng)
-    if config.denoise == "exact":
-        x0 = prior.backward_sample(schedule, 0, state.s, xs, rng)
+    if config.conditional == "exact":
+        xs = vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, t, x0, xt, rng)
+    elif vi_config is None:
+        raise ValueError(f"the {config.conditional!r} conditional backend needs vi_config")
     else:
-        x0 = ddpm_denoise(prior, schedule, xs, state.s, config.M, rng)
-    return replace(state, x0=x0, xs=xs, xt=xt)
+        params = vi_mod.fit_variational(likelihood, prior, schedule, s, t, x0, xt, vi_config, rng)
+        xs = params.sample(rng)
+        if config.conditional == "vi-mh":
+            xs = vi_mod.mh_correct(likelihood, prior, schedule, s, t, x0, xt, xs, params, config.mh_steps, rng)
+    xt = schedule.forward_sample(xs, s, t, rng)
+    if config.denoise == "exact":
+        x0 = prior.backward_sample(schedule, s, xs, rng)
+    else:
+        x0 = ddpm_denoise(prior, schedule, xs, s, config.M, rng)
+    return x0, xs, xt
 
 
 def _mgdm_core(
@@ -312,27 +290,22 @@ def _mgdm_core(
     ts = config.timesteps
     K = config.K
 
-    x_tk = rng.standard_normal(shape)
-    x0_star = prior.denoise(schedule, ts[-1], x_tk).value
-    x_prev = x_tk  # the x_t state carried from the previous outer step
+    xt = rng.standard_normal(shape)
+    x0 = prior.denoise(schedule, ts[-1], xt).value  # the running time-0 state
 
     for i in range(K, 1, -1):
         t_i = ts[i - 1]
-        t_prev_grid = ts[i - 2]
-        s = sample_index(config.index_dist, i, t_i, t_prev_grid, K, rng)
-        x0 = x0_star
+        s = sample_index(config.index_dist, i, t_i, ts[i - 2], K, rng)
         if i == K:
-            xt = x_tk
             _check_finite(i, t_i, s, x0)
         else:
-            xt = schedule.bridge_sample(x0_star, x_prev, t_i, ts[i], rng)
-        state = GibbsState(x0=x0, xs=np.zeros(shape), xt=xt, s=s, t=t_i)
+            xt = schedule.bridge_sample(x0, xt, t_i, ts[i], rng)
         vi_config = config.vi.resolve(i, K)
         for _ in range(config.R):
-            state = gibbs_step(state, likelihood, prior, schedule, config, rng, vi_config=vi_config)
-            _check_finite(i, t_i, s, state.x0, state.xt)
-        x0_star = state.x0
-        x_prev = state.xt
+            # xs is held until the next sweep returns: freed before it, glibc trims the heap top and
+            # re-faults those pages on each sweep (2.7x the page faults of 10^4-chain exact runs).
+            x0, xs, xt = gibbs_step(x0, xt, s, t_i, likelihood, prior, schedule, config, rng, vi_config=vi_config)
+            _check_finite(i, t_i, s, x0, xt)
 
     if config.final == "denoise":
         # Denoiser-valued last step: draw x_s from the g0-reweighted
@@ -340,11 +313,11 @@ def _mgdm_core(
         from .oracle import build_final_kernels
 
         fk = build_final_kernels(prior, likelihood, schedule, s=config.final_s, t=ts[1])
-        mean = x_prev @ fk.H_under.T + fk.h_under
+        mean = xt @ fk.H_under.T + fk.h_under
         x_s = mean + rng.standard_normal(shape) @ np.linalg.cholesky(fk.L_under).T
-        x0_star = prior.denoise(schedule, config.final_s, x_s).value
-        _check_finite(1, ts[1], config.final_s, x0_star)
-    return x0_star
+        x0 = prior.denoise(schedule, config.final_s, x_s).value
+        _check_finite(1, ts[1], config.final_s, x0)
+    return x0
 
 
 def mgdm_run(
@@ -391,8 +364,6 @@ def dps_run(
 
     zeta = 0 reduces to unconditional DDPM sampling from the prior.
     """
-    from .likelihoods import grad_log_g_hat
-
     if zeta < 0.0:
         raise ValueError("zeta must be >= 0")
     ts = make_timesteps(K, schedule.T)
@@ -400,11 +371,11 @@ def dps_run(
     x = rng.standard_normal(shape)
     for j in range(len(ts) - 1, 0, -1):
         t, s = ts[j], ts[j - 1]
-        x0_hat = prior.denoise(schedule, t, x).value
+        den = prior.denoise(schedule, t, x)
         p = schedule.bridge_params(s, t)
-        mean = p.mean(x0_hat, x)
-        if zeta > 0.0:
-            mean += zeta * grad_log_g_hat(likelihood, prior, schedule, t, x)
+        mean = p.mean(den.value, x)
+        if zeta > 0.0:  # the VJP of grad log g0 through this one denoiser call is grad log ghat_t
+            mean += zeta * den.vjp(likelihood.grad_log_g0(den.value))
         x = mean + math.sqrt(p.variance) * rng.standard_normal(shape)
         _check_finite(j, t, s, x)
     x0 = prior.denoise(schedule, ts[0], x).value

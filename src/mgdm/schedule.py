@@ -12,6 +12,7 @@ is strictly decreasing with ``alpha_T > 0``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,18 +46,16 @@ class BridgeParams:
 class NoiseSchedule:
     """Discrete noise schedule alpha_0 .. alpha_T.
 
-    Immutable after construction apart from a memo of sub-step grids;
-    safe to share across threads.  All sampling methods take a
-    caller-owned ``numpy.random.Generator``.  The alpha_t are also kept as
-    Python floats, so every coefficient is a few float operations on
-    lookups.
+    Immutable after construction; safe to share across threads.  All
+    sampling methods take a caller-owned ``numpy.random.Generator``.  The
+    alpha_t are also kept as Python floats, so every coefficient is a few
+    float operations on lookups.
     """
 
     alphas: np.ndarray
     family: str = "custom"
     T: int = field(init=False)
     _alpha: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _grids: tuple = field(init=False, repr=False, compare=False)  # (M, {s: sub-step grid}) for the last M
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)
@@ -75,7 +74,6 @@ class NoiseSchedule:
         if np.any(np.diff(alphas) >= 0.0):
             raise ValueError("alpha_t must be strictly decreasing")
         object.__setattr__(self, "_alpha", tuple(alphas.tolist()))
-        object.__setattr__(self, "_grids", (0, {}))
 
     # -- scalar coefficients ------------------------------------------------
 
@@ -113,16 +111,9 @@ class NoiseSchedule:
         return BridgeParams(coeff_x0, coeff_xt, variance)
 
     def substep_grid(self, s: int, M: int) -> tuple[int, ...]:
-        """Distinct rounded levels of linspace(0, s, M + 1), memoized per level s for the last M."""
+        """Distinct rounded levels of linspace(0, s, M + 1), in increasing order."""
         self._check_time(s)
-        memo_m, grids = self._grids
-        if memo_m != M:
-            grids = {}
-            object.__setattr__(self, "_grids", (M, grids))
-        grid = grids.get(s)
-        if grid is None:
-            grid = grids[s] = tuple(int(v) for v in np.unique(np.round(np.linspace(0, s, M + 1)).astype(int)))
-        return grid
+        return _substep_grid(s, M)
 
     # -- sampling -----------------------------------------------------------
 
@@ -165,6 +156,13 @@ class NoiseSchedule:
         self._check_time(t)
         if s > t or (s == t and not allow_equal):
             raise ValueError(f"need s < t, got s={s}, t={t}" if not allow_equal else f"need s <= t, got s={s}, t={t}")
+
+
+@functools.lru_cache(maxsize=None)
+def _substep_grid(s: int, M: int) -> tuple[int, ...]:
+    """The levels round(j s / M), j = 0 .. M, without repeats: j (s / M) is numpy's linspace
+    value bit for bit, and Python's round, like numpy's, rounds half to even."""
+    return tuple(sorted({round(j * (s / M)) for j in range(M)} | {s}))
 
 
 def make_schedule(kind: str, T: int, alpha_end: float = 0.01) -> NoiseSchedule:

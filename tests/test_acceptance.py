@@ -18,7 +18,6 @@ from mgdm.moments import GaussianMoments
 from mgdm.oracle import QuadratureJoint, auto_grids, oracle_recursion
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior
 from mgdm.sampler import (
-    GibbsState,
     IndexDistribution,
     MgdmConfig,
     ViPhaseSchedule,
@@ -177,14 +176,13 @@ def test_criterion_04_gibbs_stationarity():
     cdf = np.cumsum(dens * joint.grids["xs"].weights)
     cdf /= cdf[-1]
     xs = np.interp(rng.random(n), cdf, pts)[:, None]
-    x0 = prior.backward_sample(sched, 0, s, xs, rng)
+    x0 = prior.backward_sample(sched, s, xs, rng)
     xt = sched.forward_sample(xs, s, t, rng)
 
     cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-    state = GibbsState(x0=x0, xs=xs, xt=xt, s=s, t=t)
-    out = gibbs_step(state, lik, prior, sched, cfg, rng)
+    out = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, rng)
 
-    for axis, arr in (("x0", out.x0[:, 0]), ("xs", out.xs[:, 0]), ("xt", out.xt[:, 0])):
+    for axis, arr in zip(("x0", "xs", "xt"), (a[:, 0] for a in out)):
         ref_mean, ref_var = joint.moments(axis)
         se_mean = arr.std(ddof=1) / math.sqrt(n)
         assert abs(arr.mean() - ref_mean) < 3 * se_mean, axis

@@ -13,7 +13,7 @@ import pytest
 
 import mgdm
 from mgdm import harness, priors
-from mgdm.cli import main
+from mgdm.cli import build_parser, main
 
 
 def compare_config(n_runs=2000, K=8, R=2, backend="exact"):
@@ -187,7 +187,45 @@ class TestCli:
     def test_run_requires_config(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["run", "--out", str(tmp_path)])
-        assert err.value.code != 0
+        assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--confg", "x.json"],
+            ["run", "--config", "x.json", "--bogus"],
+            ["oracle", "--config", "x.json", "--jobs", "2"],
+            ["compare", "--config", "x.json", "--jobs", "2"],
+            ["nosuchcommand"],
+            [],
+        ],
+        ids=["misspelt-flag", "unknown-flag", "oracle-jobs", "compare-jobs", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        """A usage error exits 1, like a config error: 2 is the runtime-failure code.  Only run,
+        sweep and smoke take --jobs."""
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "usage: mgdm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["compare", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        assert "usage: mgdm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "smoke"])
+    def test_jobs_is_read_by_the_commands_that_run_the_sampler(self, command):
+        args = build_parser().parse_args([command, "--config", "x.json", "--jobs", "3"])
+        assert args.jobs == 3
+
+    def test_usage_error_exit_code_of_the_process(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "mgdm.cli", "run", "--confg", "x.json"], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(Path(mgdm.__file__).parents[1])),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
 
     def test_run_with_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -16,7 +16,7 @@ from mgdm.oracle import (
     oracle_recursion,
 )
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior, spd_inverse
-from mgdm.sampler import GibbsState, IndexDistribution, MgdmConfig, gibbs_step, mgdm_run_batch
+from mgdm.sampler import IndexDistribution, MgdmConfig, gibbs_step, mgdm_run_batch
 from mgdm.schedule import gauss_log_density, make_schedule
 from mgdm.vi import conditional_coefficients
 
@@ -142,9 +142,8 @@ class TestBuildKernels:
         cov_in = np.array([[0.9, 0.2], [0.2, 1.3]])
         z = rng.standard_normal((n, 2)) @ np.linalg.cholesky(cov_in).T + mean_in
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-        state = GibbsState(x0=z[:, :1], xs=np.zeros((n, 1)), xt=z[:, 1:], s=tau, t=k)
-        out = gibbs_step(state, lik, prior, sched, cfg, rng)
-        zp = np.concatenate([out.x0, out.xt], axis=1)
+        x0, _, xt = gibbs_step(z[:, :1], z[:, 1:], tau, k, lik, prior, sched, cfg, rng)
+        zp = np.concatenate([x0, xt], axis=1)
         kern = kernel(prior, lik, sched, k=k, tau=tau)
 
         blocks = 50

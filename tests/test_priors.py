@@ -14,7 +14,6 @@ from mgdm.moments import GaussianMoments
 from mgdm.priors import (
     GaussianPrior,
     GmmPrior,
-    _backward_scalings,
     exact_posterior,
     prior_from_json,
     spd_inverse,
@@ -597,11 +596,11 @@ class TestBackwardSampling:
     def test_gaussian_moments_match_conjugate_formula(self):
         sched = make_schedule("linear", 200)
         prior = GaussianPrior(mean=[0.4, -0.1], cov=[[0.9, 0.25], [0.25, 0.6]])
-        s, t, n = 60, 140, 100_000
+        t, n = 140, 100_000
         x_t = np.array([0.7, -0.9])
         rng = np.random.default_rng(10)
-        draws = prior.backward_sample(sched, s, t, np.tile(x_t, (n, 1)), rng)
-        gain, const, var = cholesky_backward_moments(prior, sched, s, t)
+        draws = prior.backward_sample(sched, t, np.tile(x_t, (n, 1)), rng)
+        gain, const, var = cholesky_backward_moments(prior, sched, 0, t)
         target_mean = gain @ x_t + const
         se = np.sqrt(np.diag(var) / n)
         assert np.all(np.abs(draws.mean(axis=0) - target_mean) < 4 * se)
@@ -615,25 +614,10 @@ class TestBackwardSampling:
         n, t = 100_000, 100
         x0 = prior.sample(n, rng)
         x_t = sched.forward_sample(x0, 0, t, rng)
-        back = prior.backward_sample(sched, 0, t, x_t, rng)
+        back = prior.backward_sample(sched, t, x_t, rng)
         ref = prior.sample(n, np.random.default_rng(22))
         sw = sliced_wasserstein2(back, ref, n_projections=64, rng=np.random.default_rng(1))
         assert sw < 0.05
-
-    def test_backward_chapman_kolmogorov_1d(self):
-        """t->s->l composition matches t->l in distribution (KS < 0.01)."""
-        sched = make_schedule("linear", 100)
-        prior = GaussianPrior(mean=[0.2], cov=[[0.8]])
-        l, s, t, n = 10, 50, 90, 100_000
-        x_t = np.full((n, 1), 0.6)
-        rng = np.random.default_rng(30)
-        two_step = prior.backward_sample(sched, l, s, prior.backward_sample(sched, s, t, x_t, rng), rng)
-        one_step = prior.backward_sample(sched, l, t, x_t, np.random.default_rng(31))
-        a, b = np.sort(two_step[:, 0]), np.sort(one_step[:, 0])
-        grid = np.concatenate([a, b])
-        cdf_a = np.searchsorted(a, grid, side="right") / n
-        cdf_b = np.searchsorted(b, grid, side="right") / n
-        assert np.max(np.abs(cdf_a - cdf_b)) < 0.01
 
     def test_ddpm_kernel_mean_matches_exact_backward_mean(self):
         """The plugged bridge of the DDPM transition reproduces the exact
@@ -663,11 +647,11 @@ def cholesky_backward_moments(prior, sched, s, t):
     return gain, a_s * prior.mean - gain @ (a_t * prior.mean), 0.5 * (var + var.T)
 
 
-def eigen_backward_moments(prior, sched, s, t):
-    """(G, g, V) of p_{s|t} from the diagonal scalings in the prior's eigenbasis that backward_sample draws with."""
-    lam, q = np.linalg.eigh(prior.cov)
-    gain, shift, sd = _backward_scalings(sched, s, t, lam, prior.mean @ q)
-    return (q * gain) @ q.T, q @ shift, (q * (sd * sd)) @ q.T
+def eigen_backward_moments(prior, sched, t):
+    """(G, g, V) of p(x_0 | x_t) from the diagonal scalings in the prior's eigenbasis: the denoiser's
+    affine map, whose mean backward_sample draws around, and Sigma_{0|t}."""
+    jac, bias = prior.denoiser_affine(sched, t)
+    return jac.T, bias, prior.posterior_x0_cov(sched, t)
 
 
 def random_spd(d, rng):
@@ -682,9 +666,9 @@ def eigen_root(cov, var):
 
 
 class TestClosedFormBackward:
-    """Eigenbasis backward kernels against the Cholesky formula they replace."""
+    """Eigenbasis x_0 | x_t draws against the Cholesky formula they replace."""
 
-    LEVELS = ((0, 1), (0, 37), (0, 200), (12, 13), (25, 160), (150, 199))
+    TIMES = (1, 37, 200)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_moments_match_cholesky_formula(self, d):
@@ -692,26 +676,43 @@ class TestClosedFormBackward:
         rng = np.random.default_rng(d)
         for _ in range(3):
             prior = GaussianPrior(mean=rng.standard_normal(d), cov=random_spd(d, rng))
-            for s, t in self.LEVELS:
-                want = cholesky_backward_moments(prior, sched, s, t)
-                for got, ref in zip(eigen_backward_moments(prior, sched, s, t), want):
+            for t in self.TIMES:
+                want = cholesky_backward_moments(prior, sched, 0, t)
+                for got, ref in zip(eigen_backward_moments(prior, sched, t), want):
                     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_draw_is_mean_plus_eigen_root_noise(self, d):
-        """x_s = G x_t + g + Q sqrt(V) eps, with eps the generator's next standard normals."""
+        """x_0 = G x_t + g + Q sqrt(V) eps, with eps the generator's next standard normals."""
         sched = make_schedule("cosine", 200)
         rng = np.random.default_rng(10 + d)
         prior = GaussianPrior(mean=rng.standard_normal(d), cov=random_spd(d, rng))
         x_t = rng.standard_normal((30, d))
-        for s, t in self.LEVELS:
-            gain, const, var = cholesky_backward_moments(prior, sched, s, t)
+        for t in self.TIMES:
+            gain, const, var = cholesky_backward_moments(prior, sched, 0, t)
             eps = np.random.default_rng(5).standard_normal(x_t.shape)
             want = x_t @ gain.T + const + eps @ eigen_root(prior.cov, var).T
-            got = prior.backward_sample(sched, s, t, x_t, np.random.default_rng(5))
+            got = prior.backward_sample(sched, t, x_t, np.random.default_rng(5))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             root = eigen_root(prior.cov, var)
             np.testing.assert_allclose(root @ root.T, var, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_draw_is_denoiser_mean_plus_spectral_root_noise(self, d):
+        """x_0 = x_t J_t + b_t + eps root^T exactly, with (J_t, b_t) the memoized denoiser_affine,
+        root = Q diag(sqrt(v_t lam / S_t)) and eps the generator's next standard normals."""
+        sched = make_schedule("cosine", 200)
+        rng = np.random.default_rng(20 + d)
+        prior = GaussianPrior(mean=rng.standard_normal(d), cov=random_spd(d, rng))
+        lam, q = np.linalg.eigh(prior.cov)
+        x_t = rng.standard_normal((30, d))
+        for t in self.TIMES:
+            jac, bias = prior.denoiser_affine(sched, t)
+            a, v = sched.alpha(t), sched.sigma2(0, t)
+            root = q * np.sqrt(lam * v / ((a * a) * lam + v))
+            eps = np.random.default_rng(5).standard_normal(x_t.shape)
+            got = prior.backward_sample(sched, t, x_t, np.random.default_rng(5))
+            np.testing.assert_array_equal(got, x_t @ jac + bias + eps @ root.T)
 
 
 class TestExactPosterior:

@@ -8,7 +8,6 @@ from mgdm.metrics import sliced_wasserstein2
 from mgdm.oracle import QuadratureJoint, auto_grids
 from mgdm.priors import GaussianPrior, exact_posterior
 from mgdm.sampler import (
-    GibbsState,
     IndexDistribution,
     MgdmConfig,
     ViPhaseSchedule,
@@ -128,19 +127,6 @@ class TestDdpmDenoise:
                 want = np.unique(np.round(np.linspace(0, s, M + 1)).astype(int))
                 assert sched.substep_grid(s, M) == tuple(want.tolist()), (s, M)
 
-    def test_substep_grid_memo_is_read_only_bounded_and_per_schedule(self):
-        _, prior, sched = problem_1d()
-        other = make_schedule("linear", 50)
-        for _ in range(2):
-            for s in range(1, sched.T + 1):
-                ddpm_denoise(prior, sched, np.zeros(1), s, 7, np.random.default_rng(s))
-        memo_m, grids = sched._grids
-        assert memo_m == 7 and sorted(grids) == list(range(1, sched.T + 1))
-        assert all(isinstance(grid, tuple) for grid in grids.values())
-        assert other._grids == (0, {})
-        ddpm_denoise(prior, sched, np.zeros(1), 40, 3, np.random.default_rng(0))
-        assert sched._grids == (3, {40: sched.substep_grid(40, 3)})
-
 
 def exact_joint_draws(lik, prior, sched, s, t, n, rng):
     """Draws from pibar(x_0, x_s, x_t): inverse-CDF on the quadrature
@@ -150,7 +136,7 @@ def exact_joint_draws(lik, prior, sched, s, t, n, rng):
     cdf = np.cumsum(dens * joint.grids["xs"].weights)
     cdf /= cdf[-1]
     xs = np.interp(rng.random(n), cdf, pts)[:, None]
-    x0 = prior.backward_sample(sched, 0, s, xs, rng)
+    x0 = prior.backward_sample(sched, s, xs, rng)
     xt = sched.forward_sample(xs, s, t, rng)
     return x0, xs, xt, joint
 
@@ -159,19 +145,16 @@ class TestGibbsStep:
     def test_levels_unchanged_and_shapes(self):
         lik, prior, sched = problem_1d()
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-        state = GibbsState(x0=np.zeros(1), xs=np.zeros(1), xt=np.ones(1), s=100, t=600)
-        out = gibbs_step(state, lik, prior, sched, cfg, np.random.default_rng(0))
-        assert (out.s, out.t) == (100, 600)
-        assert out.x0.shape == out.xs.shape == out.xt.shape == (1,)
+        x0, xs, xt = gibbs_step(np.zeros(1), np.ones(1), 100, 600, lik, prior, sched, cfg, np.random.default_rng(0))
+        assert x0.shape == xs.shape == xt.shape == (1,)
 
     @pytest.mark.parametrize("backend", ["vi", "vi-mh"])
     def test_vi_backend_needs_resolved_vi_config(self, backend):
         """Only the outer loop maps the phase schedule to a ViConfig; a VI sweep without one is refused."""
         lik, prior, sched = problem_1d()
         cfg = MgdmConfig(timesteps=(100, 1000), conditional=backend, mh_steps=1)
-        state = GibbsState(x0=np.zeros(1), xs=np.zeros(1), xt=np.ones(1), s=100, t=600)
         with pytest.raises(ValueError, match=f"the '{backend}' conditional backend needs vi_config"):
-            gibbs_step(state, lik, prior, sched, cfg, np.random.default_rng(0))
+            gibbs_step(np.zeros(1), np.ones(1), 100, 600, lik, prior, sched, cfg, np.random.default_rng(0))
 
     def test_exact_sweep_preserves_quadrature_marginals(self):
         """One sweep from exact-joint draws keeps all three marginals
@@ -181,10 +164,9 @@ class TestGibbsStep:
         rng = np.random.default_rng(44)
         x0, xs, xt, joint = exact_joint_draws(lik, prior, sched, s, t, n, rng)
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-        state = GibbsState(x0=x0, xs=xs, xt=xt, s=s, t=t)
-        out = gibbs_step(state, lik, prior, sched, cfg, rng)
+        out = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, rng)
         u = (np.arange(n) + 0.5) / n
-        for axis, arr in (("x0", out.x0), ("xs", out.xs), ("xt", out.xt)):
+        for axis, arr in zip(("x0", "xs", "xt"), out):
             pts, dens = joint.marginal(axis)
             cdf = np.cumsum(dens * joint.grids[axis].weights)
             cdf /= cdf[-1]
@@ -201,13 +183,12 @@ class TestGibbsStep:
         xs = sched.forward_sample(x0, 0, s, rng)
         xt = sched.forward_sample(xs, s, t, rng)
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-        state = GibbsState(x0=x0, xs=xs, xt=xt, s=s, t=t)
-        out = gibbs_step(state, lik, prior, sched, cfg, rng)
+        _, _, xt = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, rng)
         p_t = smoothed(prior, sched, t)
         mean_t, cov_t = p_t.mean, p_t.cov
         se_mean = np.sqrt(cov_t[0, 0] / n)
-        assert abs(out.xt.mean() - mean_t[0]) < 4 * se_mean
-        assert abs(out.xt.var() / cov_t[0, 0] - 1.0) < 0.02
+        assert abs(xt.mean() - mean_t[0]) < 4 * se_mean
+        assert abs(xt.var() / cov_t[0, 0] - 1.0) < 0.02
 
 
 class TestQuadratureInvariants:
@@ -333,9 +314,9 @@ class TestMgdmRun:
         levels = []
         sweep = sampler_mod.gibbs_step
 
-        def recording(state, *args, **kwargs):
-            levels.append((state.s, state.t))
-            return sweep(state, *args, **kwargs)
+        def recording(x0, xt, s, t, *args, **kwargs):
+            levels.append((s, t))
+            return sweep(x0, xt, s, t, *args, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "gibbs_step", recording)
         mgdm_run(lik, prior, sched, cfg, np.random.default_rng(5))
@@ -406,6 +387,21 @@ class TestDpsRun:
         a = dps_run(lik, prior, sched, K=20, zeta=0.5, rng=np.random.default_rng(7))
         b = dps_run(lik, prior, sched, K=20, zeta=0.5, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+    def test_one_denoiser_call_per_step(self, monkeypatch):
+        """Each guided step takes its guidance from the VJP of its own denoiser call: K = 20 makes
+        19 guided steps and one final denoise, 20 calls in all."""
+        lik, prior, sched = problem_1d()
+        levels = []
+        denoise = GaussianPrior.denoise
+
+        def counting(self, schedule, t, x_t):
+            levels.append(t)
+            return denoise(self, schedule, t, x_t)
+
+        monkeypatch.setattr(GaussianPrior, "denoise", counting)
+        dps_run(lik, prior, sched, K=20, zeta=0.5, rng=np.random.default_rng(7))
+        assert levels == list(make_timesteps(20, sched.T)[::-1])
 
     def test_posterior_mean_bias_comparison(self):
         """Comparative report: DPS bias vs exact-backend MGDM bias at
