@@ -31,6 +31,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _jobs(text: str) -> int:
+    if not text.lstrip("-").isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"N must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
     parser.add_argument("--config", required=config_required, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config's master seed")
@@ -63,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_smoke = sub.add_parser("smoke", help="run the built-in 1-D smoke configuration")
     _add_common(p_smoke, config_required=False)
     for p in (p_run, p_sweep, p_smoke):
-        p.add_argument("--jobs", type=int, default=1, help="concurrent runs (default 1)")
+        p.add_argument("--jobs", type=_jobs, default=1, metavar="N", help="concurrent runs, N >= 1 (default 1)")
     return parser
 
 

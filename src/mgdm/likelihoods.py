@@ -5,8 +5,8 @@ potential at noise level s plugs the denoiser into it:
 
     log ghat_s(x_s) = log g(y | m_s(x_s)),
 
-with analytic gradient Jac(m_s)^T grad log g evaluated at m_s(x_s), taken
-as the denoiser's vector-Jacobian product (no Jacobian is formed).
+with analytic gradient Jac(m_s)^T grad log g at m_s(x_s), the denoiser's vector-Jacobian product (no
+Jacobian is formed), or a closed form where the potential is Gaussian (see ``level_factorization``).
 """
 
 from __future__ import annotations
@@ -142,8 +142,11 @@ def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarra
 
 
 def grad_log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray) -> np.ndarray:
-    """Gradient Jac(m_s)^T grad log g0(m_s(x_s)) of log ghat_s, the denoiser's VJP applied to
-    grad log g0, with no log_g0 evaluation; the denoiser rejects s = 0 (use grad_log_g0)."""
+    """Gradient Jac(m_s)^T grad log g0(m_s(x_s)) of log ghat_s, no log_g0: q_s - x_s P_s of ``level_factorization``
+    for a Gaussian prior and linear-Gaussian likelihood, else the denoiser's VJP; s = 0 is rejected: use grad_log_g0."""
+    if isinstance(prior, GaussianPrior) and isinstance(likelihood, LinearGaussianLikelihood):
+        *_, prec, shift = level_factorization(likelihood, prior, schedule, s)
+        return shift - x_s @ prec
     den = prior.denoise(schedule, s, x_s)
     return den.vjp(likelihood.grad_log_g0(den.value))
 
@@ -166,3 +169,22 @@ def linearized_potential(likelihood, prior, schedule: NoiseSchedule, s: int):
     require_linear_gaussian(likelihood, prior, "linearized_potential")
     jac, bias = prior.denoiser_affine(schedule, s)
     return likelihood.A @ jac, likelihood.A @ bias
+
+
+def level_factorization(likelihood, prior, schedule: NoiseSchedule, s: int):
+    """(W, mu, h, P_s, q_s) of the Gaussian potential ghat_s(x) propto exp(q_s . x - x P_s x / 2), with
+    P_s = A_hat_s^T A_hat_s / sigma_y^2 = W diag(mu) W^T, q_s = (y - a_s) A_hat_s / sigma_y^2 and h = W^T q_s:
+    one read-only entry per level in the prior's ``_conditionals`` memo for the last (schedule, likelihood)
+    pair, shared by the exact conditional and the closed-form guidance gradient."""
+    levels = prior.level_memo("_conditionals", schedule, likelihood)
+    entry = levels.get(s)
+    if entry is None:
+        a_hat, offset = linearized_potential(likelihood, prior, schedule, s)
+        s2 = likelihood.sigma_y**2
+        prec, resid = a_hat.T @ a_hat / s2, (likelihood.y - offset) @ a_hat
+        mu, w = np.linalg.eigh(prec)
+        entry = (w, np.clip(mu, 0.0, None), resid @ w / s2, prec, resid / s2)
+        for arr in entry:
+            arr.flags.writeable = False
+        levels[s] = entry
+    return entry

@@ -69,11 +69,11 @@ def _normalize_exp(logs: np.ndarray) -> np.ndarray:
 class GaussianPrior:
     """Gaussian prior N(mean, cov) with SPD covariance.
 
-    ``denoiser_affine`` keeps (J_t, b_t) per level for the last schedule
-    it was called with, and the exact conditional keeps its factorization
-    per level for the last (schedule, likelihood) pair: each memo holds at
-    most T + 1 read-only entries and is dropped when a different schedule
-    or likelihood comes in (see ``level_memo``).
+    ``denoiser_affine`` keeps (J_t, b_t) per level for the last schedule it was called
+    with, and ``likelihoods.level_factorization`` keeps the guidance potential's factorization
+    per level, which the exact conditional and the closed-form VI gradient share, for the last
+    (schedule, likelihood) pair: each memo holds at most T + 1 read-only entries and is
+    dropped when a different schedule or likelihood comes in (see ``level_memo``).
     """
 
     mean: np.ndarray

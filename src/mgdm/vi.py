@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .likelihoods import grad_log_g_hat, linearized_potential, log_g_hat, require_linear_gaussian
+from .likelihoods import grad_log_g_hat, level_factorization, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
 from .schedule import NoiseSchedule, gauss_log_density
 
@@ -148,24 +148,11 @@ def fit_variational(
 
 
 def _exact_factors(likelihood, prior, schedule: NoiseSchedule, s: int, t: int):
-    """(bridge params, W, ell, h) with Lambda = W diag(ell) W^T and e = W (ell * h).
-
-    W diag(mu) W^T = A_hat_s^T A_hat_s / sigma_y^2 and h = W^T A_hat_s^T (y - a_s) / sigma_y^2
-    are factorized once per level s and memoized, read-only, on the prior
-    for the last (schedule, likelihood) pair; only ell = 1 / (1 / bridge_var + mu)
-    depends on t.
-    """
+    """(bridge params, W, ell, h) with Lambda = W diag(ell) W^T and e = W (ell * h), from the level's
+    ``level_factorization``; only ell = 1 / (1 / bridge_var + mu) depends on t."""
     _check_pair(s, t)
     require_linear_gaussian(likelihood, prior, "exact conditional")
-    levels = prior.level_memo("_conditionals", schedule, likelihood)
-    if s not in levels:
-        a_hat, offset = linearized_potential(likelihood, prior, schedule, s)
-        s2 = likelihood.sigma_y**2
-        mu, w = np.linalg.eigh(a_hat.T @ a_hat / s2)
-        levels[s] = (w, np.clip(mu, 0.0, None), (likelihood.y - offset) @ a_hat @ w / s2)
-        for arr in levels[s]:
-            arr.flags.writeable = False
-    w, mu, h = levels[s]
+    w, mu, h, _, _ = level_factorization(likelihood, prior, schedule, s)
     p = schedule.bridge_params(s, t)
     return p, w, p.variance / (1.0 + p.variance * mu), h
 

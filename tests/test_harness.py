@@ -221,6 +221,17 @@ class TestCli:
         args = build_parser().parse_args([command, "--config", "x.json", "--jobs", "3"])
         assert args.jobs == 3
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2.5"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "smoke"])
+    def test_jobs_below_one_is_a_usage_error(self, command, jobs, tmp_path, capsys):
+        """--jobs N takes an integer N >= 1; the parser rejects 0, negative and non-integer counts
+        before any run starts."""
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", "x.json", "--jobs", jobs, "--out", str(tmp_path / "out")])
+        assert err.value.code == 1
+        assert f"argument --jobs: N must be an integer >= 1, got '{jobs}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exit_code_of_the_process(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "mgdm.cli", "run", "--confg", "x.json"], cwd=tmp_path,
                               env=dict(os.environ, PYTHONPATH=str(Path(mgdm.__file__).parents[1])),

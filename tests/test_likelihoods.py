@@ -127,6 +127,47 @@ class TestLogGHat:
             grad_log_g_hat(lik, prior, sched, 0, np.zeros(1))
 
 
+def _vjp_route(lik, prior, sched, s, x):
+    """The guidance gradient as the denoiser's VJP of grad log g0, the route every pair but
+    a Gaussian prior with a linear-Gaussian likelihood takes."""
+    den = prior.denoise(sched, s, x)
+    return den.vjp(lik.grad_log_g0(den.value))
+
+
+class TestClosedFormGradient:
+    """A Gaussian prior with a linear-Gaussian likelihood takes grad log ghat_s = q_s - x P_s from
+    the level factorization; every other pair keeps the denoiser's VJP.  TestLogGHat.test_rejects_s_zero
+    checks that the closed form rejects s = 0."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("batch", [(), (8,), (3, 4)], ids=["single", "batch8", "batch3x4"])
+    def test_matches_the_denoiser_vjp(self, d, batch):
+        rng = np.random.default_rng(d)
+        sched = make_schedule("linear", 1000)
+        base = rng.standard_normal((d, d))
+        prior = GaussianPrior(mean=rng.standard_normal(d), cov=base @ base.T + 0.5 * np.eye(d))
+        lik = LinearGaussianLikelihood(A=rng.standard_normal((3, d)), y=rng.standard_normal(3), sigma_y=0.3)
+        for s in (1, 37, sched.T):
+            x = rng.standard_normal(batch + (d,))
+            got = grad_log_g_hat(lik, prior, sched, s, x)
+            assert got.shape == x.shape
+            np.testing.assert_allclose(got, _vjp_route(lik, prior, sched, s, x), rtol=1e-12)
+
+    def test_other_pairs_keep_the_vjp_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        sched = make_schedule("linear", 200)
+        a_mat, y = rng.standard_normal((2, 3)), rng.standard_normal(2)
+        gauss = GaussianPrior(mean=rng.standard_normal(3), cov=np.eye(3) * 0.7)
+        gmm = GmmPrior(weights=[0.4, 0.6], means=rng.standard_normal((2, 3)), covs=[np.eye(3) * 0.5, np.eye(3)])
+        linear = LinearGaussianLikelihood(A=a_mat, y=y, sigma_y=0.4)
+        quadratic = quadratic_toy(A=a_mat, y=y**2, sigma_y=0.4)
+        for prior, lik in ((gauss, quadratic), (gmm, linear), (gmm, quadratic)):
+            for s in (1, 37, 200):
+                x = rng.standard_normal((5, 3))
+                want = _vjp_route(lik, prior, sched, s, x)
+                np.testing.assert_array_equal(grad_log_g_hat(lik, prior, sched, s, x), want)
+
+
 def _hermite(n):
     from scipy.special import roots_hermitenorm
 

@@ -213,8 +213,25 @@ class TestPotentialValueOnDemand:
         den = prior.denoise(sched, 50, x)
         np.testing.assert_array_equal(log_g_hat(lik, prior, sched, 50, x), original(lik, den.value))
         assert calls == [1]
-        np.testing.assert_array_equal(grad_log_g_hat(lik, prior, sched, 50, x), den.vjp(lik.grad_log_g0(den.value)))
+        # A GMM prior takes the VJP route bit for bit; a Gaussian one, the closed form (test_likelihoods).
+        gmm = GmmPrior(weights=[0.4, 0.6], means=[[0.5], [-0.3]], covs=[[[0.4]], [[0.9]]])
+        den = gmm.denoise(sched, 50, x)
+        np.testing.assert_array_equal(grad_log_g_hat(lik, gmm, sched, 50, x), den.vjp(lik.grad_log_g0(den.value)))
         assert calls == [1]
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_gaussian_fit_makes_no_denoiser_call(self, monkeypatch, steps):
+        """A Gaussian prior with a linear likelihood reads its gradient from the level factorization,
+        which the denoiser's affine map builds once: no denoise runs in a fit of any length."""
+        lik, prior, sched = problem_2d()
+        denoises = []
+        original = GaussianPrior.denoise
+        monkeypatch.setattr(GaussianPrior, "denoise", lambda *args: denoises.append(1) or original(*args))
+        x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
+        fit_variational(lik, prior, sched, 100, 500, x0, xt, ViConfig(steps=steps), np.random.default_rng(0))
+        fit_variational(lik, prior, sched, 100, 500, np.tile(x0, (6, 1)), np.tile(xt, (6, 1)), ViConfig(steps=steps),
+                        np.random.default_rng(1))
+        assert denoises == []
 
     @pytest.mark.parametrize("prior_cls", [GaussianPrior, GmmPrior])
     def test_mh_applies_no_vjp(self, monkeypatch, prior_cls):
@@ -237,10 +254,11 @@ class TestPotentialValueOnDemand:
         rng = np.random.default_rng(3)
         x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
         params = fit_variational(lik, prior, sched, 100, 500, x0, xt, ViConfig(steps=4), rng)
-        assert len(vjps) == len(denoises) == 4
+        fit_vjps = 0 if prior_cls is GaussianPrior else 4  # a Gaussian fit takes the closed-form gradient
+        assert len(vjps) == len(denoises) == fit_vjps
         batch = VariationalParams(mu=np.tile(params.mu, (8, 1)), rho=np.tile(params.rho, (8, 1)))
         mh_correct(lik, prior, sched, 100, 500, x0, xt, batch.sample(rng), batch, 3, rng)
-        assert len(denoises) == 4 + 4 and len(vjps) == 4
+        assert len(denoises) == fit_vjps + 4 and len(vjps) == fit_vjps
 
 
 class TestFit:
@@ -473,10 +491,25 @@ class TestConditionalMemo:
         assert known_sched is sched and known_lik is lik
         assert sorted(levels) == list(range(1, 40)) and len(levels) <= sched.T + 1
         for entry in levels.values():
+            assert len(entry) == 5  # W, mu, h of the exact conditional; P_s, q_s of the guidance gradient
             for arr in entry:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0.0
+
+    def test_guidance_and_conditional_share_one_entry(self):
+        """The VI gradient's P_s and q_s sit in the exact conditional's entry for level s."""
+        lik, prior, sched = problem_2d()
+        fit_variational(lik, prior, sched, 30, 60, np.zeros(2), np.ones(2), ViConfig(steps=3), np.random.default_rng(0))
+        entry = prior._conditionals[2][30]
+        conditional_coefficients(lik, prior, sched, 30, 60)
+        assert prior._conditionals[2][30] is entry and list(prior._conditionals[2]) == [30]
+        w, mu, h, prec, shift = entry
+        a_hat, offset = linearized_potential(lik, prior, sched, 30)
+        np.testing.assert_array_equal(prec, a_hat.T @ a_hat / lik.sigma_y**2)
+        np.testing.assert_allclose(shift, (lik.y - offset) @ a_hat / lik.sigma_y**2, rtol=1e-14)
+        np.testing.assert_allclose((w * mu) @ w.T, prec, rtol=0, atol=1e-12 * np.abs(prec).max())
+        np.testing.assert_allclose(shift @ w, h, rtol=1e-12)
 
     def test_schedules_and_likelihoods_never_share_entries(self):
         _, prior, _ = problem_1d()
