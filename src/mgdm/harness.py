@@ -415,9 +415,9 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
     take their standard errors from the oracle covariance in closed form.
     Requires the exact backend (the oracle does not model the VI
     conditional); pass ``measure_vi_error`` to run the VI backend anyway
-    and report, without a pass/fail verdict, the discrepancy of the whole
-    approximate chain: the oracle models the exact x_0 draw, so a DDPM
-    denoise adds its error to that of VI.
+    and report, without a pass/fail verdict, its discrepancy from the
+    oracle of the same denoise backend (the DDPM pass with the config's M),
+    so the error reported is that of VI alone.
     """
     experiment = ExperimentConfig.from_dict(config)
     mcfg = _replay_config(experiment)
@@ -451,6 +451,7 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
         "empirical_cov": emp_cov.tolist(),
     }
     if measure_vi_error and backend != "exact":
+        report["denoise"], report["M"] = mcfg.denoise, mcfg.M
         report["mean_rel_error"] = float(
             np.linalg.norm(emp_mean - oracle.mean) / max(np.linalg.norm(oracle.mean), 1e-300)
         )

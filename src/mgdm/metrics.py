@@ -100,16 +100,20 @@ def sliced_wasserstein2(a, b, n_projections: int = 512, *, rng: np.random.Genera
     d = xa.shape[1]
     dirs = rng.standard_normal((n_projections, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # Score each distinct direction once (all are +-1 in d = 1); with no repeats keep the drawn order and blocks.
+    uniq, inverse = np.unique(dirs, axis=0, return_inverse=True)
+    if len(uniq) == n_projections:
+        uniq, inverse = dirs, slice(None)
     n = max(xa.shape[0], xb.shape[0])
     grid = (np.arange(n) + 0.5) / n
-    w2sq = np.empty(n_projections)
+    w2sq = np.empty(len(uniq))
     # At least two directions per block: numpy sends a one-column product to gemv, which can round
     # differently from the gemm that projects all directions at once.
-    n_blocks = max(1, n_projections // max(2, _BLOCK_VALUES // n))
-    for sub, out in zip(np.array_split(dirs, n_blocks), np.array_split(w2sq, n_blocks)):
+    n_blocks = max(1, len(uniq) // max(2, _BLOCK_VALUES // n))
+    for sub, out in zip(np.array_split(uniq, n_blocks), np.array_split(w2sq, n_blocks)):
         pa, pb = xa @ sub.T, xb @ sub.T  # (Na, block), (Nb, block)
         if xa.shape[0] == xb.shape[0]:
             out[:] = _w2_sq_1d(pa.T, pb.T)
         else:
             out[:] = np.mean((_linear_quantiles(pa, grid) - _linear_quantiles(pb, grid)) ** 2, axis=1)
-    return float(np.sqrt(d * np.mean(w2sq)))
+    return float(np.sqrt(d * np.mean(w2sq[inverse])))

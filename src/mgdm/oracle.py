@@ -10,8 +10,8 @@ output is a Gaussian whose moments follow a closed recursion:
   * a final affine kernel (H, h, L) for the denoiser-valued last step.
 
 The recursion mirrors the artifact's driver exactly (same x_t
-initialization bridging, same exact-backend conditional and backward
-draws), so simulated moments and oracle moments agree by construction.
+initialization bridging, exact-backend conditional, and exact or DDPM
+x_0 draws), so simulated moments and oracle moments agree by construction.
 
 A trapezoid-rule quadrature engine for the 1-D extended target
 pibar(x_0, x_s, x_t) provides a second, dumber oracle for densities and
@@ -58,6 +58,7 @@ def build_kernels(
     schedule: NoiseSchedule,
     k: int,
     tau: int,
+    ddpm_M: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-repetition kernel (B, b, Gamma) at levels (tau, k).
 
@@ -65,6 +66,8 @@ def build_kernels(
     the direct composition of the conditional draw
     x_tau ~ N(M x_0 + N x_k + e, lam), the denoising draw
     x_0' ~ N(C x_tau + c, Sigma_c) and the noising draw x_k' ~ N(D x_tau, Sigma_d).
+    The denoising draw is the exact backward one, or with ``ddpm_M`` sub-steps the
+    DDPM pass: the same mean, Sigma_c from its noise weights (``ddpm_kernel``).
     """
     require_linear_gaussian(likelihood, prior, "the moment oracle")
     if not 1 <= tau < k:
@@ -74,7 +77,11 @@ def build_kernels(
 
     M, N, e, lam = conditional_coefficients(likelihood, prior, schedule, tau, k)
     C, c = prior.denoiser_affine(schedule, tau)
-    Sigma_c = prior.posterior_x0_cov(schedule, tau)
+    if ddpm_M is None:
+        Sigma_c = prior.posterior_x0_cov(schedule, tau)
+    else:
+        q, w = prior.ddpm_kernel(schedule, tau, ddpm_M)
+        Sigma_c = (q * np.sum(w * w, axis=0)) @ q.T
     D = schedule.alpha_ratio(tau, k) * eye
     Sigma_d = schedule.sigma2(tau, k) * eye
 
@@ -121,14 +128,15 @@ def oracle_recursion(
     schedule: NoiseSchedule,
     config: MgdmConfig,
 ) -> GaussianMoments:
-    """Exact output moments of the driver under the exact backends.
+    """Exact output moments of the driver under the exact conditional.
 
-    Replays the sampler's own ``config``: its timesteps, R, final mode and
-    its ``fixed`` index sequence (one level per outer step, i = K down to
-    2).  Other index kinds are rejected: averaging over random levels
-    breaks the Gaussianity of the output law, so callers replay a recorded
-    sequence instead.  The backend fields are not read, so the same config
-    also serves to measure how far a VI run lands from the exact law.
+    Replays the sampler's own ``config``: its timesteps, R, final mode,
+    denoise backend (the exact draw, or DDPM with its M) and its ``fixed``
+    index sequence (one level per outer step, i = K down to 2).  Other
+    index kinds are rejected: averaging over random levels breaks the
+    Gaussianity of the output law, so callers replay a recorded sequence
+    instead.  The conditional field is not read, so the same config also
+    serves to measure how far a VI run lands from the exact-conditional law.
 
     Tracks the joint Gaussian of (x_0, x_t-carried), pushing it through
     the standard-normal start + denoiser, the per-step bridge
@@ -159,7 +167,8 @@ def oracle_recursion(
             mean = f_mat @ mean
             cov = f_mat @ cov @ f_mat.T
             cov[d:, d:] += p.variance * eye
-        B, b, Gamma = build_kernels(prior, likelihood, schedule, k=t_i, tau=tau)
+        B, b, Gamma = build_kernels(prior, likelihood, schedule, k=t_i, tau=tau,
+                                     ddpm_M=config.M if config.denoise == "ddpm" else None)
         for _ in range(config.R):
             mean = b + B @ mean
             cov = B @ cov @ B.T + Gamma

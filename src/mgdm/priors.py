@@ -69,11 +69,11 @@ def _normalize_exp(logs: np.ndarray) -> np.ndarray:
 class GaussianPrior:
     """Gaussian prior N(mean, cov) with SPD covariance.
 
-    ``denoiser_affine`` keeps (J_t, b_t) per level for the last schedule it was called
-    with, and ``likelihoods.level_factorization`` keeps the guidance potential's factorization
-    per level, which the exact conditional and the closed-form VI gradient share, for the last
-    (schedule, likelihood) pair: each memo holds at most T + 1 read-only entries and is
-    dropped when a different schedule or likelihood comes in (see ``level_memo``).
+    ``denoiser_affine`` keeps (J_t, b_t) per level, and ``ddpm_kernel`` the DDPM noise weights per
+    (s, M) in the same memo, for the last schedule; ``likelihoods.level_factorization`` keeps the
+    guidance potential's factorization per level, which the exact conditional and the closed-form VI
+    gradient share, for the last (schedule, likelihood) pair.  Each memo holds read-only entries for
+    the levels visited and is dropped when another schedule or likelihood comes in (``level_memo``).
     """
 
     mean: np.ndarray
@@ -81,7 +81,7 @@ class GaussianPrior:
     _chol: np.ndarray = field(init=False, repr=False)
     _eigvals: np.ndarray = field(init=False, repr=False)
     _eigvecs: np.ndarray = field(init=False, repr=False)
-    _levels: tuple = field(init=False, repr=False, compare=False)  # (schedule, {t: (J_t, b_t)})
+    _levels: tuple = field(init=False, repr=False, compare=False)  # (schedule, {t: (J_t, b_t), (s, M): (Q, W)})
     _conditionals: tuple = field(init=False, repr=False, compare=False)  # (schedule, likelihood, {s: factors})
 
     def __post_init__(self):
@@ -152,6 +152,27 @@ class GaussianPrior:
                 arr.flags.writeable = False
             levels[t] = affine
         return affine
+
+    def ddpm_kernel(self, schedule: NoiseSchedule, s: int, M: int):
+        """(Q, W): the DDPM pass of ``sampler.ddpm_denoise`` from s returns m_s(x_s) + sum_k xi_k Q diag(W[k]) Q^T,
+        xi_k the noise of its k-th sub-step.  Sub-step hi -> lo scales it by the bridge's sqrt(v), each later one
+        by c0 j_hi + c1, the last denoise by j_{s_1}, where j_t = alpha_t lam / (abar_t lam + v_t) are the
+        eigenvalues of J_t.  Kept read-only in ``_levels`` under the key (s, M)."""
+        levels = self.level_memo("_levels", schedule)
+        kernel = levels.get((s, M))
+        if kernel is None:
+            grid = schedule.substep_grid(s, M)
+            gains = [a * self._eigvals / var for a, _, var in (self._smoothed_eigvals(schedule, t) for t in grid[1:])]
+            scale, rows = gains[0], []
+            for lo, hi, gain in zip(grid[1:-1], grid[2:], gains[1:]):
+                p = schedule.bridge_params(lo, hi)
+                rows.append(np.sqrt(p.variance) * scale)
+                scale = scale * (p.mean_coeff_x0 * gain + p.mean_coeff_xt)
+            kernel = (self._eigvecs, np.array(rows[::-1]).reshape(-1, self.dim))
+            for arr in kernel:
+                arr.flags.writeable = False
+            levels[(s, M)] = kernel
+        return kernel
 
     def posterior_x0_cov(self, schedule: NoiseSchedule, t: int) -> np.ndarray:
         """Cov[X_0 | X_t] = Sigma_{0|t} = v_t Sigma S_t^{-1}."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vi as vi_mod
+from .priors import GaussianPrior
 from .schedule import NoiseSchedule
 from .vi import ViConfig
 
@@ -225,15 +226,23 @@ def ddpm_denoise(
 ) -> np.ndarray:
     """Few-step DDPM estimate of x_0 from x_s.
 
-    Runs the bridge transitions with the plugged denoiser over M
-    sub-steps 0 = s_0 < ... < s_M = s and returns the denoiser value at
-    the lowest positive level (the degenerate s_0 = 0 bridge is skipped,
-    matching the convention that the final sample is m_1(x_1)).
+    Runs the bridge transitions with the plugged denoiser over M sub-steps 0 = s_0 < ... < s_M = s
+    and returns the denoiser value at the lowest positive level (the degenerate s_0 = 0 bridge is
+    skipped, matching the convention that the final sample is m_1(x_1)).  For a Gaussian prior the
+    pass is m_s(x_s) plus the noises weighted by ``GaussianPrior.ddpm_kernel``, all drawn in one
+    call, which yields the loop's draws in the loop's order.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if s < 1:
         raise ValueError("s must be >= 1")
+    if isinstance(prior, GaussianPrior):
+        q, w = prior.ddpm_kernel(schedule, s, M)
+        x0 = prior.denoise(schedule, s, x_s).value
+        if len(w):
+            xi = rng.standard_normal(w.shape[:1] + x0.shape) @ q
+            x0 += np.einsum("k...i,ki->...i", xi, w) @ q.T
+        return x0
     grid = schedule.substep_grid(s, M)
     x = np.asarray(x_s, dtype=np.float64)
     for j in range(len(grid) - 1, 1, -1):

@@ -239,7 +239,8 @@ def test_criterion_06_posterior_consistency():
     kls = []
     for r_val in (1, 2, 4, 8):
         om = oracle_recursion(prior, lik, sched, MgdmConfig(
-            timesteps=ts, R=r_val, index_dist=IndexDistribution(kind="fixed", values=seq)
+            timesteps=ts, R=r_val, conditional="exact", denoise="exact",
+            index_dist=IndexDistribution(kind="fixed", values=seq)
         ))
         kls.append(gaussian_kl(GaussianMoments(om.mean, om.cov), post_moments))
     assert kls[-1] < 1e-2, kls

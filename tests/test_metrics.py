@@ -186,6 +186,22 @@ class TestSlicedWasserstein:
             got = sliced_wasserstein2(x, y, n_projections=3, rng=np.random.default_rng(3))
             assert got == unblocked_sliced_w2(x, y, 3, np.random.default_rng(3))
 
+    def test_one_dimensional_directions_are_scored_once(self, monkeypatch):
+        """In d = 1 the unit directions are +1 and -1: each is projected and scored once, per path."""
+        from mgdm import metrics
+
+        scored = []
+        sort_rows, quantiles = metrics._w2_sq_1d, metrics._linear_quantiles
+        monkeypatch.setattr(metrics, "_w2_sq_1d", lambda u, v: scored.append(len(u)) or sort_rows(u, v))
+        monkeypatch.setattr(metrics, "_linear_quantiles", lambda p, g: scored.append(p.shape[1]) or quantiles(p, g))
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((100, 1))
+        for b in (rng.standard_normal((100, 1)), rng.standard_normal((1024, 1))):
+            scored.clear()
+            got = sliced_wasserstein2(a, b, rng=np.random.default_rng(5))
+            assert got == unblocked_sliced_w2(a, b, 512, np.random.default_rng(5))
+            assert scored == ([2] if len(b) == len(a) else [2, 2])
+
     @pytest.mark.parametrize("n_a, n_b", [(100, 1024), (10_000, 10_000)])
     def test_memory_does_not_grow_with_projection_count(self, n_a, n_b):
         """512 projections of 1-D sets peak under 4 MB; all at once they took 25.7 MB (100 vs 1024)

@@ -16,7 +16,8 @@ from mgdm.oracle import (
     oracle_recursion,
 )
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior, spd_inverse
-from mgdm.sampler import IndexDistribution, MgdmConfig, gibbs_step, mgdm_run_batch
+from mgdm.harness import covariance_se
+from mgdm.sampler import IndexDistribution, MgdmConfig, gibbs_step, make_timesteps, mgdm_run_batch
 from mgdm.schedule import gauss_log_density, make_schedule
 from mgdm.vi import conditional_coefficients
 
@@ -320,6 +321,25 @@ class TestOracleRecursion:
         assert np.all(np.abs(z) < 4.0)
         assert abs(np.var(samples[:, 0]) / om.cov[0, 0] - 1.0) < 0.05
 
+    @pytest.mark.parametrize("M", [1, 5])
+    def test_matches_simulation_with_ddpm_denoise(self, M):
+        """Exact conditional + M-step DDPM denoise on the criterion-5 instance: 10^4 chains match
+        the recursion, which models the DDPM pass, within 3 of criterion 5's standard errors."""
+        lik, prior, sched = instance_2d()
+        ts = make_timesteps(25, 1000)
+        cfg = MgdmConfig(timesteps=ts, R=4, M=M, conditional="exact", denoise="ddpm",
+                         index_dist=IndexDistribution(kind="fixed", values=midpoint_sequence(ts)))
+        n = 10_000
+        samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(1905))
+        om = oracle_recursion(prior, lik, sched, cfg)
+        z_mean = (samples.mean(axis=0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
+        z_cov = (np.cov(samples.T) - om.cov) / covariance_se(om.cov, n)
+        assert np.all(np.abs(z_mean) < 3.0) and np.all(np.abs(z_cov) < 3.0), (z_mean, z_cov)
+        # The exact-draw law lies many standard errors away, so the match tells the two apart.
+        exact = oracle_recursion(prior, lik, sched, MgdmConfig(
+            timesteps=ts, R=4, conditional="exact", denoise="exact", index_dist=cfg.index_dist))
+        assert np.max(np.abs(exact.cov - om.cov) / covariance_se(om.cov, n)) > 10.0
+
     def test_large_R_converges_to_posterior(self):
         """R = 200 on a fine-tailed grid: oracle moments within 1e-2
         relative Frobenius error of the conjugate posterior.  The floor is
@@ -331,7 +351,8 @@ class TestOracleRecursion:
         ts = make_timesteps(50, 1000, t1=4)
         seq = midpoint_sequence(ts)
         om = oracle_recursion(prior, lik, sched, MgdmConfig(
-            timesteps=ts, R=200, index_dist=IndexDistribution(kind="fixed", values=seq)
+            timesteps=ts, R=200, conditional="exact", denoise="exact",
+            index_dist=IndexDistribution(kind="fixed", values=seq)
         ))
         rel_mean = np.linalg.norm(om.mean - post.mean) / np.linalg.norm(post.mean)
         rel_cov = np.linalg.norm(om.cov - post.cov) / np.linalg.norm(post.cov)
@@ -348,7 +369,8 @@ class TestOracleRecursion:
         gaps = []
         for r_val in (1, 4):
             om = oracle_recursion(prior, lik, sched, MgdmConfig(
-                timesteps=ts, R=r_val, index_dist=IndexDistribution(kind="fixed", values=seq)
+                timesteps=ts, R=r_val, conditional="exact", denoise="exact",
+                index_dist=IndexDistribution(kind="fixed", values=seq)
             ))
             gaps.append(np.linalg.norm(om.cov - post.cov))
         assert gaps[1] <= gaps[0]
@@ -364,7 +386,8 @@ class TestOracleRecursion:
         seq = midpoint_sequence(ts)
         R = 3
         om = oracle_recursion(prior, flat, sched, MgdmConfig(
-            timesteps=ts, R=R, index_dist=IndexDistribution(kind="fixed", values=seq)
+            timesteps=ts, R=R, conditional="exact", denoise="exact",
+            index_dist=IndexDistribution(kind="fixed", values=seq)
         ))
 
         d = prior.dim

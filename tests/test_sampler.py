@@ -6,7 +6,7 @@ import pytest
 from mgdm.likelihoods import LinearGaussianLikelihood
 from mgdm.metrics import sliced_wasserstein2
 from mgdm.oracle import QuadratureJoint, auto_grids
-from mgdm.priors import GaussianPrior, exact_posterior
+from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior
 from mgdm.sampler import (
     IndexDistribution,
     MgdmConfig,
@@ -26,6 +26,22 @@ def smoothed(prior, sched, t):
     """The smoothed marginal p_t = N(alpha_t m, alpha_t^2 Sigma + v_t I) of a Gaussian prior."""
     a = sched.alpha(t)
     return GaussianPrior(a * prior.mean, (a * a) * prior.cov + sched.sigma2(0, t) * np.eye(prior.dim))
+
+
+def ddpm_loop(prior, schedule, x_s, s, M, rng):
+    """The few-step DDPM pass as a loop of plugged-bridge sub-steps from s down to the lowest
+    positive level of ``substep_grid(s, M)``, then the denoiser there."""
+    grid = schedule.substep_grid(s, M)
+    x = np.asarray(x_s, dtype=np.float64)
+    for j in range(len(grid) - 1, 1, -1):
+        hi, lo = grid[j], grid[j - 1]
+        x = schedule.bridge_sample(prior.denoise(schedule, hi, x).value, x, lo, hi, rng)
+    return prior.denoise(schedule, grid[1], x).value
+
+
+def random_gaussian_prior(d, rng):
+    root = rng.standard_normal((d, d))
+    return GaussianPrior(mean=rng.standard_normal(d), cov=root @ root.T + 0.3 * np.eye(d))
 
 
 def problem_1d(sigma_y=0.5):
@@ -119,6 +135,68 @@ class TestDdpmDenoise:
             ddpm_denoise(prior, sched, np.zeros(1), 0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ddpm_denoise(prior, sched, np.zeros(1), sched.T + 1, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("batch", [(), (8,), (3, 4)])
+    def test_gaussian_closed_form_matches_the_loop(self, d, batch):
+        """A Gaussian prior's closed form is the loop to rounding, and draws the loop's noises."""
+        sched = make_schedule("linear", 1000)
+        rng = np.random.default_rng(d)
+        prior = random_gaussian_prior(d, rng)
+        x_s = 2.0 * rng.standard_normal(batch + (d,))
+        for s in (1, 2, 37, sched.T):
+            for M in (1, 2, 5, 20):
+                loop_rng, closed_rng = np.random.default_rng(s + M), np.random.default_rng(s + M)
+                want = ddpm_loop(prior, sched, x_s, s, M, loop_rng)
+                got = ddpm_denoise(prior, sched, x_s, s, M, closed_rng)
+                assert got.shape == want.shape == batch + (d,)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (s, M)
+                assert closed_rng.bit_generator.state == loop_rng.bit_generator.state, (s, M)
+
+    def test_no_substep_is_the_denoiser_exactly(self):
+        """M = 1, and any grid with no level between 0 and s, return m_s(x_s) and draw nothing."""
+        sched = make_schedule("linear", 1000)
+        prior = random_gaussian_prior(2, np.random.default_rng(3))
+        x_s = np.random.default_rng(4).standard_normal((6, 2))
+        for s, M in [(1, 1), (37, 1), (1000, 1), (1, 5), (1, 20), (2, 1)]:
+            assert len(sched.substep_grid(s, M)) == 2
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            assert np.array_equal(ddpm_denoise(prior, sched, x_s, s, M, rng), prior.denoise(sched, s, x_s).value)
+            assert rng.bit_generator.state == state
+
+    def test_gmm_prior_runs_the_loop(self):
+        sched = make_schedule("linear", 200)
+        prior = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]],
+                         covs=[[[0.3, 0.1], [0.1, 0.4]], [[0.5, 0.0], [0.0, 0.2]]])
+        x_s = np.random.default_rng(6).standard_normal((5, 2))
+        for s, M in [(1, 1), (37, 5), (200, 20)]:
+            loop_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+            got = ddpm_denoise(prior, sched, x_s, s, M, rng)
+            assert np.array_equal(got, ddpm_loop(prior, sched, x_s, s, M, loop_rng))
+            assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_kernel_entries_read_only_and_bounded_by_levels(self):
+        """The kernel of each (s, M) is kept once, read-only, beside (J_t, b_t) of the levels visited."""
+        sched = make_schedule("linear", 200)
+        prior = random_gaussian_prior(3, np.random.default_rng(8))
+        x_s = np.zeros(3)
+        visits = [(37, 5), (37, 5), (60, 20), (1, 5), (60, 1)]
+        for s, M in visits:
+            ddpm_denoise(prior, sched, x_s, s, M, np.random.default_rng(0))
+        levels = prior._levels[1]
+        assert set(levels) == {s for s, _ in visits} | set(visits)
+        for s, M in set(visits):
+            q, w = levels[(s, M)]
+            assert prior.ddpm_kernel(sched, s, M) is levels[(s, M)]
+            assert w.shape == (len(sched.substep_grid(s, M)) - 2, 3)
+            for arr in (q, w):
+                assert not arr.flags.writeable
+        ddpm_denoise(prior, sched, x_s, 37, 5, np.random.default_rng(0))
+        assert len(levels) == 7
+        other = make_schedule("linear", 200)
+        ddpm_denoise(prior, other, x_s, 37, 5, np.random.default_rng(0))
+        assert prior._levels[0] is other and set(prior._levels[1]) == {37, (37, 5)}
 
     def test_substep_grid_matches_linspace_rule(self):
         sched = make_schedule("linear", 1000)
