@@ -293,6 +293,7 @@ def _aggregate(experiment: ExperimentConfig, rows: list[dict], seed_tag: int) ->
 def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     """Execute ``n_runs`` seeded runs, write results.csv + summary.json."""
     experiment = ExperimentConfig.from_dict(config)
+    experiment.posterior  # built now, so a degenerate posterior fails before any run
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = _collect_runs(experiment, jobs)
@@ -311,31 +312,38 @@ def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     return summary
 
 
+def _combo_experiment(config: dict, r_val, g_val, index_kind) -> ExperimentConfig:
+    cfg = json.loads(json.dumps(config))
+    sampler = cfg["sampler"]
+    sampler["R"] = int(r_val)
+    if g_val is not None:
+        sampler["vi"] = {**(sampler.get("vi") or {}), "steps": int(g_val), "steps_late": int(g_val)}
+    if index_kind is not None:
+        sampler["index"] = {"kind": index_kind}
+    return ExperimentConfig.from_dict(cfg)
+
+
 def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
-    """Cross-product sweep over sampler axes (R / G / index kinds)."""
-    if ExperimentConfig.from_dict(config).mgdm is None:
+    """Cross-product sweep over sampler axes (R / G / index kinds); every combo is validated before the first run."""
+    base = ExperimentConfig.from_dict(config)
+    if base.mgdm is None:
         raise ValueError("sweep varies R, G and index, which algorithm 'dps' does not read")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sweep = config.get("sweep", {})
     if not sweep:
         raise ValueError("sweep config needs a 'sweep' section")
+    if "G" in sweep and base.mgdm.conditional == "exact":
+        raise ValueError("sweep varies G, the VI step budget, which backend 'exact' does not read")
+    base.posterior  # built now, so a degenerate posterior fails before any run
     r_values = sweep.get("R", [config["sampler"].get("R", 1)])
     g_values = sweep.get("G", [None])
     index_kinds = sweep.get("index", [None])
     combos = [(r, g, ix) for r in r_values for g in g_values for ix in index_kinds]
+    experiments = [_combo_experiment(config, *combo) for combo in combos]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     agg_rows = []
-    for combo_idx, (r_val, g_val, index_kind) in enumerate(combos):
-        cfg = json.loads(json.dumps(config))
-        cfg["sampler"]["R"] = int(r_val)
-        if g_val is not None:
-            vi = cfg["sampler"].setdefault("vi", {})
-            vi["steps"] = int(g_val)
-            vi["steps_late"] = int(g_val)
-        if index_kind is not None:
-            cfg["sampler"]["index"] = {"kind": index_kind}
-        experiment = ExperimentConfig.from_dict(cfg)
+    for combo_idx, ((r_val, g_val, index_kind), experiment) in enumerate(zip(combos, experiments)):
         rows = _collect_runs(experiment, jobs, combo_idx=combo_idx)
         agg = _aggregate(experiment, rows, experiment.master_seed + combo_idx)
         agg_rows.append(

@@ -145,6 +145,8 @@ def grad_log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.n
     """Gradient Jac(m_s)^T grad log g0(m_s(x_s)) of log ghat_s, no log_g0: q_s - x_s P_s of ``level_factorization``
     for a Gaussian prior and linear-Gaussian likelihood, else the denoiser's VJP; s = 0 is rejected: use grad_log_g0."""
     if isinstance(prior, GaussianPrior) and isinstance(likelihood, LinearGaussianLikelihood):
+        if s < 1:  # the factorization has a level-0 entry, g0's own
+            raise ValueError("grad_log_g_hat needs s >= 1; use grad_log_g0")
         *_, prec, shift = level_factorization(likelihood, prior, schedule, s)
         return shift - x_s @ prec
     den = prior.denoise(schedule, s, x_s)
@@ -175,11 +177,12 @@ def level_factorization(likelihood, prior, schedule: NoiseSchedule, s: int):
     """(W, mu, h, P_s, q_s) of the Gaussian potential ghat_s(x) propto exp(q_s . x - x P_s x / 2), with
     P_s = A_hat_s^T A_hat_s / sigma_y^2 = W diag(mu) W^T, q_s = (y - a_s) A_hat_s / sigma_y^2 and h = W^T q_s:
     one read-only entry per level in the prior's ``_conditionals`` memo for the last (schedule, likelihood)
-    pair, shared by the exact conditional and the closed-form guidance gradient."""
+    pair, shared by the exact conditional and the closed-form guidance gradient.  Level 0 is g0 itself
+    (A_hat_0 = A, a_0 = 0: m_0 is the identity), the potential of the sampler's denoise final step."""
     levels = prior.level_memo("_conditionals", schedule, likelihood)
     entry = levels.get(s)
     if entry is None:
-        a_hat, offset = linearized_potential(likelihood, prior, schedule, s)
+        a_hat, offset = (likelihood.A, 0.0) if s == 0 else linearized_potential(likelihood, prior, schedule, s)
         s2 = likelihood.sigma_y**2
         prec, resid = a_hat.T @ a_hat / s2, (likelihood.y - offset) @ a_hat
         mu, w = np.linalg.eigh(prec)

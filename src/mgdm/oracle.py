@@ -9,7 +9,9 @@ output is a Gaussian whose moments follow a closed recursion:
   * one 2d x 2d affine kernel per Gibbs repetition (B_k, Gamma_k, b_k),
   * a final affine kernel (H, h, L) for the denoiser-valued last step.
 
-The recursion mirrors the artifact's driver exactly (same x_t
+Each kernel reads the sampler's per-level factorization through
+``vi.conditional_coefficients``, the final one its level-0 entry (g0).
+The recursion mirrors the driver exactly (same x_t
 initialization bridging, exact-backend conditional, and exact or DDPM
 x_0 draws), so simulated moments and oracle moments agree by construction.
 
@@ -27,29 +29,10 @@ import numpy as np
 
 from .likelihoods import LinearGaussianLikelihood, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
-from .priors import GaussianPrior, logsumexp, spd_inverse
+from .priors import GaussianPrior, logsumexp
 from .sampler import MgdmConfig
 from .schedule import NoiseSchedule, gauss_log_density
 from .vi import conditional_coefficients
-
-
-@dataclass(frozen=True)
-class FinalKernels:
-    """Affine law of the last denoiser-valued step.
-
-    Inner kernel: x_s | x_t ~ N(H_under x_t + h_under, L_under), the
-    g0-reweighted bridge started from the plugged denoiser mean at t.
-    Outer: x_0 = m_s(x_s), giving x_0 | x_t ~ N(H x_t + h, L).
-    """
-
-    s: int
-    t: int
-    H_under: np.ndarray
-    h_under: np.ndarray
-    L_under: np.ndarray
-    H: np.ndarray
-    h: np.ndarray
-    L: np.ndarray
 
 
 def build_kernels(
@@ -96,30 +79,14 @@ def build_kernels(
     return B, b, 0.5 * (Gamma + Gamma.T)
 
 
-def build_final_kernels(
-    prior: GaussianPrior,
-    likelihood: LinearGaussianLikelihood,
-    schedule: NoiseSchedule,
-    s: int = 1,
-    t: int = 2,
-) -> FinalKernels:
-    """Final-step kernel: g0-reweighted plugged bridge t -> s, then m_s."""
-    require_linear_gaussian(likelihood, prior, "the moment oracle")
-    if not 1 <= s < t:
-        raise ValueError(f"need 1 <= s < t, got s={s}, t={t}")
-    d = prior.dim
-    a_mat, y, s2 = likelihood.A, likelihood.y, likelihood.sigma_y**2
-    p = schedule.bridge_params(s, t)
+def final_kernel(prior: GaussianPrior, likelihood: LinearGaussianLikelihood, schedule: NoiseSchedule, s: int, t: int):
+    """(H, h, L) of the denoise final step, x_0 | x_t ~ N(H x_t + h, L): the exact conditional at the level-0
+    potential g0 from the plugged x_0 = m_t(x_t) = J_t x_t + b_t, x_s ~ N(M x_0 + N x_t + e, Lambda), then m_s."""
+    M, N, e, lam = conditional_coefficients(likelihood, prior, schedule, s, t, level=0)
     jac_t, bias_t = prior.denoiser_affine(schedule, t)
     jac_s, bias_s = prior.denoiser_affine(schedule, s)
-
-    L_under = spd_inverse(np.eye(d) / p.variance + a_mat.T @ a_mat / s2)
-    H_under = L_under @ ((p.mean_coeff_x0 / p.variance) * jac_t + (p.mean_coeff_xt / p.variance) * np.eye(d))
-    h_under = L_under @ (a_mat.T @ y / s2 + (p.mean_coeff_x0 / p.variance) * bias_t)
-    H = jac_s @ H_under
-    h = jac_s @ h_under + bias_s
-    L = jac_s @ L_under @ jac_s.T
-    return FinalKernels(s=s, t=t, H_under=H_under, h_under=h_under, L_under=L_under, H=H, h=h, L=0.5 * (L + L.T))
+    L = jac_s @ lam @ jac_s.T
+    return jac_s @ (M @ jac_t + N), jac_s @ (M @ bias_t + e) + bias_s, 0.5 * (L + L.T)
 
 
 def oracle_recursion(
@@ -175,11 +142,9 @@ def oracle_recursion(
             cov = 0.5 * (cov + cov.T)
 
     if config.final == "denoise":
-        fk = build_final_kernels(prior, likelihood, schedule, s=config.final_s, t=ts[1])
-        mean_t, cov_t = mean[d:], cov[d:, d:]
-        out_mean = fk.H @ mean_t + fk.h
-        out_cov = fk.H @ cov_t @ fk.H.T + fk.L
-        return GaussianMoments(mean=out_mean, cov=0.5 * (out_cov + out_cov.T))
+        H, h, L = final_kernel(prior, likelihood, schedule, config.final_s, ts[1])
+        out_cov = H @ cov[d:, d:] @ H.T + L
+        return GaussianMoments(mean=H @ mean[d:] + h, cov=0.5 * (out_cov + out_cov.T))
     return GaussianMoments(mean=mean[:d], cov=cov[:d, :d])
 
 

@@ -425,6 +425,8 @@ def _conjugate_update(mean, cov, a_mat, y, s2):
     prec_prior = spd_inverse(cov)
     prec = prec_prior + a_mat.T @ a_mat / s2
     post_cov = spd_inverse(prec)
+    if np.linalg.eigvalsh(post_cov)[0] < _MIN_EIGVAL:
+        raise ValueError(f"the exact posterior is near-noiseless at sigma_y={s2 ** 0.5:g}: eigenvalue < {_MIN_EIGVAL}")
     post_mean = post_cov @ (prec_prior @ mean + a_mat.T @ y / s2)
     return post_mean, post_cov
 

@@ -66,6 +66,8 @@ class IndexDistribution:
             raise ValueError(f"unknown index distribution kind {self.kind!r}")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
+        if not 0.0 <= self.late_fraction <= 1.0:
+            raise ValueError(f"late_fraction must lie in [0, 1], got {self.late_fraction}")
         if self.kind == "explicit":
             if self.weights is None:
                 raise ValueError("explicit kind needs weights")
@@ -317,15 +319,13 @@ def _mgdm_core(
             _check_finite(i, t_i, s, x0, xt)
 
     if config.final == "denoise":
-        # Denoiser-valued last step: draw x_s from the g0-reweighted
-        # plugged bridge below t_2, then return m_s(x_s) deterministically.
-        from .oracle import build_final_kernels
-
-        fk = build_final_kernels(prior, likelihood, schedule, s=config.final_s, t=ts[1])
-        mean = xt @ fk.H_under.T + fk.h_under
-        x_s = mean + rng.standard_normal(shape) @ np.linalg.cholesky(fk.L_under).T
-        x0 = prior.denoise(schedule, config.final_s, x_s).value
-        _check_finite(1, ts[1], config.final_s, x0)
+        # Denoiser-valued last step: x_s ~ g0(x_s) q(x_s | m_{t_2}(x_t), x_t), the exact conditional at the
+        # level-0 potential (ghat_0 = g0, as m_0 is the identity) from the plugged x_0; then x_0 = m_s(x_s).
+        s, t = config.final_s, ts[1]
+        x_plug = prior.denoise(schedule, t, xt).value
+        x_s = vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, t, x_plug, xt, rng, level=0)
+        x0 = prior.denoise(schedule, s, x_s).value
+        _check_finite(1, t, s, x0)
     return x0
 
 

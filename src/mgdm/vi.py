@@ -147,37 +147,37 @@ def fit_variational(
 # -- exact conditional (linear-Gaussian + Gaussian prior) ---------------------
 
 
-def _exact_factors(likelihood, prior, schedule: NoiseSchedule, s: int, t: int):
-    """(bridge params, W, ell, h) with Lambda = W diag(ell) W^T and e = W (ell * h), from the level's
-    ``level_factorization``; only ell = 1 / (1 / bridge_var + mu) depends on t."""
+def _exact_factors(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, level: int | None = None):
+    """(bridge params, W, ell, h) with Lambda = W diag(ell) W^T and e = W (ell * h), from the ``level_factorization``
+    of the potential at ``level``, s unless given (the denoise final step gives 0, for g0), on the bridge s < t;
+    only ell = 1 / (1 / bridge_var + mu) depends on t."""
     _check_pair(s, t)
     require_linear_gaussian(likelihood, prior, "exact conditional")
-    w, mu, h, _, _ = level_factorization(likelihood, prior, schedule, s)
+    w, mu, h, _, _ = level_factorization(likelihood, prior, schedule, s if level is None else level)
     p = schedule.bridge_params(s, t)
     return p, w, p.variance / (1.0 + p.variance * mu), h
 
 
-def conditional_coefficients(likelihood, prior, schedule: NoiseSchedule, s: int, t: int):
+def conditional_coefficients(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, *, level: int | None = None):
     """(M, N, e, Lambda) of the exact Gaussian conditional.
 
-    pibar(x_s | x_0, x_t) = N(M x_0 + N x_t + e, Lambda) with
-    Lambda = [(1/bridge_var) I + A_hat^T A_hat / sigma_y^2]^{-1}; M and N
-    rescale the bridge mean coefficients through Lambda.
+    pibar(x_s | x_0, x_t) = N(M x_0 + N x_t + e, Lambda) with Lambda = [(1/bridge_var) I + A_hat^T A_hat /
+    sigma_y^2]^{-1}, A_hat the potential's at ``level`` (default s); M and N rescale the bridge mean coefficients.
     """
-    p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t)
+    p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t, level)
     lam = (w * ell) @ w.T
     return lam * (p.mean_coeff_x0 / p.variance), lam * (p.mean_coeff_xt / p.variance), w @ (ell * h), lam
 
 
 def exact_conditional_sample(
-    likelihood, prior, schedule: NoiseSchedule, s: int, t: int, x0: np.ndarray, xt: np.ndarray, rng
+    likelihood, prior, schedule: NoiseSchedule, s: int, t: int, x0: np.ndarray, xt: np.ndarray, rng, *, level=None
 ) -> np.ndarray:
     """One draw from pibar(x_s | x_0, x_t) per state; states may carry leading batch axes.
 
     The mean is Lambda bridge_mean / bridge_var + e and the noise root
-    W diag(sqrt(ell)), all from diagonal scalings in W.
+    W diag(sqrt(ell)), all from diagonal scalings in W (potential at ``level``, default s).
     """
-    p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t)
+    p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t, level)
     mean = p.mean(x0, xt) @ ((w * (ell / p.variance)) @ w.T)
     mean += np.tile(w @ (ell * h), mean.shape[:-1] + (1,))  # a broadcast (d,) add loops over d
     return mean + rng.standard_normal(mean.shape) @ (np.sqrt(ell)[:, None] * w.T)

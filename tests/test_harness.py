@@ -391,6 +391,53 @@ class TestCli:
                 target[key] = value
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
 
+    @pytest.mark.parametrize("sweep,message", [
+        ({"R": [1, 0]}, "R must be >= 1"),
+        ({"index": ["near-zero", "fixed"]}, "fixed kind needs values"),
+        ({"G": [5, -1]}, "sampler.vi.steps must be >= 0"),
+    ], ids=["R-0", "index-fixed", "G-negative"])
+    def test_every_sweep_combo_validated_before_any_run(self, tmp_path, capsys, monkeypatch, sweep, message):
+        """A bad value on a later point of an axis fails before the first combo runs."""
+        config = harness.smoke_config()
+        config["n_runs"], config["sweep"] = 3, sweep
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "sweep", config, [], message)
+
+    def test_exact_g_sweep_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        """The exact conditional reads no VI budget, so a G axis would relabel one sampler."""
+        config = compare_config(n_runs=3)
+        config["sweep"] = {"G": [3, 30]}
+        message = "sweep varies G, the VI step budget, which backend 'exact' does not read"
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "sweep", config, [], message)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_near_noiseless_posterior_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command):
+        """sigma_y = 1e-7 leaves a posterior variance below the 1e-12 floor: run and sweep, which
+        score against it, fail naming it."""
+        config = harness.smoke_config()
+        config["likelihood"]["sigma_y"] = 1e-7
+        config["n_runs"], config["sweep"] = 3, {"R": [1, 2]}
+        if command == "run":
+            del config["sweep"]
+        message = "the exact posterior is near-noiseless at sigma_y=1e-07"
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
+
+    def test_near_noiseless_posterior_leaves_compare_and_oracle_working(self, tmp_path):
+        """compare and oracle read no posterior, so they run at sigma_y = 1e-7."""
+        config = compare_config(n_runs=1000)
+        config["likelihood"]["sigma_y"] = 1e-7
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        for command in ("compare", "oracle"):
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 0
+
+    @pytest.mark.parametrize("late_fraction", [2.0, -1])
+    def test_late_fraction_outside_unit_interval_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                                         late_fraction):
+        config = harness.smoke_config()
+        config["sampler"]["index"]["late_fraction"] = late_fraction
+        message = f"late_fraction must lie in [0, 1], got {late_fraction}"
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
+
     def test_dps_sweep_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         """DPS reads neither R, G nor an index law, so a sweep over them would relabel one sampler."""
         config = harness.smoke_config()
@@ -539,8 +586,8 @@ class TestNumpyOnly:
 
     def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
         """With sys.modules["scipy"] = None any scipy import raises ImportError; each subcommand
-        still exits 0.  The GMM vi-mh run reaches exact_posterior and GmmPrior.log_density, and
-        the denoise final step of the criterion-5 compare reaches spd_inverse."""
+        still exits 0.  The GMM vi-mh run reaches GmmPrior.log_density and exact_posterior, the one
+        path to spd_inverse; the criterion-5 compare runs the denoise final step, which inverts no matrix."""
         gmm_vimh = harness.smoke_config()
         gmm_vimh["prior"] = {"kind": "gmm", "weights": [0.3, 0.7], "means": [[1.0, 1.0], [-1.0, -0.5]],
                              "covs": [[[0.3, 0.1], [0.1, 0.4]], [[0.5, 0.0], [0.0, 0.2]]]}
@@ -582,6 +629,27 @@ class TestNumpyOnly:
         proc = self.run_python(code, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_denoise_final_run_loads_no_oracle(self, tmp_path):
+        """The sampler's denoise final step draws the exact conditional itself: a batch run with it
+        imports no mgdm.oracle."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from mgdm.likelihoods import LinearGaussianLikelihood\n"
+            "from mgdm.priors import GaussianPrior\n"
+            "from mgdm.sampler import MgdmConfig, make_timesteps, mgdm_run_batch\n"
+            "from mgdm.schedule import make_schedule\n"
+            "lik = LinearGaussianLikelihood(A=[[1.0, 0.4], [0.0, 0.8]], y=[2.4, -1.6], sigma_y=0.5)\n"
+            "prior = GaussianPrior(mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.7]])\n"
+            "cfg = MgdmConfig(timesteps=make_timesteps(8, 1000), conditional='exact', denoise='exact',\n"
+            "                 final='denoise')\n"
+            "out = mgdm_run_batch(lik, prior, make_schedule('linear', 1000), cfg, 50, np.random.default_rng(0))\n"
+            "print(out.shape, 'mgdm.oracle' in sys.modules)\n"
+        )
+        proc = self.run_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "(50, 2) False"
 
     def test_importing_the_program_loads_no_scipy(self, tmp_path):
         code = (

@@ -11,15 +11,15 @@ from mgdm.oracle import (
     GridSpec,
     QuadratureJoint,
     auto_grids,
-    build_final_kernels,
     build_kernels,
+    final_kernel,
     oracle_recursion,
 )
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior, spd_inverse
 from mgdm.harness import covariance_se
 from mgdm.sampler import IndexDistribution, MgdmConfig, gibbs_step, make_timesteps, mgdm_run_batch
 from mgdm.schedule import gauss_log_density, make_schedule
-from mgdm.vi import conditional_coefficients
+from mgdm.vi import conditional_coefficients, exact_conditional_sample
 
 
 def instance_2d():
@@ -198,36 +198,83 @@ class TestBuildKernels:
             np.testing.assert_allclose(integral, direct, atol=1e-8)
 
 
+def random_instance(d, rng):
+    """A d-dimensional Gaussian prior with a random eigenbasis, observed through d - 1 (at least one) rows."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    prior = GaussianPrior(mean=rng.standard_normal(d), cov=(q * rng.uniform(0.2, 3.0, d)) @ q.T)
+    d_y = max(1, d - 1)
+    lik = LinearGaussianLikelihood(A=rng.standard_normal((d_y, d)), y=rng.standard_normal(d_y), sigma_y=0.4)
+    return lik, prior
+
+
+def final_kernel_reference(prior, lik, sched, s, t):
+    """(H, h, L) of the denoise final step from its defining formula, with explicit inverses: the
+    g0-reweighted bridge t -> s from the plugged x_0 = m_t(x_t), x_s | x_t ~ N(H_u x_t + h_u, L_u),
+    pushed through x_0 = m_s(x_s)."""
+    eye = np.eye(prior.dim)
+    a_mat, y, s2 = lik.A, lik.y, lik.sigma_y**2
+    p = sched.bridge_params(s, t)
+    jac_t, bias_t = prior.denoiser_affine(sched, t)
+    jac_s, bias_s = prior.denoiser_affine(sched, s)
+    L_u = spd_inverse(eye / p.variance + a_mat.T @ a_mat / s2)
+    H_u = L_u @ ((p.mean_coeff_x0 / p.variance) * jac_t + (p.mean_coeff_xt / p.variance) * eye)
+    h_u = L_u @ (a_mat.T @ y / s2 + (p.mean_coeff_x0 / p.variance) * bias_t)
+    return jac_s @ H_u, jac_s @ h_u + bias_s, jac_s @ L_u @ jac_s.T
+
+
 class TestFinalKernels:
+    """The denoise final step is the exact conditional at the level-0 potential g0: the oracle's
+    (H, h, L) and the sampler's draw both read it."""
+
     def test_inner_kernel_matches_quadrature(self):
-        """x_s | x_t under g0-reweighted plugged bridge: Gauss-Hermite
-        moments match (H_under, h_under, L_under) to 1e-8 (times (1, 2))."""
+        """x_s | x_t under the g0-reweighted plugged bridge, the level-0 conditional coefficients
+        composed with m_t: Gauss-Hermite moments match them to 1e-8 (times (1, 2))."""
         lik, prior, sched = instance_1d()
-        fk = build_final_kernels(prior, lik, sched, s=1, t=2)
+        M, N, e, lam = conditional_coefficients(lik, prior, sched, 1, 2, level=0)
         from scipy.special import roots_hermitenorm
 
         nodes, weights = roots_hermitenorm(301)
         weights = weights / math.sqrt(2 * math.pi)
         p = sched.bridge_params(1, 2)
         for x_t in (-0.7, 0.4, 1.5):
-            m2 = prior.denoise(sched, 2, np.array([x_t])).value[0]
-            mean_b = p.mean_coeff_x0 * m2 + p.mean_coeff_xt * x_t
+            m2 = prior.denoise(sched, 2, np.array([x_t])).value
+            mean_b = p.mean_coeff_x0 * m2[0] + p.mean_coeff_xt * x_t
             xs = mean_b + math.sqrt(p.variance) * nodes
             logw = np.log(weights) + lik.log_g0(xs[:, None])
             w = np.exp(logw - logw.max())
             w /= w.sum()
             q_mean = float(np.sum(w * xs))
             q_var = float(np.sum(w * xs**2)) - q_mean**2
-            np.testing.assert_allclose(fk.H_under[0, 0] * x_t + fk.h_under[0], q_mean, atol=1e-8)
-            np.testing.assert_allclose(fk.L_under[0, 0], q_var, atol=1e-8)
+            np.testing.assert_allclose((M @ m2 + N @ [x_t] + e)[0], q_mean, atol=1e-8)
+            np.testing.assert_allclose(lam[0, 0], q_var, atol=1e-8)
 
     def test_outer_kernel_is_denoiser_pushforward(self):
-        lik, prior, sched = instance_1d()
-        fk = build_final_kernels(prior, lik, sched, s=1, t=2)
-        jac, bias = prior.denoiser_affine(sched, 1)
-        np.testing.assert_allclose(fk.H, jac @ fk.H_under, atol=1e-14)
-        np.testing.assert_allclose(fk.h, jac @ fk.h_under + bias, atol=1e-14)
-        np.testing.assert_allclose(fk.L, jac @ fk.L_under @ jac.T, atol=1e-14)
+        """The sampler's final draw, m_s of the level-0 conditional draw from the plugged m_t(x_t), is
+        x_t H^T + h + eps R^T with eps the generator's normals and R R^T = L.  In 3-D the eigenbasis W
+        is not symmetric, so a transposed noise root shows (in 2-D eigh may return a symmetric W)."""
+        sched = make_schedule("linear", 1000)
+        rng = np.random.default_rng(4)
+        lik, prior = random_instance(3, rng)
+        xt = rng.standard_normal((40, 3))
+        for s, t in ((1, 2), (3, 40), (10, 200)):
+            H, h, L = final_kernel(prior, lik, sched, s, t)
+            x_plug = prior.denoise(sched, t, xt).value
+            xs = exact_conditional_sample(lik, prior, sched, s, t, x_plug, xt, np.random.default_rng(9), level=0)
+            noise = prior.denoise(sched, s, xs).value - (xt @ H.T + h)
+            eps = np.random.default_rng(9).standard_normal(xt.shape)
+            root = np.linalg.lstsq(eps, noise, rcond=None)[0].T
+            np.testing.assert_allclose(eps @ root.T, noise, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(root @ root.T, L, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["linear", "cosine"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_matches_reference_formula(self, d, family):
+        """``final_kernel`` equals the explicit-inverse formula to 1e-12 relative."""
+        sched = make_schedule(family, 1000)
+        lik, prior = random_instance(d, np.random.default_rng(d))
+        for s, t in ((1, 2), (1, 40), (3, 40), (10, 200)):
+            for got, ref in zip(final_kernel(prior, lik, sched, s, t), final_kernel_reference(prior, lik, sched, s, t)):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (s, t)
 
 
 class TestOracleRecursion:
@@ -320,6 +367,23 @@ class TestOracleRecursion:
         z = (samples.mean(0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
         assert np.all(np.abs(z) < 4.0)
         assert abs(np.var(samples[:, 0]) / om.cov[0, 0] - 1.0) < 0.05
+
+    @pytest.mark.parametrize("final_s", [1, 40])
+    def test_matches_simulation_in_denoise_final_mode_2d(self, final_s):
+        """Criterion 5 with the denoise final step: 10^4 chains match the recursion within 3 of
+        criterion 5's standard errors, at the default final_s = 1 and at final_s = 40, half of t_2 = 80,
+        where the final bridge is wide.  Plugging the running x_0 in place of m_{t_2}(x_t) fails both."""
+        lik, prior, sched = instance_2d()
+        ts = make_timesteps(25, 1000)
+        cfg = MgdmConfig(timesteps=ts, R=4, conditional="exact", denoise="exact",
+                         index_dist=IndexDistribution(kind="fixed", values=midpoint_sequence(ts)),
+                         final="denoise", final_s=final_s)
+        n = 10_000
+        samples = mgdm_run_batch(lik, prior, sched, cfg, n, np.random.default_rng(1907))
+        om = oracle_recursion(prior, lik, sched, cfg)
+        z_mean = (samples.mean(axis=0) - om.mean) / np.sqrt(np.diag(om.cov) / n)
+        z_cov = (np.cov(samples.T) - om.cov) / covariance_se(om.cov, n)
+        assert np.all(np.abs(z_mean) < 3.0) and np.all(np.abs(z_cov) < 3.0), (z_mean, z_cov)
 
     @pytest.mark.parametrize("M", [1, 5])
     def test_matches_simulation_with_ddpm_denoise(self, M):
