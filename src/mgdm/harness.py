@@ -67,6 +67,9 @@ def build_problem(config: dict):
             _check_keys(spec, kinds[kind], name)
     prior = prior_from_json(config["prior"])
     likelihood = likelihood_from_json(config["likelihood"])
+    cols = np.atleast_2d(np.asarray(config["likelihood"]["A"])).shape[1]
+    if cols != prior.dim:
+        raise ValueError(f"likelihood A needs {prior.dim} columns, the prior's dimension, but has {cols}")
     schedule = _build_schedule(config["schedule"])
     return prior, likelihood, schedule
 
@@ -318,8 +321,8 @@ def _combo_experiment(config: dict, r_val, g_val, index_kind) -> ExperimentConfi
     sampler["R"] = int(r_val)
     if g_val is not None:
         sampler["vi"] = {**(sampler.get("vi") or {}), "steps": int(g_val), "steps_late": int(g_val)}
-    if index_kind is not None:
-        sampler["index"] = {"kind": index_kind}
+    if index_kind is not None:  # the swept kind keeps the base law's other keys (tau, late_fraction, ...)
+        sampler["index"] = {**(sampler.get("index") or {}), "kind": index_kind}
     return ExperimentConfig.from_dict(cfg)
 
 
@@ -331,6 +334,9 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     sweep = config.get("sweep", {})
     if not sweep:
         raise ValueError("sweep config needs a 'sweep' section")
+    for axis, values in sweep.items():
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"sweep axis {axis!r} must be a non-empty list, got {values!r}")
     if "G" in sweep and base.mgdm.conditional == "exact":
         raise ValueError("sweep varies G, the VI step budget, which backend 'exact' does not read")
     base.posterior  # built now, so a degenerate posterior fails before any run

@@ -404,6 +404,8 @@ def exact_posterior(prior, likelihood):
     if not isinstance(likelihood, LinearGaussianLikelihood):
         raise TypeError("exact_posterior requires a linear-Gaussian likelihood")
     a_mat, y, s2 = likelihood.A, likelihood.y, likelihood.sigma_y**2
+    if a_mat.shape[1] != prior.dim:
+        raise ValueError(f"likelihood A needs {prior.dim} columns, the prior's dimension, but has {a_mat.shape[1]}")
 
     if isinstance(prior, GaussianPrior):
         mean, cov = _conjugate_update(prior.mean, prior.cov, a_mat, y, s2)

@@ -24,7 +24,6 @@ import numpy as np
 from . import vi as vi_mod
 from .priors import GaussianPrior
 from .schedule import NoiseSchedule
-from .vi import ViConfig
 
 CONDITIONAL_BACKENDS = ("exact", "vi", "vi-mh")
 DENOISE_BACKENDS = ("ddpm", "exact")
@@ -132,10 +131,10 @@ class ViPhaseSchedule:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
-    def resolve(self, i: int, K: int) -> ViConfig:
+    def resolve(self, i: int, K: int) -> tuple[int, float]:
+        """(steps, learning_rate) of the VI fit at outer step i."""
         lr = self.eta_early if i >= math.floor(3 * K / 4) else self.eta
-        g = self.steps_late if i <= math.floor(K / 4) else self.steps
-        return ViConfig(steps=g, learning_rate=lr)
+        return (self.steps_late if i <= math.floor(K / 4) else self.steps), lr
 
     @staticmethod
     def constant(eta: float, steps: int) -> "ViPhaseSchedule":
@@ -263,24 +262,21 @@ def gibbs_step(
     prior,
     schedule: NoiseSchedule,
     config: MgdmConfig,
+    vi_fit: tuple[int, float],
     rng: np.random.Generator,
-    vi_config: ViConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One deterministic-scan sweep of the three conditionals at levels s < t: (x0, xs, xt).
 
-    ``vi_config`` is the VI fit's settings at this outer step, as
-    ``mgdm_run`` resolves them from ``config.vi``; the VI backends need it
-    and the exact backend ignores it.
+    ``vi_fit`` is the VI fit's (steps, learning_rate) at this outer step, as
+    ``config.vi.resolve`` gives it; the exact backend ignores it.
     """
     if config.conditional == "exact":
         xs = vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, t, x0, xt, rng)
-    elif vi_config is None:
-        raise ValueError(f"the {config.conditional!r} conditional backend needs vi_config")
     else:
-        params = vi_mod.fit_variational(likelihood, prior, schedule, s, t, x0, xt, vi_config, rng)
-        xs = params.sample(rng)
+        theta = vi_mod.fit_variational(likelihood, prior, schedule, s, t, x0, xt, *vi_fit, rng)
+        xs = vi_mod.variational_sample(theta, rng)
         if config.conditional == "vi-mh":
-            xs = vi_mod.mh_correct(likelihood, prior, schedule, s, t, x0, xt, xs, params, config.mh_steps, rng)
+            xs = vi_mod.mh_correct(likelihood, prior, schedule, s, t, x0, xt, xs, theta, config.mh_steps, rng)
     xt = schedule.forward_sample(xs, s, t, rng)
     if config.denoise == "exact":
         x0 = prior.backward_sample(schedule, s, xs, rng)
@@ -311,11 +307,11 @@ def _mgdm_core(
             _check_finite(i, t_i, s, x0)
         else:
             xt = schedule.bridge_sample(x0, xt, t_i, ts[i], rng)
-        vi_config = config.vi.resolve(i, K)
+        vi_fit = config.vi.resolve(i, K)
         for _ in range(config.R):
             # xs is held until the next sweep returns: freed before it, glibc trims the heap top and
             # re-faults those pages on each sweep (2.7x the page faults of 10^4-chain exact runs).
-            x0, xs, xt = gibbs_step(x0, xt, s, t_i, likelihood, prior, schedule, config, rng, vi_config=vi_config)
+            x0, xs, xt = gibbs_step(x0, xt, s, t_i, likelihood, prior, schedule, config, vi_fit, rng)
             _check_finite(i, t_i, s, x0, xt)
 
     if config.final == "denoise":

@@ -4,13 +4,14 @@ The target is the conditional of the extended Gibbs distribution,
 
     pibar(x_s | x_0, x_t)  propto  ghat_s(x_s) q(x_s | x_0, x_t),
 
-approximated by lambda = N(mu, diag(exp(rho))).  The fit minimizes the
-reverse KL by Adam on single-sample reparameterized gradients; the
-squared-norm term of the KL-to-bridge part is estimated with the sampled
-point rather than its closed-form expectation (computing it exactly is
-known to behave worse), and the entropy term contributes -1/2 per rho
-coordinate.  Initialization is the bridge itself, so zero gradient steps
-reproduce an exact bridge draw.
+approximated by lambda = N(mu, diag(exp(rho))), held as one plain array
+theta of shape (2, ..., d) with theta[0] = mu and theta[1] = rho.  The fit
+minimizes the reverse KL by Adam on single-sample reparameterized
+gradients; the squared-norm term of the KL-to-bridge part is estimated
+with the sampled point rather than its closed-form expectation (computing
+it exactly is known to behave worse), and the entropy term contributes
+-1/2 per rho coordinate.  Initialization is the bridge itself, so zero
+gradient steps reproduce an exact bridge draw.
 
 For a Gaussian prior with a linear-Gaussian likelihood the conditional is
 Gaussian and available exactly (``exact_conditional``); an optional
@@ -21,7 +22,7 @@ conditional using the fitted lambda as proposal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,41 +36,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class VariationalParams:
-    """Variational mean and log-variance, shape (..., d) each."""
-
-    mu: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        if self.mu.shape != self.rho.shape:
-            raise ValueError("mu and rho must share a shape")
-        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.rho))):
-            raise ValueError("variational parameters must be finite")
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.mu + np.exp(0.5 * self.rho) * rng.standard_normal(self.mu.shape)
-
-
-@dataclass(frozen=True)
-class ViConfig:
-    """Gradient-step budget and learning rate for the variational fit.
-
-    The optimizer is Adam with the conventional (0.9, 0.999, 1e-8)
-    moment constants; one Monte Carlo draw per step.
-    """
-
-    steps: int = 5
-    learning_rate: float = 0.03
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+def variational_sample(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw mu + exp(rho / 2) z from lambda = N(theta[0], diag(exp(theta[1]))) per state."""
+    return theta[0] + np.exp(0.5 * theta[1]) * rng.standard_normal(theta[0].shape)
 
 
 def _check_pair(s: int, t: int) -> None:
@@ -86,7 +55,7 @@ def kl_gradient_estimate(
     s: int,
     bridge_mean: np.ndarray,
     bridge_var: float,
-    params: VariationalParams,
+    theta: np.ndarray,
     rng: np.random.Generator,
 ):
     """Reparameterized gradient of the reverse-KL surrogate wrt (mu, rho).
@@ -100,9 +69,9 @@ def kl_gradient_estimate(
     bridge q(x_s | x_0, x_t) enters only through its mean and variance.
     Returned as one array of shape (2, ...): [d/dmu, d/drho].
     """
-    sd = np.exp(0.5 * params.rho)
-    z = rng.standard_normal(params.mu.shape)
-    x = params.mu + sd * z
+    sd = np.exp(0.5 * theta[1])
+    z = rng.standard_normal(theta[0].shape)
+    x = theta[0] + sd * z
     common = -grad_log_g_hat(likelihood, prior, schedule, s, x) + (x - bridge_mean) / bridge_var
     return np.array((common, common * (0.5 * sd * z) - 0.5))
 
@@ -115,33 +84,32 @@ def fit_variational(
     t: int,
     x0: np.ndarray,
     xt: np.ndarray,
-    config: ViConfig,
+    steps: int,
+    learning_rate: float,
     rng: np.random.Generator,
-) -> VariationalParams:
-    """Run ``config.steps`` Adam updates from the bridge initialization.
+) -> np.ndarray:
+    """theta = (mu, rho) after ``steps`` Adam updates at ``learning_rate`` from the bridge initialization.
 
     The bridge is built once per fit and every step reads its mean and
-    variance.  Both parameter blocks step together, in place, as one
-    (2, ...) array whose two rows are the ``mu`` and ``rho`` of the result.
+    variance.  Both rows of theta step together, in place.  The sampler takes
+    (steps, learning_rate) from ``ViPhaseSchedule.resolve``, whose schedule checks both.
     """
     _check_pair(s, t)
     bridge = schedule.bridge_params(s, t)
     bridge_mean = bridge.mean(x0, xt)
     theta = np.array((bridge_mean, np.full_like(bridge_mean, math.log(bridge.variance))))
-    params = VariationalParams(*theta)
     mom = np.zeros_like(theta)
     vel = np.zeros_like(theta)
-    lr = config.learning_rate
-    for step in range(1, config.steps + 1):
-        grads = kl_gradient_estimate(likelihood, prior, schedule, s, bridge_mean, bridge.variance, params, rng)
+    for step in range(1, steps + 1):
+        grads = kl_gradient_estimate(likelihood, prior, schedule, s, bridge_mean, bridge.variance, theta, rng)
         mom *= ADAM_BETA1
         mom += (1.0 - ADAM_BETA1) * grads
         vel *= ADAM_BETA2
         vel += (1.0 - ADAM_BETA2) * grads**2
         m_hat = mom / (1.0 - ADAM_BETA1**step)
         v_hat = vel / (1.0 - ADAM_BETA2**step)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return params
+        theta -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return theta
 
 
 # -- exact conditional (linear-Gaussian + Gaussian prior) ---------------------
@@ -200,8 +168,7 @@ def exact_conditional(
 
 
 def independent_mh(
-    log_target: Callable[[np.ndarray], np.ndarray],
-    log_proposal: Callable[[np.ndarray], np.ndarray],
+    log_weight: Callable[[np.ndarray], np.ndarray],
     draw_proposal: Callable[[np.random.Generator], np.ndarray],
     current: np.ndarray,
     n_steps: int,
@@ -209,20 +176,18 @@ def independent_mh(
 ) -> np.ndarray:
     """Generic independent-proposal MH; batches over leading axes.
 
-    States have shape (..., d); the log densities map them to (...,).
+    States have shape (..., d); ``log_weight`` maps them to log target - log proposal, of shape (...,),
+    the one difference the acceptance ratio reads.
     """
     x = np.array(current, dtype=np.float64)
-    lt = np.asarray(log_target(x), dtype=np.float64)
-    lp = np.asarray(log_proposal(x), dtype=np.float64)
+    w = np.asarray(log_weight(x), dtype=np.float64)
     for _ in range(n_steps):
         prop = draw_proposal(rng)
-        lt_prop = np.asarray(log_target(prop), dtype=np.float64)
-        lp_prop = np.asarray(log_proposal(prop), dtype=np.float64)
-        log_ratio = (lt_prop - lp_prop) - (lt - lp)
+        w_prop = np.asarray(log_weight(prop), dtype=np.float64)
+        log_ratio = w_prop - w
         accept = np.log(rng.random(log_ratio.shape)) < log_ratio
         x = np.where(accept[..., None], prop, x)
-        lt = np.where(accept, lt_prop, lt)
-        lp = np.where(accept, lp_prop, lp)
+        w = np.where(accept, w_prop, w)
     return x
 
 
@@ -235,28 +200,23 @@ def mh_correct(
     x0: np.ndarray,
     xt: np.ndarray,
     current: np.ndarray,
-    params: VariationalParams,
+    theta: np.ndarray,
     n_steps: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Refine a conditional draw by independent-proposal MH.
 
-    Proposal: lambda = N(mu, diag(exp(rho))), its variance taken once per call.
+    Proposal: lambda = N(theta[0], diag(exp(theta[1]))), its variance taken once per call.
     Target: ghat_s times the bridge, through the value of log_g_hat alone:
     MH reads no gradient, so it applies no vector-Jacobian product.
     """
     _check_pair(s, t)
     p = schedule.bridge_params(s, t)
     m_b = p.mean(x0, xt)
-    var = np.exp(params.rho)
+    var = np.exp(theta[1])
 
-    def log_target(x):
-        return log_g_hat(likelihood, prior, schedule, s, x) + gauss_log_density(x, m_b, p.variance)
+    def log_weight(x):
+        log_target = log_g_hat(likelihood, prior, schedule, s, x) + gauss_log_density(x, m_b, p.variance)
+        return log_target - gauss_log_density(x, theta[0], var)
 
-    def log_proposal(x):
-        return gauss_log_density(x, params.mu, var)
-
-    def draw_proposal(gen):
-        return params.sample(gen)
-
-    return independent_mh(log_target, log_proposal, draw_proposal, current, n_steps, rng)
+    return independent_mh(log_weight, partial(variational_sample, theta), current, n_steps, rng)

@@ -26,7 +26,7 @@ from mgdm.sampler import (
     mgdm_run_batch,
 )
 from mgdm.schedule import gauss_log_density, make_schedule
-from mgdm.vi import ViConfig, exact_conditional, fit_variational, independent_mh
+from mgdm.vi import exact_conditional, fit_variational, independent_mh, variational_sample
 
 
 def reference_2d():
@@ -180,7 +180,7 @@ def test_criterion_04_gibbs_stationarity():
     xt = sched.forward_sample(xs, s, t, rng)
 
     cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-    out = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, rng)
+    out = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, cfg.vi.resolve(cfg.K, cfg.K), rng)
 
     for axis, arr in zip(("x0", "xs", "xt"), (a[:, 0] for a in out)):
         ref_mean, ref_var = joint.moments(axis)
@@ -260,11 +260,10 @@ def test_criterion_07_vi_quality():
     xt = sched.alpha(t) * x0
     exact = exact_conditional(lik, prior, sched, s, t, x0, xt)
     scale = np.linalg.norm(exact.mean)
-    cfg = ViConfig(steps=200, learning_rate=0.03)
     errs = []
     for seed in range(100):
-        params = fit_variational(lik, prior, sched, s, t, x0, xt, cfg, np.random.default_rng((1007, seed)))
-        errs.append(np.linalg.norm(params.mu - exact.mean) / scale)
+        theta = fit_variational(lik, prior, sched, s, t, x0, xt, 200, 0.03, np.random.default_rng((1007, seed)))
+        errs.append(np.linalg.norm(theta[0] - exact.mean) / scale)
     mean_err = float(np.mean(errs))
     assert mean_err < 0.05, mean_err
     elapsed = time.perf_counter() - started
@@ -330,7 +329,7 @@ def test_criterion_09_mh_correctness():
     def draw_proposal(gen):
         return support[gen.choice(3, size=n, p=q)][:, None]
 
-    out = independent_mh(log_target, log_proposal, draw_proposal, x, 1, rng)
+    out = independent_mh(lambda v: log_target(v) - log_proposal(v), draw_proposal, x, 1, rng)
     end_idx = np.searchsorted(support, out[:, 0])
     counts = np.zeros((3, 3))
     np.add.at(counts, (start_idx, end_idx), 1.0)
@@ -345,17 +344,15 @@ def test_criterion_09_mh_correctness():
     s, t = 100, 500
     x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
     mom = exact_conditional(lik, prior, sched, s, t, x0, xt)
-    from mgdm.vi import VariationalParams
-
-    params = VariationalParams(mu=mom.mean, rho=np.log(np.diag(mom.cov)))
+    theta = np.array((mom.mean, np.log(np.diag(mom.cov))))
     p = sched.bridge_params(s, t)
     m_b = p.mean_coeff_x0 * x0 + p.mean_coeff_xt * xt
     rng2 = np.random.default_rng(1010)
     ratios = []
     for _ in range(100):
-        z = params.sample(rng2)
+        z = variational_sample(theta, rng2)
         log_t = log_g_hat(lik, prior, sched, s, z) + gauss_log_density(z, m_b, p.variance)
-        log_p = gauss_log_density(z, params.mu, np.exp(params.rho))
+        log_p = gauss_log_density(z, theta[0], np.exp(theta[1]))
         ratios.append(log_t - log_p)
     assert np.max(ratios) - np.min(ratios) < 1e-10
     elapsed = time.perf_counter() - started

@@ -14,6 +14,7 @@ import pytest
 import mgdm
 from mgdm import harness, priors
 from mgdm.cli import build_parser, main
+from mgdm.sampler import IndexDistribution
 
 
 def compare_config(n_runs=2000, K=8, R=2, backend="exact"):
@@ -101,6 +102,14 @@ class TestSweep:
     def test_sweep_requires_sweep_section(self, tmp_path):
         with pytest.raises(ValueError):
             harness.run_sweep(harness.smoke_config(), tmp_path)
+
+    @pytest.mark.parametrize("kind", ["uniform-mix", "near-zero"])
+    def test_index_axis_keeps_the_base_index_keys(self, kind):
+        """A swept index kind replaces the base law's kind alone, so its row runs tau = 5, not the default 10."""
+        config = harness.smoke_config()
+        config["sampler"]["index"]["late_fraction"] = 0.5
+        experiment = harness._combo_experiment(config, 1, None, kind)
+        assert experiment.mgdm.index_dist == IndexDistribution(kind=kind, tau=5, late_fraction=0.5)
 
 
 class TestOracleReport:
@@ -395,12 +404,26 @@ class TestCli:
         ({"R": [1, 0]}, "R must be >= 1"),
         ({"index": ["near-zero", "fixed"]}, "fixed kind needs values"),
         ({"G": [5, -1]}, "sampler.vi.steps must be >= 0"),
-    ], ids=["R-0", "index-fixed", "G-negative"])
+        ({"R": []}, "sweep axis 'R' must be a non-empty list, got []"),
+        ({"R": 2}, "sweep axis 'R' must be a non-empty list, got 2"),
+    ], ids=["R-0", "index-fixed", "G-negative", "R-empty", "R-scalar"])
     def test_every_sweep_combo_validated_before_any_run(self, tmp_path, capsys, monkeypatch, sweep, message):
-        """A bad value on a later point of an axis fails before the first combo runs."""
+        """A bad value on a later point of an axis fails before the first combo runs, and so does an axis that
+        is not a non-empty list: an empty one would run nothing and exit 0."""
         config = harness.smoke_config()
         config["n_runs"], config["sweep"] = 3, sweep
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "sweep", config, [], message)
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+    def test_operator_of_another_dimension_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command,
+                                                                    kind):
+        """A one-column A on a 2-D prior fails naming both sizes, not in numpy's matmul after a run."""
+        config = compare_config(n_runs=3)
+        config["prior"] = {"kind": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        config["likelihood"] = {"kind": kind, "A": [[1.0]], "y": [1.0], "sigma_y": 0.5}
+        message = "likelihood A needs 2 columns, the prior's dimension, but has 1"
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
 
     def test_exact_g_sweep_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         """The exact conditional reads no VI budget, so a G axis would relabel one sampler."""

@@ -143,7 +143,7 @@ class TestBuildKernels:
         cov_in = np.array([[0.9, 0.2], [0.2, 1.3]])
         z = rng.standard_normal((n, 2)) @ np.linalg.cholesky(cov_in).T + mean_in
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-        x0, _, xt = gibbs_step(z[:, :1], z[:, 1:], tau, k, lik, prior, sched, cfg, rng)
+        x0, _, xt = gibbs_step(z[:, :1], z[:, 1:], tau, k, lik, prior, sched, cfg, cfg.vi.resolve(cfg.K, cfg.K), rng)
         zp = np.concatenate([x0, xt], axis=1)
         kern = kernel(prior, lik, sched, k=k, tau=tau)
 

@@ -741,6 +741,14 @@ class TestExactPosterior:
         with pytest.raises(TypeError):
             exact_posterior(gauss_1d(), lik)
 
+    def test_rejects_operator_of_another_dimension(self):
+        """A one-column A on a 2-D prior would broadcast A^T A onto the prior precision."""
+        lik = LinearGaussianLikelihood(A=[[1.0]], y=[1.0], sigma_y=0.5)
+        gmm = GmmPrior(weights=[0.5, 0.5], means=[[1.0, 1.0], [-1.0, 0.0]], covs=[np.eye(2)] * 2)
+        for prior in (GaussianPrior(mean=np.zeros(2), cov=np.eye(2)), gmm):
+            with pytest.raises(ValueError, match="likelihood A needs 2 columns, the prior's dimension, but has 1"):
+                exact_posterior(prior, lik)
+
     def test_gmm_posterior_reweights_components(self):
         prior = GmmPrior(
             weights=[0.5, 0.5], means=[[-2.0], [2.0]], covs=[[[0.2]], [[0.2]]]

@@ -223,16 +223,9 @@ class TestGibbsStep:
     def test_levels_unchanged_and_shapes(self):
         lik, prior, sched = problem_1d()
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-        x0, xs, xt = gibbs_step(np.zeros(1), np.ones(1), 100, 600, lik, prior, sched, cfg, np.random.default_rng(0))
+        rng, vi_fit = np.random.default_rng(0), cfg.vi.resolve(cfg.K, cfg.K)
+        x0, xs, xt = gibbs_step(np.zeros(1), np.ones(1), 100, 600, lik, prior, sched, cfg, vi_fit, rng)
         assert x0.shape == xs.shape == xt.shape == (1,)
-
-    @pytest.mark.parametrize("backend", ["vi", "vi-mh"])
-    def test_vi_backend_needs_resolved_vi_config(self, backend):
-        """Only the outer loop maps the phase schedule to a ViConfig; a VI sweep without one is refused."""
-        lik, prior, sched = problem_1d()
-        cfg = MgdmConfig(timesteps=(100, 1000), conditional=backend, mh_steps=1)
-        with pytest.raises(ValueError, match=f"the '{backend}' conditional backend needs vi_config"):
-            gibbs_step(np.zeros(1), np.ones(1), 100, 600, lik, prior, sched, cfg, np.random.default_rng(0))
 
     def test_exact_sweep_preserves_quadrature_marginals(self):
         """One sweep from exact-joint draws keeps all three marginals
@@ -242,7 +235,7 @@ class TestGibbsStep:
         rng = np.random.default_rng(44)
         x0, xs, xt, joint = exact_joint_draws(lik, prior, sched, s, t, n, rng)
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-        out = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, rng)
+        out = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, cfg.vi.resolve(cfg.K, cfg.K), rng)
         u = (np.arange(n) + 0.5) / n
         for axis, arr in zip(("x0", "xs", "xt"), out):
             pts, dens = joint.marginal(axis)
@@ -261,7 +254,7 @@ class TestGibbsStep:
         xs = sched.forward_sample(x0, 0, s, rng)
         xt = sched.forward_sample(xs, s, t, rng)
         cfg = MgdmConfig(timesteps=(100, 1000), conditional="exact", denoise="exact")
-        _, _, xt = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, rng)
+        _, _, xt = gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, cfg.vi.resolve(cfg.K, cfg.K), rng)
         p_t = smoothed(prior, sched, t)
         mean_t, cov_t = p_t.mean, p_t.cov
         se_mean = np.sqrt(cov_t[0, 0] / n)
@@ -357,10 +350,9 @@ class TestConfig:
     def test_phase_schedule_resolution(self):
         vi = ViPhaseSchedule()
         K = 100
-        assert vi.resolve(90, K).learning_rate == 0.01
-        assert vi.resolve(50, K).learning_rate == 0.03
-        assert vi.resolve(10, K).steps == 20
-        assert vi.resolve(50, K).steps == 5
+        assert vi.resolve(90, K) == (5, 0.01)  # (steps, learning_rate)
+        assert vi.resolve(50, K) == (5, 0.03)
+        assert vi.resolve(10, K) == (20, 0.03)
 
     @pytest.mark.parametrize("field,value,message", [
         ("steps", -1, "^steps must be >= 0$"),

@@ -9,8 +9,6 @@ from mgdm.likelihoods import LinearGaussianLikelihood, grad_log_g_hat, linearize
 from mgdm.priors import DenoiserOutput, GaussianPrior, GmmPrior
 from mgdm.schedule import make_schedule, gauss_log_density
 from mgdm.vi import (
-    VariationalParams,
-    ViConfig,
     conditional_coefficients,
     exact_conditional,
     exact_conditional_sample,
@@ -18,6 +16,7 @@ from mgdm.vi import (
     independent_mh,
     kl_gradient_estimate,
     mh_correct,
+    variational_sample,
 )
 
 
@@ -44,10 +43,15 @@ def bridge(sched, s, t, x0, xt):
 def bridge_init(sched, s, t, x0, xt):
     """Bridge moments as variational parameters: the fit's starting point, which a
     zero-step fit returns without reading the likelihood, the prior or a generator."""
-    return fit_variational(None, None, sched, s, t, x0, xt, ViConfig(steps=0), None)
+    return fit_variational(None, None, sched, s, t, x0, xt, 0, 0.03, None)
 
 
-def reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, params, n_nodes=257):
+def tiled(theta, n):
+    """theta = (mu, rho) of one state, repeated for a batch of n states: shape (2, n, d)."""
+    return np.array((np.tile(theta[0], (n, 1)), np.tile(theta[1], (n, 1))))
+
+
+def reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, theta, n_nodes=257):
     """KL(lambda || normalized ghat_s * bridge) by Gauss-Hermite, d = 1."""
     from scipy.special import logsumexp
 
@@ -62,8 +66,8 @@ def reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, params, n_nodes=257):
     log_z = logsumexp(np.log(weights) + log_pot)
 
     # E_lambda[log lambda - log ghat - log bridge].
-    xs = (float(params.mu[0]) + float(np.exp(0.5 * params.rho[0])) * nodes)[:, None]
-    log_lam = gauss_log_density(xs, params.mu, np.exp(params.rho))
+    xs = (float(theta[0, 0]) + float(np.exp(0.5 * theta[1, 0])) * nodes)[:, None]
+    log_lam = gauss_log_density(xs, theta[0], np.exp(theta[1]))
     log_pot_lam = log_g_hat(lik, prior, sched, s, xs)
     log_bridge = gauss_log_density(xs, np.atleast_1d(m_b), p.variance)
     return float(np.sum(weights * (log_lam - log_pot_lam - log_bridge))) + float(log_z)
@@ -76,25 +80,15 @@ class _ZeroDraws:
         return np.zeros(shape)
 
 
-class TestConfig:
-    def test_rejects_negative_steps(self):
-        with pytest.raises(ValueError):
-            ViConfig(steps=-1)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            ViConfig(learning_rate=0.0)
-
-
 class TestInitialization:
     def test_bridge_init_matches_bridge_params_exactly(self):
         _, _, sched = problem_1d()
         x0, xt = np.array([0.4]), np.array([-0.2])
         s, t = 120, 500
-        params = bridge_init(sched, s, t, x0, xt)
+        theta = bridge_init(sched, s, t, x0, xt)
         p = sched.bridge_params(s, t)
-        assert params.mu[0] == p.mean_coeff_x0 * x0[0] + p.mean_coeff_xt * xt[0]
-        assert params.rho[0] == math.log(p.variance)
+        assert theta[0, 0] == p.mean_coeff_x0 * x0[0] + p.mean_coeff_xt * xt[0]
+        assert theta[1, 0] == math.log(p.variance)
 
     def test_zero_steps_reproduces_bridge_sample(self):
         """G = 0 consumes the same single normal draw as bridge_sample."""
@@ -102,7 +96,7 @@ class TestInitialization:
         x0, xt = np.array([0.4]), np.array([-0.2])
         s, t = 120, 500
         rng = np.random.default_rng(99)
-        draw = fit_variational(lik, prior, sched, s, t, x0, xt, ViConfig(steps=0), rng).sample(rng)
+        draw = variational_sample(fit_variational(lik, prior, sched, s, t, x0, xt, 0, 0.03, rng), rng)
         ref = sched.bridge_sample(x0, xt, s, t, np.random.default_rng(99))
         np.testing.assert_allclose(draw, ref, atol=1e-12)
 
@@ -114,7 +108,7 @@ class TestInitialization:
         with pytest.raises(ValueError):
             bridge_init(sched, 10, 10, np.zeros(1), np.zeros(1))
         with pytest.raises(ValueError):
-            fit_variational(lik, prior, sched, 0, 10, np.zeros(1), np.zeros(1), ViConfig(), np.random.default_rng(0))
+            fit_variational(lik, prior, sched, 0, 10, np.zeros(1), np.zeros(1), 5, 0.03, np.random.default_rng(0))
 
     @pytest.mark.parametrize("steps", [0, 1, 10])
     def test_one_bridge_per_fit(self, steps, monkeypatch):
@@ -135,7 +129,7 @@ class TestInitialization:
         monkeypatch.setattr(NoiseSchedule, "bridge_params", counted("bridge_params", bridge_params))
         monkeypatch.setattr(vi_mod, "kl_gradient_estimate", counted("kl_gradient_estimate", gradient))
         x0, xt = np.array([[0.3, -0.2], [1.0, 0.4]]), np.array([[0.1, 0.5], [-0.7, 0.2]])
-        fit_variational(lik, prior, sched, 120, 400, x0, xt, ViConfig(steps=steps), np.random.default_rng(3))
+        fit_variational(lik, prior, sched, 120, 400, x0, xt, steps, 0.03, np.random.default_rng(3))
         assert calls == {"bridge_params": 1, "kl_gradient_estimate": steps}
 
 
@@ -147,8 +141,8 @@ class TestGradientEstimator:
         prior = GaussianPrior(mean=[0.5, 0.5], cov=np.eye(2) * 1e-12)
         lik = LinearGaussianLikelihood(A=np.eye(2), y=[0.5, 0.5], sigma_y=1.0)
         x0, xt = np.full(2, 0.1), np.full(2, -0.3)
-        params = bridge_init(sched, 20, 70, x0, xt)
-        _, grad_rho = kl_gradient_estimate(lik, prior, sched, 20, *bridge(sched, 20, 70, x0, xt), params, _ZeroDraws())
+        theta = bridge_init(sched, 20, 70, x0, xt)
+        _, grad_rho = kl_gradient_estimate(lik, prior, sched, 20, *bridge(sched, 20, 70, x0, xt), theta, _ZeroDraws())
         np.testing.assert_allclose(grad_rho, [-0.5, -0.5], atol=1e-10)
 
     def test_flat_potential_zero_expected_mu_gradient_at_init(self):
@@ -157,12 +151,10 @@ class TestGradientEstimator:
         prior = GaussianPrior(mean=[0.2], cov=[[1e-12]])
         lik = LinearGaussianLikelihood(A=[[1.0]], y=[0.2], sigma_y=1.0)
         x0, xt = np.array([0.4]), np.array([0.1])
-        params = bridge_init(sched, 20, 70, x0, xt)
+        theta = bridge_init(sched, 20, 70, x0, xt)
         rng = np.random.default_rng(0)
         n = 100_000
-        from mgdm.vi import VariationalParams
-
-        batch = VariationalParams(mu=np.tile(params.mu, (n, 1)), rho=np.tile(params.rho, (n, 1)))
+        batch = tiled(theta, n)
         gmu, _ = kl_gradient_estimate(lik, prior, sched, 20, *bridge(sched, 20, 70, x0, xt), batch, rng)
         se = gmu.std() / math.sqrt(n)
         assert abs(gmu.mean()) < 3 * se + 1e-12
@@ -173,22 +165,18 @@ class TestGradientEstimator:
         lik, prior, sched = problem_1d()
         s, t = 60, 400
         x0, xt = np.array([0.5]), np.array([-0.1])
-        params0 = bridge_init(sched, s, t, x0, xt)
-        mu0, rho0 = float(params0.mu[0]), float(params0.rho[0])
-        from mgdm.vi import VariationalParams
+        theta0 = bridge_init(sched, s, t, x0, xt)
+        mu0, rho0 = float(theta0[0, 0]), float(theta0[1, 0])
 
         n = 200_000
         rng = np.random.default_rng(5)
-        batch = VariationalParams(mu=np.full((n, 1), mu0), rho=np.full((n, 1), rho0))
+        batch = np.array((np.full((n, 1), mu0), np.full((n, 1), rho0)))
         gmu, grho = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), batch, rng)
 
         h = 1e-4
 
         def kl_at(mu, rho):
-            return reverse_kl_quadrature(
-                lik, prior, sched, s, t, x0, xt,
-                VariationalParams(mu=np.array([mu]), rho=np.array([rho])), n_nodes=401,
-            )
+            return reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, np.array([[mu], [rho]]), n_nodes=401)
 
         fd_mu = (kl_at(mu0 + h, rho0) - kl_at(mu0 - h, rho0)) / (2 * h)
         fd_rho = (kl_at(mu0, rho0 + h) - kl_at(mu0, rho0 - h)) / (2 * h)
@@ -206,8 +194,7 @@ class TestPotentialValueOnDemand:
         calls = []
         original = LinearGaussianLikelihood.log_g0
         monkeypatch.setattr(LinearGaussianLikelihood, "log_g0", lambda self, x: calls.append(1) or original(self, x))
-        fit_variational(lik, prior, sched, 50, 300, np.array([0.2]), np.array([0.1]), ViConfig(steps=7),
-                        np.random.default_rng(0))
+        fit_variational(lik, prior, sched, 50, 300, np.array([0.2]), np.array([0.1]), 7, 0.03, np.random.default_rng(0))
         assert calls == []
         x = np.array([[0.3], [-0.4]])
         den = prior.denoise(sched, 50, x)
@@ -228,8 +215,8 @@ class TestPotentialValueOnDemand:
         original = GaussianPrior.denoise
         monkeypatch.setattr(GaussianPrior, "denoise", lambda *args: denoises.append(1) or original(*args))
         x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
-        fit_variational(lik, prior, sched, 100, 500, x0, xt, ViConfig(steps=steps), np.random.default_rng(0))
-        fit_variational(lik, prior, sched, 100, 500, np.tile(x0, (6, 1)), np.tile(xt, (6, 1)), ViConfig(steps=steps),
+        fit_variational(lik, prior, sched, 100, 500, x0, xt, steps, 0.03, np.random.default_rng(0))
+        fit_variational(lik, prior, sched, 100, 500, np.tile(x0, (6, 1)), np.tile(xt, (6, 1)), steps, 0.03,
                         np.random.default_rng(1))
         assert denoises == []
 
@@ -253,11 +240,11 @@ class TestPotentialValueOnDemand:
         monkeypatch.setattr(prior_cls, "denoise", counting_denoise)
         rng = np.random.default_rng(3)
         x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
-        params = fit_variational(lik, prior, sched, 100, 500, x0, xt, ViConfig(steps=4), rng)
+        theta = fit_variational(lik, prior, sched, 100, 500, x0, xt, 4, 0.03, rng)
         fit_vjps = 0 if prior_cls is GaussianPrior else 4  # a Gaussian fit takes the closed-form gradient
         assert len(vjps) == len(denoises) == fit_vjps
-        batch = VariationalParams(mu=np.tile(params.mu, (8, 1)), rho=np.tile(params.rho, (8, 1)))
-        mh_correct(lik, prior, sched, 100, 500, x0, xt, batch.sample(rng), batch, 3, rng)
+        batch = tiled(theta, 8)
+        mh_correct(lik, prior, sched, 100, 500, x0, xt, variational_sample(batch, rng), batch, 3, rng)
         assert len(denoises) == fit_vjps + 4 and len(vjps) == fit_vjps
 
 
@@ -270,11 +257,10 @@ class TestFit:
         x0 = exact_posterior(prior, lik).mean
         xt = sched.alpha(t) * x0
         exact = exact_conditional(lik, prior, sched, s, t, x0, xt)
-        cfg = ViConfig(steps=200, learning_rate=0.03)
         errs = []
         for seed in range(20):
-            params = fit_variational(lik, prior, sched, s, t, x0, xt, cfg, np.random.default_rng(seed))
-            errs.append(np.linalg.norm(params.mu - exact.mean) / np.linalg.norm(exact.mean))
+            theta = fit_variational(lik, prior, sched, s, t, x0, xt, 200, 0.03, np.random.default_rng(seed))
+            errs.append(np.linalg.norm(theta[0] - exact.mean) / np.linalg.norm(exact.mean))
         assert np.mean(errs) < 0.05
 
     def test_gradient_vanishes_at_exact_conditional_for_diagonal_target(self):
@@ -287,12 +273,8 @@ class TestFit:
         s, t = 100, 500
         x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
         mom = exact_conditional(lik, prior, sched, s, t, x0, xt)
-        from mgdm.vi import VariationalParams
-
         n = 200_000
-        batch = VariationalParams(
-            mu=np.tile(mom.mean, (n, 1)), rho=np.tile(np.log(np.diag(mom.cov)), (n, 1))
-        )
+        batch = tiled(np.array((mom.mean, np.log(np.diag(mom.cov)))), n)
         rng = np.random.default_rng(6)
         gmu, grho = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), batch, rng)
         for grad in (gmu, grho):
@@ -311,28 +293,25 @@ class TestFit:
         s, t = 120, 400
         rng = np.random.default_rng(8)
         x0, xt = rng.standard_normal(shape), rng.standard_normal(shape)
-        cfg = ViConfig(steps=15, learning_rate=0.05)
+        steps, learning_rate = 15, 0.05
 
         gen = np.random.default_rng(9)
-        params = bridge_init(sched, s, t, x0, xt)
+        blocks = list(bridge_init(sched, s, t, x0, xt))  # mu and rho, each stepped on its own
         mom = [np.zeros(shape), np.zeros(shape)]
         vel = [np.zeros(shape), np.zeros(shape)]
-        for step in range(1, cfg.steps + 1):
-            grads = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), params, gen)
+        for step in range(1, steps + 1):
+            grads = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), np.array(blocks), gen)
             for slot, grad in enumerate(grads):
                 mom[slot] = ADAM_BETA1 * mom[slot] + (1.0 - ADAM_BETA1) * grad
                 vel[slot] = ADAM_BETA2 * vel[slot] + (1.0 - ADAM_BETA2) * grad**2
                 m_hat = mom[slot] / (1.0 - ADAM_BETA1**step)
                 v_hat = vel[slot] / (1.0 - ADAM_BETA2**step)
-                update = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                if slot == 0:
-                    params.mu = params.mu - update
-                else:
-                    params.rho = params.rho - update
+                update = learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                blocks[slot] = blocks[slot] - update
 
-        got = fit_variational(lik, prior, sched, s, t, x0, xt, cfg, np.random.default_rng(9))
-        assert np.array_equal(got.mu, params.mu) and np.array_equal(got.rho, params.rho)
-        assert got.mu.shape == got.rho.shape == shape
+        got = fit_variational(lik, prior, sched, s, t, x0, xt, steps, learning_rate, np.random.default_rng(9))
+        assert np.array_equal(got[0], blocks[0]) and np.array_equal(got[1], blocks[1])
+        assert got.shape == (2,) + shape
 
     def test_reverse_kl_decreases_on_nonlinear_toy(self):
         """Mean quadrature KL after 50 steps is strictly below the KL at
@@ -344,11 +323,10 @@ class TestFit:
         x0, xt = np.array([0.7]), np.array([0.2])
         init = bridge_init(sched, s, t, x0, xt)
         kl_init = reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, init, n_nodes=301)
-        cfg = ViConfig(steps=50, learning_rate=0.03)
         finals = []
         for seed in range(200):
-            params = fit_variational(lik, prior, sched, s, t, x0, xt, cfg, np.random.default_rng(seed))
-            finals.append(reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, params, n_nodes=301))
+            theta = fit_variational(lik, prior, sched, s, t, x0, xt, 50, 0.03, np.random.default_rng(seed))
+            finals.append(reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, theta, n_nodes=301))
         assert np.mean(finals) < kl_init
 
 
@@ -500,7 +478,7 @@ class TestConditionalMemo:
     def test_guidance_and_conditional_share_one_entry(self):
         """The VI gradient's P_s and q_s sit in the exact conditional's entry for level s."""
         lik, prior, sched = problem_2d()
-        fit_variational(lik, prior, sched, 30, 60, np.zeros(2), np.ones(2), ViConfig(steps=3), np.random.default_rng(0))
+        fit_variational(lik, prior, sched, 30, 60, np.zeros(2), np.ones(2), 3, 0.03, np.random.default_rng(0))
         entry = prior._conditionals[2][30]
         conditional_coefficients(lik, prior, sched, 30, 60)
         assert prior._conditionals[2][30] is entry and list(prior._conditionals[2]) == [30]
@@ -553,9 +531,9 @@ class TestMhCorrection:
     def test_zero_steps_returns_current(self):
         lik, prior, sched = problem_1d()
         x0, xt = np.array([0.1]), np.array([0.2])
-        params = bridge_init(sched, 50, 300, x0, xt)
+        theta = bridge_init(sched, 50, 300, x0, xt)
         current = np.array([0.33])
-        out = mh_correct(lik, prior, sched, 50, 300, x0, xt, current, params, 0, np.random.default_rng(0))
+        out = mh_correct(lik, prior, sched, 50, 300, x0, xt, current, theta, 0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, current)
 
     def test_acceptance_ratio_cancels_for_exact_proposal(self):
@@ -567,17 +545,15 @@ class TestMhCorrection:
         s, t = 100, 500
         x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
         mom = exact_conditional(lik, prior, sched, s, t, x0, xt)
-        from mgdm.vi import VariationalParams
-
-        params = VariationalParams(mu=mom.mean, rho=np.log(np.diag(mom.cov)))
+        theta = np.array((mom.mean, np.log(np.diag(mom.cov))))
         p = sched.bridge_params(s, t)
         m_b = p.mean_coeff_x0 * x0 + p.mean_coeff_xt * xt
         rng = np.random.default_rng(8)
         diffs = []
         for _ in range(50):
-            x = params.sample(rng)
+            x = variational_sample(theta, rng)
             log_t = log_g_hat(lik, prior, sched, s, x) + gauss_log_density(x, m_b, p.variance)
-            log_p = gauss_log_density(x, params.mu, np.exp(params.rho))
+            log_p = gauss_log_density(x, theta[0], np.exp(theta[1]))
             diffs.append(log_t - log_p)
         assert np.max(diffs) - np.min(diffs) < 1e-10
 
@@ -589,15 +565,12 @@ class TestMhCorrection:
         lik = quadratic_toy(A=[[1.0]], y=[0.5], sigma_y=0.4)
         s, t = 80, 420
         x0, xt = np.array([0.7]), np.array([0.2])
-        cfg = ViConfig(steps=60, learning_rate=0.02)
         rng = np.random.default_rng(77)
-        params = fit_variational(lik, prior, sched, s, t, x0, xt, cfg, rng)
+        theta = fit_variational(lik, prior, sched, s, t, x0, xt, 60, 0.02, rng)
 
         n_chains, burn, keep = 512, 150, 100
-        from mgdm.vi import VariationalParams
-
-        batch = VariationalParams(mu=np.tile(params.mu, (n_chains, 1)), rho=np.tile(params.rho, (n_chains, 1)))
-        x = batch.sample(rng)
+        batch = tiled(theta, n_chains)
+        x = variational_sample(batch, rng)
         x = mh_correct(lik, prior, sched, s, t, x0, xt, x, batch, burn, rng)
         pool = []
         for _ in range(keep):
@@ -641,7 +614,7 @@ class TestMhCorrection:
         def draw_proposal(gen):
             return support[gen.choice(3, size=n, p=q)][:, None]
 
-        out = independent_mh(log_target, log_proposal, draw_proposal, x, 1, rng)
+        out = independent_mh(lambda v: log_target(v) - log_proposal(v), draw_proposal, x, 1, rng)
         end_idx = np.searchsorted(support, out[:, 0])
         counts = np.zeros((3, 3))
         np.add.at(counts, (start_idx, end_idx), 1.0)
@@ -650,3 +623,68 @@ class TestMhCorrection:
                 diff = abs(counts[i, j] - counts[j, i])
                 se = math.sqrt(counts[i, j] + counts[j, i])
                 assert diff < 3 * se
+
+
+def two_density_mh(log_target, log_proposal, draw_proposal, current, n_steps, rng):
+    """Independent-proposal MH that carries the target and proposal log densities apart."""
+    x = np.array(current, dtype=np.float64)
+    lt = np.asarray(log_target(x), dtype=np.float64)
+    lp = np.asarray(log_proposal(x), dtype=np.float64)
+    for _ in range(n_steps):
+        prop = draw_proposal(rng)
+        lt_prop = np.asarray(log_target(prop), dtype=np.float64)
+        lp_prop = np.asarray(log_proposal(prop), dtype=np.float64)
+        log_ratio = (lt_prop - lp_prop) - (lt - lp)
+        accept = np.log(rng.random(log_ratio.shape)) < log_ratio
+        x = np.where(accept[..., None], prop, x)
+        lt = np.where(accept, lt_prop, lt)
+        lp = np.where(accept, lp_prop, lp)
+    return x
+
+
+class TestOneLogWeight:
+    """MH on the one log weight (log target - log proposal) moves the chains bit for bit as MH on both densities."""
+
+    def test_three_point_target(self):
+        support = np.array([-1.0, 0.0, 1.0])
+        log_pi, log_q = np.log([0.5, 0.3, 0.2]), np.log([0.2, 0.3, 0.5])
+        n = 100_000
+        x = support[np.random.default_rng(30).choice(3, size=n)][:, None]
+
+        def draw_proposal(gen):
+            return support[gen.choice(3, size=n, p=np.exp(log_q))][:, None]
+
+        def log_weight(v):
+            idx = np.searchsorted(support, v[..., 0])
+            return log_pi[idx] - log_q[idx]
+
+        def at(table):
+            return lambda v: table[np.searchsorted(support, v[..., 0])]
+
+        for n_steps in (1, 5):
+            want = two_density_mh(at(log_pi), at(log_q), draw_proposal, x, n_steps, np.random.default_rng(31))
+            got = independent_mh(log_weight, draw_proposal, x, n_steps, np.random.default_rng(31))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    def test_gmm_vi_mh_batch(self, n_steps):
+        sched = make_schedule("linear", 1000)
+        prior = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]], covs=[np.eye(2) * 0.3, np.eye(2) * 0.5])
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.3)
+        s, t, n = 60, 300, 64
+        rng = np.random.default_rng(12)
+        x0, xt = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        theta = fit_variational(lik, prior, sched, s, t, x0, xt, 5, 0.1, rng)
+        current = variational_sample(theta, rng)
+        p = sched.bridge_params(s, t)
+        m_b = p.mean(x0, xt)
+        want = two_density_mh(
+            lambda x: log_g_hat(lik, prior, sched, s, x) + gauss_log_density(x, m_b, p.variance),
+            lambda x: gauss_log_density(x, theta[0], np.exp(theta[1])),
+            lambda gen: theta[0] + np.exp(0.5 * theta[1]) * gen.standard_normal(theta[0].shape),
+            current, n_steps, np.random.default_rng(13),
+        )
+        got = mh_correct(lik, prior, sched, s, t, x0, xt, current, theta, n_steps, np.random.default_rng(13))
+        assert np.array_equal(got, want)
+        moved = np.any(got != current, axis=-1)
+        assert 0 < moved.sum() < n  # both branches of the accept step ran
