@@ -141,16 +141,20 @@ def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarra
     return likelihood.log_g0(prior.denoise(schedule, s, x_s).value)
 
 
-def grad_log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray) -> np.ndarray:
-    """Gradient Jac(m_s)^T grad log g0(m_s(x_s)) of log ghat_s, no log_g0: q_s - x_s P_s of ``level_factorization``
-    for a Gaussian prior and linear-Gaussian likelihood, else the denoiser's VJP; s = 0 is rejected: use grad_log_g0."""
+def guidance(likelihood, prior, schedule: NoiseSchedule, s: int) -> Callable[[np.ndarray], np.ndarray]:
+    """x_s -> grad log ghat_s(x_s) = Jac(m_s)^T grad log g0(m_s(x_s)), resolved once per level (s >= 1), no log_g0:
+    q_s - x_s P_s of ``level_factorization`` for a Gaussian prior and linear-Gaussian likelihood, else the
+    denoiser's VJP, with ``prior.denoise`` looked up at each call."""
+    if s < 1:  # level 0 is g0 itself (the factorization keeps an entry for it), not a guided level
+        raise ValueError("guidance needs s >= 1; use grad_log_g0")
     if isinstance(prior, GaussianPrior) and isinstance(likelihood, LinearGaussianLikelihood):
-        if s < 1:  # the factorization has a level-0 entry, g0's own
-            raise ValueError("grad_log_g_hat needs s >= 1; use grad_log_g0")
         *_, prec, shift = level_factorization(likelihood, prior, schedule, s)
-        return shift - x_s @ prec
-    den = prior.denoise(schedule, s, x_s)
-    return den.vjp(likelihood.grad_log_g0(den.value))
+        return lambda x_s: shift - x_s @ prec
+
+    def vjp(x_s):
+        den = prior.denoise(schedule, s, x_s)
+        return den.vjp(likelihood.grad_log_g0(den.value))
+    return vjp
 
 
 def require_linear_gaussian(likelihood, prior, what: str) -> None:

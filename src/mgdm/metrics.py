@@ -90,9 +90,9 @@ def sliced_wasserstein2(a, b, n_projections: int = 512, *, rng: np.random.Genera
     root-means the squared 1-D W2 values.  Unequal sample counts are
     compared through interpolated quantiles.  Directions are projected in
     blocks of about ``_BLOCK_VALUES`` values per sample set, so memory does
-    not grow with ``n_projections``.  Each direction is scored on its own;
-    the blocking can move a projection only where BLAS rounds a dot product
-    differently in products of different shapes.
+    not grow with ``n_projections``; a set whose whole projection fits one
+    block is projected once, as BLAS can round a small set's product with a
+    block differently.  Each direction is scored on its own.
     """
     xa, xb = _as_samples(a), _as_samples(b)
     if xa.shape[1] != xb.shape[1]:
@@ -110,8 +110,11 @@ def sliced_wasserstein2(a, b, n_projections: int = 512, *, rng: np.random.Genera
     # At least two directions per block: numpy sends a one-column product to gemv, which can round
     # differently from the gemm that projects all directions at once.
     n_blocks = max(1, len(uniq) // max(2, _BLOCK_VALUES // n))
-    for sub, out in zip(np.array_split(uniq, n_blocks), np.array_split(w2sq, n_blocks)):
-        pa, pb = xa @ sub.T, xb @ sub.T  # (Na, block), (Nb, block)
+    whole = [x @ uniq.T if len(x) * len(uniq) <= _BLOCK_VALUES else None for x in (xa, xb)]
+    stop = 0
+    for out in np.array_split(w2sq, n_blocks):
+        cols = slice(stop, stop := stop + len(out))  # an index array would reorder the block and its row sums
+        pa, pb = (x @ uniq[cols].T if p is None else p[:, cols] for x, p in zip((xa, xb), whole))  # (Na|Nb, block)
         if xa.shape[0] == xb.shape[0]:
             out[:] = _w2_sq_1d(pa.T, pb.T)
         else:

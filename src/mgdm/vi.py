@@ -10,8 +10,9 @@ minimizes the reverse KL by Adam on single-sample reparameterized
 gradients; the squared-norm term of the KL-to-bridge part is estimated
 with the sampled point rather than its closed-form expectation (computing
 it exactly is known to behave worse), and the entropy term contributes
--1/2 per rho coordinate.  Initialization is the bridge itself, so zero
-gradient steps reproduce an exact bridge draw.
+-1/2 per rho coordinate.  A fit resolves the guidance gradient once and
+draws all its noise in one call.  Initialization is the bridge itself, so
+zero gradient steps reproduce an exact bridge draw.
 
 For a Gaussian prior with a linear-Gaussian likelihood the conditional is
 Gaussian and available exactly (``exact_conditional``); an optional
@@ -27,13 +28,15 @@ from typing import Callable
 
 import numpy as np
 
-from .likelihoods import grad_log_g_hat, level_factorization, log_g_hat, require_linear_gaussian
+from .likelihoods import guidance, level_factorization, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
 from .schedule import NoiseSchedule, gauss_log_density
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# 0-d arrays, the same bits: numpy applies a Python float to a few-element array in about 1.6x the time.
+_HALF, _B1, _R1, _B2, _R2, _EPS = map(np.array, (0.5, ADAM_BETA1, 1 - ADAM_BETA1, ADAM_BETA2, 1 - ADAM_BETA2, ADAM_EPS))
 
 
 def variational_sample(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -48,32 +51,18 @@ def _check_pair(s: int, t: int) -> None:
         raise ValueError(f"need s < t, got s={s}, t={t}")
 
 
-def kl_gradient_estimate(
-    likelihood,
-    prior,
-    schedule: NoiseSchedule,
-    s: int,
-    bridge_mean: np.ndarray,
-    bridge_var: float,
-    theta: np.ndarray,
-    rng: np.random.Generator,
-):
-    """Reparameterized gradient of the reverse-KL surrogate wrt (mu, rho).
+def kl_gradient_estimate(guide: Callable, bridge_mean: np.ndarray, bridge_var, theta: np.ndarray, z: np.ndarray):
+    """Single-sample reparameterized gradient [d/dmu, d/drho], one (2, ...) array, of the reverse-KL surrogate
+    -E[log ghat_s] + KL(lambda || bridge) at the noise draw z: with X = mu + W and W = exp(rho/2) z,
 
-    Single-sample estimator: with X = mu + exp(rho/2) Z,
+        d/dmu = (X - bridge_mean) / bridge_var - guide(X),    d/drho = (same) * W / 2 - 1/2;
 
-        d/dmu  = -grad log ghat_s(X) + (X - bridge_mean) / bridge_var
-        d/drho = (same) * dX/drho - 1/2,
-
-    unbiased for the objective -E[log ghat_s] + KL(lambda || bridge); the
-    bridge q(x_s | x_0, x_t) enters only through its mean and variance.
-    Returned as one array of shape (2, ...): [d/dmu, d/drho].
+    ``guide`` is ``likelihoods.guidance`` at level s; the bridge q(x_s | x_0, x_t) enters by its mean and variance.
     """
-    sd = np.exp(0.5 * theta[1])
-    z = rng.standard_normal(theta[0].shape)
-    x = theta[0] + sd * z
-    common = -grad_log_g_hat(likelihood, prior, schedule, s, x) + (x - bridge_mean) / bridge_var
-    return np.array((common, common * (0.5 * sd * z) - 0.5))
+    w = np.exp(_HALF * theta[1]) * z
+    x = theta[0] + w
+    common = (x - bridge_mean) / bridge_var - guide(x)
+    return np.array((common, common * (_HALF * w) - _HALF))
 
 
 def fit_variational(
@@ -90,25 +79,28 @@ def fit_variational(
 ) -> np.ndarray:
     """theta = (mu, rho) after ``steps`` Adam updates at ``learning_rate`` from the bridge initialization.
 
-    The bridge is built once per fit and every step reads its mean and
-    variance.  Both rows of theta step together, in place.  The sampler takes
+    The bridge and the guidance gradient are resolved once, and all steps' noise is drawn in one call, the stream
+    of one draw per step; zero steps read neither the likelihood, the prior nor ``rng``.  The sampler takes
     (steps, learning_rate) from ``ViPhaseSchedule.resolve``, whose schedule checks both.
     """
     _check_pair(s, t)
     bridge = schedule.bridge_params(s, t)
     bridge_mean = bridge.mean(x0, xt)
     theta = np.array((bridge_mean, np.full_like(bridge_mean, math.log(bridge.variance))))
-    mom = np.zeros_like(theta)
-    vel = np.zeros_like(theta)
-    for step in range(1, steps + 1):
-        grads = kl_gradient_estimate(likelihood, prior, schedule, s, bridge_mean, bridge.variance, theta, rng)
-        mom *= ADAM_BETA1
-        mom += (1.0 - ADAM_BETA1) * grads
-        vel *= ADAM_BETA2
-        vel += (1.0 - ADAM_BETA2) * grads**2
+    if not steps:
+        return theta
+    guide = guidance(likelihood, prior, schedule, s)
+    variance, rate = np.array(bridge.variance), np.array(learning_rate)
+    mom = vel = 0.0
+    for step, z in enumerate(rng.standard_normal((steps,) + bridge_mean.shape), 1):
+        grads = kl_gradient_estimate(guide, bridge_mean, variance, theta, z)
+        # Fresh arrays (an in-place ufunc costs more on few elements); Python-float bias corrections (an array
+        # power rounds some of them differently).
+        mom = _B1 * mom + _R1 * grads
+        vel = _B2 * vel + _R2 * grads**2
         m_hat = mom / (1.0 - ADAM_BETA1**step)
         v_hat = vel / (1.0 - ADAM_BETA2**step)
-        theta -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        theta = theta - rate * m_hat / (np.sqrt(v_hat) + _EPS)
     return theta
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mgdm.likelihoods import LinearGaussianLikelihood, grad_log_g_hat, log_g_hat
+from mgdm.likelihoods import LinearGaussianLikelihood, guidance, log_g_hat
 from mgdm.metrics import gaussian_kl, sliced_wasserstein2
 from mgdm.moments import GaussianMoments
 from mgdm.oracle import QuadratureJoint, auto_grids, oracle_recursion
@@ -112,7 +112,7 @@ def test_criterion_02_tweedie_and_gradients():
             for _ in range(10):
                 s = int(rng.integers(1, 401))
                 x = rng.standard_normal(d)
-                grad = grad_log_g_hat(lik, prior, sched, s, x)
+                grad = guidance(lik, prior, sched, s)(x)
                 fd = np.empty(d)
                 for j in range(d):
                     e = np.zeros(d)

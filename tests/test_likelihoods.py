@@ -7,7 +7,7 @@ import pytest
 
 from mgdm.likelihoods import (
     LinearGaussianLikelihood,
-    grad_log_g_hat,
+    guidance,
     likelihood_from_json,
     linearized_potential,
     log_g_hat,
@@ -79,7 +79,7 @@ class TestLogGHat:
         lik = LinearGaussianLikelihood(A=[[1.0]], y=[2.0], sigma_y=1.0)
         x = np.array([4.0])
         np.testing.assert_allclose(log_g_hat(lik, prior, sched, 1, x), STD_NORMAL_PEAK, atol=1e-7)
-        np.testing.assert_allclose(grad_log_g_hat(lik, prior, sched, 1, x), [0.0], atol=1e-12)
+        np.testing.assert_allclose(guidance(lik, prior, sched, 1)(x), [0.0], atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_gradient_matches_finite_differences(self, d):
@@ -97,7 +97,7 @@ class TestLogGHat:
                 for _ in range(25):
                     s = int(rng.integers(1, 201))
                     x = rng.standard_normal(d)
-                    grad = grad_log_g_hat(lik, prior, sched, s, x)
+                    grad = guidance(lik, prior, sched, s)(x)
                     fd = np.empty(d)
                     for j in range(d):
                         e = np.zeros(d)
@@ -115,7 +115,7 @@ class TestLogGHat:
         vals = [log_g_hat(lik, prior, sched, 40, x) for x in xs]
         assert max(vals) - min(vals) < 1e-8
         for x in xs:
-            np.testing.assert_allclose(grad_log_g_hat(lik, prior, sched, 40, x), [0.0], atol=1e-8)
+            np.testing.assert_allclose(guidance(lik, prior, sched, 40)(x), [0.0], atol=1e-8)
 
     def test_rejects_s_zero(self):
         sched = make_schedule("linear", 10)
@@ -123,8 +123,10 @@ class TestLogGHat:
         lik = LinearGaussianLikelihood(A=[[1.0]], y=[0.0], sigma_y=1.0)
         with pytest.raises(ValueError):
             log_g_hat(lik, prior, sched, 0, np.zeros(1))
-        with pytest.raises(ValueError):
-            grad_log_g_hat(lik, prior, sched, 0, np.zeros(1))
+        gmm = GmmPrior(weights=[0.5, 0.5], means=[[-1.0], [1.0]], covs=[[[0.3]], [[0.3]]])
+        for p in (prior, gmm):  # both routes reject level 0 when the guide is resolved, before any state
+            with pytest.raises(ValueError):
+                guidance(lik, p, sched, 0)
 
 
 def _vjp_route(lik, prior, sched, s, x):
@@ -149,7 +151,7 @@ class TestClosedFormGradient:
         lik = LinearGaussianLikelihood(A=rng.standard_normal((3, d)), y=rng.standard_normal(3), sigma_y=0.3)
         for s in (1, 37, sched.T):
             x = rng.standard_normal(batch + (d,))
-            got = grad_log_g_hat(lik, prior, sched, s, x)
+            got = guidance(lik, prior, sched, s)(x)
             assert got.shape == x.shape
             np.testing.assert_allclose(got, _vjp_route(lik, prior, sched, s, x), rtol=1e-12)
 
@@ -165,7 +167,39 @@ class TestClosedFormGradient:
             for s in (1, 37, 200):
                 x = rng.standard_normal((5, 3))
                 want = _vjp_route(lik, prior, sched, s, x)
-                np.testing.assert_array_equal(grad_log_g_hat(lik, prior, sched, s, x), want)
+                np.testing.assert_array_equal(guidance(lik, prior, sched, s)(x), want)
+
+
+class TestGuidance:
+    """``guidance`` resolves the gradient of log ghat_s once per level; the guide is applied per state."""
+
+    def test_closed_form_guide_reads_the_factorization_once(self, monkeypatch):
+        import mgdm.likelihoods as lik_mod
+
+        sched = make_schedule("linear", 200)
+        prior = GaussianPrior(mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.7]])
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.4], [0.0, 0.8]], y=[2.4, -1.6], sigma_y=0.5)
+        reads, factorize = [], lik_mod.level_factorization
+        monkeypatch.setattr(lik_mod, "level_factorization", lambda *args: reads.append(args[-1]) or factorize(*args))
+        guide = guidance(lik, prior, sched, 30)
+        xs = np.random.default_rng(2).standard_normal((4, 3, 2))
+        got = [guide(x) for x in xs]
+        assert reads == [30]
+        *_, prec, shift = factorize(lik, prior, sched, 30)
+        for x, g in zip(xs, got):
+            np.testing.assert_array_equal(g, shift - x @ prec)
+
+    def test_vjp_guide_looks_the_denoiser_up_per_call(self, monkeypatch):
+        """A wrapper installed on the prior's class after the guide was resolved still sees every call."""
+        sched = make_schedule("linear", 200)
+        gmm = GmmPrior(weights=[0.4, 0.6], means=[[0.5, 0.0], [-0.3, 0.2]], covs=[np.eye(2) * 0.4, np.eye(2)])
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.3)
+        guide = guidance(lik, gmm, sched, 40)
+        calls, original = [], GmmPrior.denoise
+        monkeypatch.setattr(GmmPrior, "denoise", lambda *args: calls.append(1) or original(*args))
+        x = np.random.default_rng(3).standard_normal((5, 2))
+        np.testing.assert_array_equal(guide(x), _vjp_route(lik, gmm, sched, 40, x))
+        assert len(calls) == 2  # the guide's call and the reference's
 
 
 def _hermite(n):

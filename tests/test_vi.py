@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from mgdm.likelihoods import LinearGaussianLikelihood, grad_log_g_hat, linearized_potential, log_g_hat, quadratic_toy
+from mgdm.likelihoods import (
+    LinearGaussianLikelihood,
+    guidance,
+    linearized_potential,
+    log_g_hat,
+    quadratic_toy,
+)
 from mgdm.priors import DenoiserOutput, GaussianPrior, GmmPrior
 from mgdm.schedule import make_schedule, gauss_log_density
 from mgdm.vi import (
@@ -73,13 +79,6 @@ def reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, theta, n_nodes=257):
     return float(np.sum(weights * (log_lam - log_pot_lam - log_bridge))) + float(log_z)
 
 
-class _ZeroDraws:
-    """Stub generator whose normal draws are all zero."""
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
-
-
 class TestInitialization:
     def test_bridge_init_matches_bridge_params_exactly(self):
         _, _, sched = problem_1d()
@@ -103,8 +102,7 @@ class TestInitialization:
     def test_rejects_bad_levels(self):
         lik, prior, sched = problem_1d()
         with pytest.raises(ValueError):
-            kl_gradient_estimate(lik, prior, sched, 0, np.zeros(1), 0.5,
-                                 bridge_init(sched, 1, 10, np.zeros(1), np.zeros(1)), np.random.default_rng(0))
+            guidance(lik, prior, sched, 0)  # the estimator reads level s only through its guide
         with pytest.raises(ValueError):
             bridge_init(sched, 10, 10, np.zeros(1), np.zeros(1))
         with pytest.raises(ValueError):
@@ -142,7 +140,8 @@ class TestGradientEstimator:
         lik = LinearGaussianLikelihood(A=np.eye(2), y=[0.5, 0.5], sigma_y=1.0)
         x0, xt = np.full(2, 0.1), np.full(2, -0.3)
         theta = bridge_init(sched, 20, 70, x0, xt)
-        _, grad_rho = kl_gradient_estimate(lik, prior, sched, 20, *bridge(sched, 20, 70, x0, xt), theta, _ZeroDraws())
+        guide = guidance(lik, prior, sched, 20)
+        _, grad_rho = kl_gradient_estimate(guide, *bridge(sched, 20, 70, x0, xt), theta, np.zeros(2))
         np.testing.assert_allclose(grad_rho, [-0.5, -0.5], atol=1e-10)
 
     def test_flat_potential_zero_expected_mu_gradient_at_init(self):
@@ -155,7 +154,8 @@ class TestGradientEstimator:
         rng = np.random.default_rng(0)
         n = 100_000
         batch = tiled(theta, n)
-        gmu, _ = kl_gradient_estimate(lik, prior, sched, 20, *bridge(sched, 20, 70, x0, xt), batch, rng)
+        z = rng.standard_normal(batch[0].shape)
+        gmu, _ = kl_gradient_estimate(guidance(lik, prior, sched, 20), *bridge(sched, 20, 70, x0, xt), batch, z)
         se = gmu.std() / math.sqrt(n)
         assert abs(gmu.mean()) < 3 * se + 1e-12
 
@@ -171,7 +171,8 @@ class TestGradientEstimator:
         n = 200_000
         rng = np.random.default_rng(5)
         batch = np.array((np.full((n, 1), mu0), np.full((n, 1), rho0)))
-        gmu, grho = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), batch, rng)
+        z = rng.standard_normal(batch[0].shape)
+        gmu, grho = kl_gradient_estimate(guidance(lik, prior, sched, s), *bridge(sched, s, t, x0, xt), batch, z)
 
         h = 1e-4
 
@@ -203,7 +204,7 @@ class TestPotentialValueOnDemand:
         # A GMM prior takes the VJP route bit for bit; a Gaussian one, the closed form (test_likelihoods).
         gmm = GmmPrior(weights=[0.4, 0.6], means=[[0.5], [-0.3]], covs=[[[0.4]], [[0.9]]])
         den = gmm.denoise(sched, 50, x)
-        np.testing.assert_array_equal(grad_log_g_hat(lik, gmm, sched, 50, x), den.vjp(lik.grad_log_g0(den.value)))
+        np.testing.assert_array_equal(guidance(lik, gmm, sched, 50)(x), den.vjp(lik.grad_log_g0(den.value)))
         assert calls == [1]
 
     @pytest.mark.parametrize("steps", [1, 7])
@@ -276,31 +277,51 @@ class TestFit:
         n = 200_000
         batch = tiled(np.array((mom.mean, np.log(np.diag(mom.cov)))), n)
         rng = np.random.default_rng(6)
-        gmu, grho = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), batch, rng)
+        z = rng.standard_normal(batch[0].shape)
+        gmu, grho = kl_gradient_estimate(guidance(lik, prior, sched, s), *bridge(sched, s, t, x0, xt), batch, z)
         for grad in (gmu, grho):
             se = grad.std(axis=0) / math.sqrt(n)
             assert np.all(np.abs(grad.mean(axis=0)) < 3 * se + 1e-12)
 
-    @pytest.mark.parametrize("shape", [(1,), (2,), (50, 2)])
-    def test_stacked_adam_matches_per_block_reference(self, shape):
-        """One (2, ...) Adam state gives the same bits as separate mu and rho updates."""
-        from mgdm.priors import GmmPrior
+    @pytest.mark.parametrize(
+        "problem, shape",
+        [
+            pytest.param("gaussian", (1,), id="shape0"),
+            pytest.param("gaussian", (2,), id="shape1"),
+            pytest.param("gmm-isotropic", (50, 2), id="shape2"),
+            pytest.param("gmm-non-commuting", (2,), id="gmm-non-commuting"),
+            pytest.param("gmm-non-commuting", (50, 2), id="gmm-non-commuting-batch"),
+            pytest.param("quadratic", (1,), id="quadratic"),
+            pytest.param("quadratic", (50, 1), id="quadratic-batch"),
+        ],
+    )
+    def test_stacked_adam_matches_per_block_reference(self, problem, shape):
+        """The fit, with its one guidance resolve and one noise draw, gives the same bits as separate mu
+        and rho updates that draw each step's noise with its own generator call."""
         from mgdm.vi import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
         lik, prior, sched = problem_2d() if shape[-1] == 2 else problem_1d()
-        if shape == (50, 2):
+        if problem == "gmm-isotropic":
             prior = GmmPrior(weights=[0.5, 0.5], means=[[-1.0, -1.0], [1.0, 1.0]], covs=[np.eye(2) * 0.3] * 2)
+        elif problem == "gmm-non-commuting":  # tests/test_golden.py's: one eigenbasis per component
+            covs = [[[0.3, 0.1], [0.1, 0.4]], [[0.5, 0.0], [0.0, 0.2]]]
+            prior = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]], covs=covs)
+            lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.3)
+        elif problem == "quadratic":
+            prior, lik = GaussianPrior(mean=[0.4], cov=[[0.6]]), quadratic_toy(A=[[1.0]], y=[0.5], sigma_y=0.3)
         s, t = 120, 400
         rng = np.random.default_rng(8)
         x0, xt = rng.standard_normal(shape), rng.standard_normal(shape)
         steps, learning_rate = 15, 0.05
 
         gen = np.random.default_rng(9)
+        guide = guidance(lik, prior, sched, s)
         blocks = list(bridge_init(sched, s, t, x0, xt))  # mu and rho, each stepped on its own
         mom = [np.zeros(shape), np.zeros(shape)]
         vel = [np.zeros(shape), np.zeros(shape)]
         for step in range(1, steps + 1):
-            grads = kl_gradient_estimate(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), np.array(blocks), gen)
+            z = gen.standard_normal(shape)
+            grads = kl_gradient_estimate(guide, *bridge(sched, s, t, x0, xt), np.array(blocks), z)
             for slot, grad in enumerate(grads):
                 mom[slot] = ADAM_BETA1 * mom[slot] + (1.0 - ADAM_BETA1) * grad
                 vel[slot] = ADAM_BETA2 * vel[slot] + (1.0 - ADAM_BETA2) * grad**2
