@@ -67,9 +67,8 @@ def build_problem(config: dict):
             _check_keys(spec, kinds[kind], name)
     prior = prior_from_json(config["prior"])
     likelihood = likelihood_from_json(config["likelihood"])
-    cols = np.atleast_2d(np.asarray(config["likelihood"]["A"])).shape[1]
-    if cols != prior.dim:
-        raise ValueError(f"likelihood A needs {prior.dim} columns, the prior's dimension, but has {cols}")
+    if likelihood.dim != prior.dim:
+        raise ValueError(f"likelihood A needs {prior.dim} columns, the prior's dimension, but has {likelihood.dim}")
     schedule = _build_schedule(config["schedule"])
     return prior, likelihood, schedule
 
@@ -180,8 +179,8 @@ class ExperimentConfig:
         elif algorithm == "dps":
             mgdm, dps = None, (int(sampler.get("K", 100)), float(sampler.get("zeta", 1.0)))
             make_timesteps(dps[0], schedule.T)  # dps_run's grid: K >= 2 distinct levels up to T
-            if dps[1] < 0.0:
-                raise ValueError("zeta must be >= 0")
+            if not 0.0 <= dps[1] < np.inf:  # NaN too
+                raise ValueError("zeta must be >= 0 and finite")
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         n_runs = int(config.get("n_runs", 1))

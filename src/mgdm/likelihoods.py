@@ -1,7 +1,8 @@
 """Observation models and guidance potentials.
 
-``log_g0`` is the data log-likelihood log g(y | x).  The guidance
-potential at noise level s plugs the denoiser into it:
+One noise model, y = F(x) + N(0, sigma_y^2 I) (``GaussianObservation``), with F(x) = A x (``LinearGaussianLikelihood``,
+the model of every closed form) or (A x)^2 componentwise (``QuadraticLikelihood``); ``log_g0`` is its data
+log-likelihood log g(y | x).  The guidance potential at noise level s plugs the denoiser into it:
 
     log ghat_s(x_s) = log g(y | m_s(x_s)),
 
@@ -23,8 +24,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
-class LinearGaussianLikelihood:
-    """y = A x + noise with noise ~ N(0, sigma_y^2 I)."""
+class GaussianObservation:
+    """y = F(x) + N(0, sigma_y^2 I) noise, F = ``forward`` (x A^T unless overridden); subclasses add grad_log_g0."""
 
     A: np.ndarray
     y: np.ndarray
@@ -37,10 +38,11 @@ class LinearGaussianLikelihood:
         object.__setattr__(self, "A", a_mat)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma_y", float(self.sigma_y))
-        if self.sigma_y <= 0.0:
-            raise ValueError("sigma_y must be positive")
-        if np.any(np.isnan(a_mat)):
-            raise ValueError("A contains NaN entries")
+        if not 0.0 < self.sigma_y < np.inf:
+            raise ValueError("sigma_y must be positive and finite")
+        for name, arr in (("A", a_mat), ("y", y)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if a_mat.shape[0] != y.shape[0]:
             raise ValueError(f"A has {a_mat.shape[0]} rows but y has {y.shape[0]} entries")
         object.__setattr__(self, "_log_norm", self.dim_obs * (_LOG_2PI + 2.0 * np.log(self.sigma_y)))
@@ -57,83 +59,42 @@ class LinearGaussianLikelihood:
         return np.asarray(x, dtype=np.float64) @ self.A.T
 
     def log_g0(self, x: np.ndarray):
-        """log N(y; A x, sigma_y^2 I); x of shape (..., d)."""
+        """log N(y; F(x), sigma_y^2 I); x of shape (..., d)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has dimension {x.shape[-1]}, expected {self.dim}")
-        resid = self.y - x @ self.A.T
+        resid = self.y - self.forward(x)
         out = -0.5 * ((resid**2).sum(axis=-1) / self.sigma_y**2 + self._log_norm)
         return float(out) if out.ndim == 0 else out
 
+
+class LinearGaussianLikelihood(GaussianObservation):
+    """y = A x + noise: the model of every closed form (exact conditional, posterior, oracle)."""
+
     def grad_log_g0(self, x: np.ndarray) -> np.ndarray:
-        resid = self.y - self.forward(x)
-        return resid @ self.A / self.sigma_y**2
+        return (self.y - self.forward(x)) @ self.A / self.sigma_y**2
 
 
-@dataclass(frozen=True)
-class NonlinearLikelihood:
-    """y = F(x) + noise with a differentiable forward map.
-
-    ``forward_map(x)`` maps (..., d) -> (..., d_y); ``vjp(x, u)`` returns
-    Jac_F(x)^T u with u of shape (..., d_y).
-    """
-
-    forward_map: Callable[[np.ndarray], np.ndarray]
-    vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    y: np.ndarray
-    sigma_y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=np.float64)))
-        object.__setattr__(self, "sigma_y", float(self.sigma_y))
-        if self.sigma_y <= 0.0:
-            raise ValueError("sigma_y must be positive")
-
-    @property
-    def dim_obs(self) -> int:
-        return self.y.shape[0]
+class QuadraticLikelihood(GaussianObservation):
+    """y = (A x)^2 + noise, componentwise: smooth, cheap and non-log-concave, a desk-scale stand-in
+    for phase-retrieval-like observations; guided through the denoiser's VJP alone."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_map(np.asarray(x, dtype=np.float64))
+        return (np.asarray(x, dtype=np.float64) @ self.A.T) ** 2
 
-    def log_g0(self, x: np.ndarray):
-        resid = self.y - self.forward(x)
-        out = -0.5 * (
-            np.sum(resid**2, axis=-1) / self.sigma_y**2
-            + self.dim_obs * (_LOG_2PI + 2.0 * np.log(self.sigma_y))
-        )
-        return float(out) if np.ndim(out) == 0 else out
+    def vjp(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Jac_F(x)^T u with u of shape (..., d_y)."""
+        return (2.0 * (x @ self.A.T) * u) @ self.A
 
     def grad_log_g0(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        resid = self.y - self.forward(x)
-        return self.vjp(x, resid / self.sigma_y**2)
+        return self.vjp(x, (self.y - self.forward(x)) / self.sigma_y**2)
 
 
-def quadratic_toy(A: np.ndarray, y: np.ndarray, sigma_y: float) -> NonlinearLikelihood:
-    """Componentwise-quadratic forward map F(x) = (A x)^2.
-
-    Smooth, cheap, and non-log-concave; a desk-scale stand-in for
-    phase-retrieval-like observations.
-    """
-    a_mat = np.atleast_2d(np.asarray(A, dtype=np.float64))
-
-    def fwd(x):
-        return (x @ a_mat.T) ** 2
-
-    def vjp(x, u):
-        return (2.0 * (x @ a_mat.T) * u) @ a_mat
-
-    return NonlinearLikelihood(forward_map=fwd, vjp=vjp, y=y, sigma_y=sigma_y)
-
-
-def likelihood_from_json(obj: dict):
-    kind = obj["kind"]
-    if kind == "linear":
-        return LinearGaussianLikelihood(A=np.asarray(obj["A"]), y=np.asarray(obj["y"]), sigma_y=obj["sigma_y"])
-    if kind == "quadratic":
-        return quadratic_toy(A=np.asarray(obj["A"]), y=np.asarray(obj["y"]), sigma_y=obj["sigma_y"])
-    raise ValueError(f"unknown likelihood kind {kind!r}")
+def likelihood_from_json(obj: dict) -> GaussianObservation:
+    cls = {"linear": LinearGaussianLikelihood, "quadratic": QuadraticLikelihood}.get(obj["kind"])
+    if cls is None:
+        raise ValueError(f"unknown likelihood kind {obj['kind']!r}")
+    return cls(A=np.asarray(obj["A"]), y=np.asarray(obj["y"]), sigma_y=obj["sigma_y"])
 
 
 def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray):

@@ -47,6 +47,8 @@ def _eigh_spd(cov: np.ndarray, what: str):
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
     if cov.shape[0] != cov.shape[1]:
         raise ValueError(f"{what} must be square, got {cov.shape}")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"{what} must be finite")
     if not np.allclose(cov, cov.T, atol=1e-10):
         raise ValueError(f"{what} must be symmetric")
     lam, vecs = np.linalg.eigh(cov)
@@ -89,6 +91,8 @@ class GaussianPrior:
         cov, lam, vecs = _eigh_spd(self.cov, "prior covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and cov dimensions disagree")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("prior mean must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
@@ -244,10 +248,12 @@ class GmmPrior:
         covs = np.asarray(self.covs, dtype=np.float64)
         if covs.ndim == 2:
             covs = covs[None]
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
+        if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):  # NaN fails both comparisons
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         if means.shape[0] != w.shape[0] or covs.shape[0] != w.shape[0]:
             raise ValueError("weights, means, covs must agree on the number of components")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("means must be finite")
         factors = [_eigh_spd(covs[j], f"component {j} covariance") for j in range(covs.shape[0])]
         vecs = np.stack([q for _, _, q in factors])
         lams = np.stack([lam for _, lam, _ in factors])

@@ -128,8 +128,11 @@ class ViPhaseSchedule:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("eta_early", "eta"):
-            if getattr(self, name) <= 0.0:
+            rate = getattr(self, name)
+            if not rate > 0.0:  # NaN too
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(rate):
+                raise ValueError(f"{name} must be finite")
 
     def resolve(self, i: int, K: int) -> tuple[int, float]:
         """(steps, learning_rate) of the VI fit at outer step i."""
@@ -369,8 +372,8 @@ def dps_run(
 
     zeta = 0 reduces to unconditional DDPM sampling from the prior.
     """
-    if zeta < 0.0:
-        raise ValueError("zeta must be >= 0")
+    if not 0.0 <= zeta < math.inf:  # NaN too
+        raise ValueError("zeta must be >= 0 and finite")
     ts = make_timesteps(K, schedule.T)
     shape = (prior.dim,) if n_chains is None else (n_chains, prior.dim)
     x = rng.standard_normal(shape)

@@ -69,7 +69,7 @@ class NoiseSchedule:
             raise ValueError("alphas must be a 1-D sequence")
         if not math.isclose(alphas[0], 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError("alpha_0 must equal 1")
-        if np.any(alphas <= 0.0):
+        if not np.all(alphas > 0.0):  # NaN too
             raise ValueError("all alpha_t must be positive")
         if np.any(np.diff(alphas) >= 0.0):
             raise ValueError("alpha_t must be strictly decreasing")

@@ -374,6 +374,37 @@ class TestCli:
         config["sampler"]["vi"].update(vi)
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("likelihood", "y", [np.nan], "y must be finite"),
+        ("likelihood", "A", [[np.inf]], "A must be finite"),
+        ("likelihood", "sigma_y", np.nan, "sigma_y must be positive and finite"),
+        ("likelihood", "sigma_y", np.inf, "sigma_y must be positive and finite"),
+        ("prior", "mean", [np.nan], "prior mean must be finite"),
+        ("prior", "cov", [[np.inf]], "prior covariance must be finite"),
+        ("gmm", "weights", [np.nan, 0.7], "weights must be nonnegative and sum to 1"),
+        ("gmm", "means", [[np.nan], [-1.0]], "means must be finite"),
+        ("gmm", "covs", [[[np.inf]], [[0.5]]], "component 0 covariance must be finite"),
+        ("vi", "eta", np.nan, "sampler.vi.eta must be positive"),
+        ("vi", "eta_early", np.inf, "sampler.vi.eta_early must be finite"),
+        ("dps", "zeta", np.nan, "zeta must be >= 0 and finite"),
+        ("dps", "zeta", np.inf, "zeta must be >= 0 and finite"),
+        ("schedule", "alpha_end", np.nan, "all alpha_t must be positive"),
+    ], ids=["y-nan", "A-inf", "sigma-nan", "sigma-inf", "mean-nan", "cov-inf", "weights-nan", "means-nan",
+            "covs-inf", "eta-nan", "eta-early-inf", "zeta-nan", "zeta-inf", "alpha-end-nan"])
+    def test_non_finite_number_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, section, key, value,
+                                                       message):
+        """json reads NaN and Infinity: each fails naming its field, not as a NaN state mid-run, a run to
+        exit 0 (a NaN zeta skipped the guidance) or another check's message."""
+        config = harness.smoke_config()
+        if section == "dps":
+            section, config["sampler"] = "sampler", {"algorithm": "dps", "K": 10}
+        if section == "gmm":
+            section = "prior"
+            config["prior"] = {"kind": "gmm", "weights": [0.3, 0.7], "means": [[1.0], [-1.0]],
+                               "covs": [[[0.3]], [[0.5]]]}
+        (config["sampler"]["vi"] if section == "vi" else config[section])[key] = value
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
+
     @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
     @pytest.mark.parametrize("section,entries,message", [
         (None, {"n_run": 3}, "unknown key 'n_run' in the config"),

@@ -7,11 +7,11 @@ import pytest
 
 from mgdm.likelihoods import (
     LinearGaussianLikelihood,
+    QuadraticLikelihood,
     guidance,
     likelihood_from_json,
     linearized_potential,
     log_g_hat,
-    quadratic_toy,
     require_linear_gaussian,
 )
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior
@@ -35,7 +35,7 @@ class TestLogG0:
         np.testing.assert_allclose(lik.log_g0(x), expected, atol=1e-12)
 
     def test_zero_residual_quadratic_toy(self):
-        lik = quadratic_toy(A=[[1.0]], y=[4.0], sigma_y=1.0)
+        lik = QuadraticLikelihood(A=[[1.0]], y=[4.0], sigma_y=1.0)
         np.testing.assert_allclose(lik.log_g0(np.array([2.0])), STD_NORMAL_PEAK, atol=1e-7)
 
     def test_rejects_dimension_mismatch(self):
@@ -57,7 +57,7 @@ class TestNonlinearMap:
         """The analytic Jacobian-transpose product matches FD to 1e-5."""
         rng = np.random.default_rng(5)
         a_mat = rng.standard_normal((3, 4))
-        lik = quadratic_toy(A=a_mat, y=rng.standard_normal(3), sigma_y=1.0)
+        lik = QuadraticLikelihood(A=a_mat, y=rng.standard_normal(3), sigma_y=1.0)
         x = rng.standard_normal(4)
         u = rng.standard_normal(3)
         h = 1e-6
@@ -67,6 +67,27 @@ class TestNonlinearMap:
             e[j] = h
             fd[j] = (lik.forward(x + e) - lik.forward(x - e)) @ u / (2 * h)
         np.testing.assert_allclose(lik.vjp(x, u), fd, atol=1e-5)
+
+    @pytest.mark.parametrize("a_mat,message", [
+        ([[1.0], [0.5]], "A has 2 rows but y has 1 entries"),
+        ([[np.nan]], "A must be finite"),
+    ], ids=["rows", "nan"])
+    def test_checked_like_the_linear_kind(self, a_mat, message):
+        for cls in (LinearGaussianLikelihood, QuadraticLikelihood):
+            with pytest.raises(ValueError, match=message):
+                cls(A=a_mat, y=[1.0], sigma_y=0.5)
+
+    def test_log_g0_and_gradient_bit_for_bit(self):
+        """log N(y; (A x)^2, s^2 I) and its gradient (2 (A x) r / s^2) A, written out, match to the bit."""
+        rng = np.random.default_rng(3)
+        a_mat, y, s = rng.standard_normal((3, 4)), rng.standard_normal(3) ** 2, 0.6
+        lik = QuadraticLikelihood(A=a_mat, y=y, sigma_y=s)
+        for shape in ((4,), (7, 4), (2, 5, 4)):
+            x = rng.standard_normal(shape)
+            r = y - (x @ a_mat.T) ** 2
+            want = -0.5 * (np.sum(r**2, axis=-1) / s**2 + 3 * (np.log(2 * np.pi) + 2 * np.log(s)))
+            np.testing.assert_array_equal(lik.log_g0(x), want)
+            np.testing.assert_array_equal(lik.grad_log_g0(x), (2.0 * (x @ a_mat.T) * (r / s**2)) @ a_mat)
 
 
 class TestLogGHat:
@@ -90,7 +111,7 @@ class TestLogGHat:
         mix_means = rng.standard_normal((2, d))
         prior_m = GmmPrior(weights=[0.45, 0.55], means=mix_means, covs=[np.eye(d) * 0.6, np.eye(d) * 0.9])
         lik_lin = LinearGaussianLikelihood(A=rng.standard_normal((2, d)), y=rng.standard_normal(2), sigma_y=0.8)
-        lik_quad = quadratic_toy(A=rng.standard_normal((2, d)), y=rng.standard_normal(2) ** 2, sigma_y=0.8)
+        lik_quad = QuadraticLikelihood(A=rng.standard_normal((2, d)), y=rng.standard_normal(2) ** 2, sigma_y=0.8)
         h = 1e-5
         for prior in (prior_g, prior_m):
             for lik in (lik_lin, lik_quad):
@@ -162,7 +183,7 @@ class TestClosedFormGradient:
         gauss = GaussianPrior(mean=rng.standard_normal(3), cov=np.eye(3) * 0.7)
         gmm = GmmPrior(weights=[0.4, 0.6], means=rng.standard_normal((2, 3)), covs=[np.eye(3) * 0.5, np.eye(3)])
         linear = LinearGaussianLikelihood(A=a_mat, y=y, sigma_y=0.4)
-        quadratic = quadratic_toy(A=a_mat, y=y**2, sigma_y=0.4)
+        quadratic = QuadraticLikelihood(A=a_mat, y=y**2, sigma_y=0.4)
         for prior, lik in ((gauss, quadratic), (gmm, linear), (gmm, quadratic)):
             for s in (1, 37, 200):
                 x = rng.standard_normal((5, 3))
@@ -259,7 +280,7 @@ class TestExactLogGt:
 
     def test_rejects_unsupported_models(self):
         with pytest.raises(TypeError):
-            exact_log_g_t(quadratic_toy(A=[[1.0]], y=[1.0], sigma_y=1.0), self.prior, self.sched, 10, np.zeros(1))
+            exact_log_g_t(QuadraticLikelihood(A=[[1.0]], y=[1.0], sigma_y=1.0), self.prior, self.sched, 10, np.zeros(1))
         mix = GmmPrior(weights=[1.0], means=[[0.0]], covs=[[[1.0]]])
         with pytest.raises(TypeError):
             exact_log_g_t(self.lik, mix, self.sched, 10, np.zeros(1))
@@ -275,7 +296,7 @@ class TestSerialization:
 
     def test_quadratic_round_trip(self):
         spec = {"kind": "quadratic", "A": [[1.0, 0.5]], "y": [2.0], "sigma_y": 0.3}
-        lik = quadratic_toy(A=[[1.0, 0.5]], y=[2.0], sigma_y=0.3)
+        lik = QuadraticLikelihood(A=[[1.0, 0.5]], y=[2.0], sigma_y=0.3)
         clone = likelihood_from_json(json.loads(json.dumps(spec)))
         x = np.array([0.4, -0.2])
         np.testing.assert_allclose(clone.log_g0(x), lik.log_g0(x), atol=1e-15)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mgdm.likelihoods import LinearGaussianLikelihood, linearized_potential, quadratic_toy
+from mgdm.likelihoods import LinearGaussianLikelihood, QuadraticLikelihood, linearized_potential
 from mgdm.oracle import (
     GridSpec,
     QuadratureJoint,
@@ -92,7 +92,7 @@ class TestBuildKernels:
         with pytest.raises(TypeError):
             build_kernels(mix, lik, sched, k=10, tau=2)
         with pytest.raises(TypeError):
-            build_kernels(prior, quadratic_toy(A=np.eye(2), y=[1.0, 1.0], sigma_y=1.0), sched, k=10, tau=2)
+            build_kernels(prior, QuadraticLikelihood(A=np.eye(2), y=[1.0, 1.0], sigma_y=1.0), sched, k=10, tau=2)
 
     def test_gamma_spd_on_random_instances(self):
         """Cholesky succeeds on Gamma_k for 100 random (tau, k) pairs."""

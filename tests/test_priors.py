@@ -18,7 +18,7 @@ from mgdm.priors import (
     prior_from_json,
     spd_inverse,
 )
-from mgdm.likelihoods import LinearGaussianLikelihood, quadratic_toy
+from mgdm.likelihoods import LinearGaussianLikelihood, QuadraticLikelihood
 from mgdm.schedule import NoiseSchedule, make_schedule
 
 
@@ -737,7 +737,7 @@ class TestExactPosterior:
         np.testing.assert_allclose(post.cov, prior.cov, atol=1e-12)
 
     def test_rejects_nonlinear_likelihood(self):
-        lik = quadratic_toy(A=[[1.0]], y=[4.0], sigma_y=1.0)
+        lik = QuadraticLikelihood(A=[[1.0]], y=[4.0], sigma_y=1.0)
         with pytest.raises(TypeError):
             exact_posterior(gauss_1d(), lik)
 

@@ -7,10 +7,10 @@ import pytest
 
 from mgdm.likelihoods import (
     LinearGaussianLikelihood,
+    QuadraticLikelihood,
     guidance,
     linearized_potential,
     log_g_hat,
-    quadratic_toy,
 )
 from mgdm.priors import DenoiserOutput, GaussianPrior, GmmPrior
 from mgdm.schedule import make_schedule, gauss_log_density
@@ -308,7 +308,7 @@ class TestFit:
             prior = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]], covs=covs)
             lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.3)
         elif problem == "quadratic":
-            prior, lik = GaussianPrior(mean=[0.4], cov=[[0.6]]), quadratic_toy(A=[[1.0]], y=[0.5], sigma_y=0.3)
+            prior, lik = GaussianPrior(mean=[0.4], cov=[[0.6]]), QuadraticLikelihood(A=[[1.0]], y=[0.5], sigma_y=0.3)
         s, t = 120, 400
         rng = np.random.default_rng(8)
         x0, xt = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -339,7 +339,7 @@ class TestFit:
         initialization (averaged over 200 seeds, 1-D quadratic toy)."""
         sched = make_schedule("linear", 1000)
         prior = GaussianPrior(mean=[0.4], cov=[[0.6]])
-        lik = quadratic_toy(A=[[1.0]], y=[0.5], sigma_y=0.3)
+        lik = QuadraticLikelihood(A=[[1.0]], y=[0.5], sigma_y=0.3)
         s, t = 80, 420
         x0, xt = np.array([0.7]), np.array([0.2])
         init = bridge_init(sched, s, t, x0, xt)
@@ -467,7 +467,7 @@ class TestFactorizedConditional:
         lik, prior, sched = problem_1d()
         rng = np.random.default_rng(0)
         with pytest.raises(TypeError):
-            exact_conditional_sample(quadratic_toy([[1.0]], [1.0], 0.5), prior, sched, 5, 10, [0.0], [0.0], rng)
+            exact_conditional_sample(QuadraticLikelihood([[1.0]], [1.0], 0.5), prior, sched, 5, 10, [0.0], [0.0], rng)
         with pytest.raises(ValueError):
             exact_conditional_sample(lik, prior, sched, 10, 10, [0.0], [0.0], rng)
 
@@ -583,7 +583,7 @@ class TestMhCorrection:
         quadrature-normalized target within W1 < 0.02."""
         sched = make_schedule("linear", 1000)
         prior = GaussianPrior(mean=[0.4], cov=[[0.6]])
-        lik = quadratic_toy(A=[[1.0]], y=[0.5], sigma_y=0.4)
+        lik = QuadraticLikelihood(A=[[1.0]], y=[0.5], sigma_y=0.4)
         s, t = 80, 420
         x0, xt = np.array([0.7]), np.array([0.2])
         rng = np.random.default_rng(77)
