@@ -54,7 +54,7 @@ def config_hash(config: dict) -> str:
 def _build_schedule(spec: dict) -> NoiseSchedule:
     if "alphas" in spec:
         return NoiseSchedule.from_json(spec)
-    return make_schedule(spec.get("family", "linear"), int(spec["T"]), alpha_end=spec.get("alpha_end", 0.01))
+    return make_schedule(spec.get("family", "linear"), spec["T"], alpha_end=spec.get("alpha_end", 0.01))
 
 
 def build_problem(config: dict):
@@ -84,12 +84,24 @@ _PROBLEM_KEYS = {
     "likelihood": dict.fromkeys(("linear", "quadratic"), ("kind", "A", "y", "sigma_y")),
     "schedule": {True: ("alphas", "family", "T"), False: ("family", "T", "alpha_end")},
 }
+# The integer settings of each section (of a list setting, each entry): JSON integers, never truncated floats.
+_INTEGER_KEYS = {
+    "the config": ("n_runs", "master_seed"), "schedule": ("T",), "sweep": ("R", "G"),
+    "sampler": ("timesteps", "K", "R", "M", "mh_steps", "final_s"), "sampler.index": ("tau", "values"),
+    "sampler.vi": ("steps", "steps_late"),
+}
 
 
 def _check_keys(section: dict, known: tuple, name: str) -> dict:
+    """``section`` once each key is known and each of its ``_INTEGER_KEYS`` is an integer, not a bool."""
     for key in section:
         if key not in known:
             raise ValueError(f"unknown key {key!r} in {name}; known keys: {', '.join(known)}")
+        if key in _INTEGER_KEYS.get(name, ()):
+            label, value = key if name == "the config" else f"{name}.{key}", section[key]
+            for j, entry in enumerate(value) if isinstance(value, (list, tuple)) else [(None, value)]:
+                if isinstance(entry, bool) or not isinstance(entry, int):
+                    raise ValueError(f"{label if j is None else f'{label}[{j}]'} must be an integer, got {entry!r}")
     return section
 
 
@@ -114,7 +126,7 @@ def build_mgdm_config(spec: dict, schedule: NoiseSchedule) -> MgdmConfig:
         raise ValueError(f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}")
     timesteps = spec.get("timesteps")
     if timesteps is None:
-        timesteps = make_timesteps(int(spec.get("K", 100)), schedule.T)
+        timesteps = make_timesteps(spec.get("K", 100), schedule.T)
     vi_spec = _check_keys(spec.get("vi") or {}, tuple(f.name for f in fields(ViPhaseSchedule)), "sampler.vi")
     try:
         vi = ViPhaseSchedule(**vi_spec)
@@ -122,13 +134,13 @@ def build_mgdm_config(spec: dict, schedule: NoiseSchedule) -> MgdmConfig:
         raise ValueError(f"sampler.vi.{err}") from None
     return MgdmConfig(
         timesteps=tuple(timesteps),
-        R=int(spec.get("R", 1)),
-        M=int(spec.get("M", 20)),
+        R=spec.get("R", 1),
+        M=spec.get("M", 20),
         vi=vi,
         index_dist=_build_index_dist(spec.get("index")),
-        mh_steps=int(spec.get("mh_steps", 0)),
+        mh_steps=spec.get("mh_steps", 0),
         final=spec.get("final", "sample"),
-        final_s=int(spec.get("final_s", 1)),
+        final_s=spec.get("final_s", 1),
         **_BACKENDS[backend],
     )
 
@@ -177,17 +189,17 @@ class ExperimentConfig:
                 require_linear_gaussian(likelihood, prior, "the denoise final step")
             mgdm.check_index_support()
         elif algorithm == "dps":
-            mgdm, dps = None, (int(sampler.get("K", 100)), float(sampler.get("zeta", 1.0)))
+            mgdm, dps = None, (sampler.get("K", 100), float(sampler.get("zeta", 1.0)))
             make_timesteps(dps[0], schedule.T)  # dps_run's grid: K >= 2 distinct levels up to T
             if not 0.0 <= dps[1] < np.inf:  # NaN too
                 raise ValueError("zeta must be >= 0 and finite")
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        n_runs = int(config.get("n_runs", 1))
+        n_runs = config.get("n_runs", 1)
         if n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         return cls(
-            raw=config, n_runs=n_runs, master_seed=int(config["master_seed"]), prior=prior,
+            raw=config, n_runs=n_runs, master_seed=config["master_seed"], prior=prior,
             likelihood=likelihood, schedule=schedule, mgdm=mgdm, dps=dps,
         )
 
@@ -305,7 +317,7 @@ def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     summary = {
         "config": config,
         "config_hash": config_hash(config),
-        "master_seed": int(config["master_seed"]),
+        "master_seed": experiment.master_seed,
         "aggregate": _aggregate(experiment, rows, experiment.master_seed),
     }
     with open(out / "summary.json", "w") as fh:
@@ -317,9 +329,9 @@ def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
 def _combo_experiment(config: dict, r_val, g_val, index_kind) -> ExperimentConfig:
     cfg = json.loads(json.dumps(config))
     sampler = cfg["sampler"]
-    sampler["R"] = int(r_val)
+    sampler["R"] = r_val
     if g_val is not None:
-        sampler["vi"] = {**(sampler.get("vi") or {}), "steps": int(g_val), "steps_late": int(g_val)}
+        sampler["vi"] = {**(sampler.get("vi") or {}), "steps": g_val, "steps_late": g_val}
     if index_kind is not None:  # the swept kind keeps the base law's other keys (tau, late_fraction, ...)
         sampler["index"] = {**(sampler.get("index") or {}), "kind": index_kind}
     return ExperimentConfig.from_dict(cfg)
@@ -354,8 +366,8 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
         agg_rows.append(
             {
                 "combo_id": combo_idx,
-                "R": int(r_val),
-                "G": -1 if g_val is None else int(g_val),
+                "R": r_val,
+                "G": -1 if g_val is None else g_val,
                 "index_dist": index_kind or config["sampler"].get("index", {}).get("kind", "uniform-mix"),
                 "n_runs": agg["n_runs"],
                 "mean_error": agg.get("mean_error", float("nan")),
@@ -373,7 +385,7 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     summary = {
         "config": config,
         "config_hash": config_hash(config),
-        "master_seed": int(config["master_seed"]),
+        "master_seed": base.master_seed,
         "rows": agg_rows,
     }
     with open(out / "summary.json", "w") as fh:

@@ -105,7 +105,7 @@ def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarra
 def guidance(likelihood, prior, schedule: NoiseSchedule, s: int) -> Callable[[np.ndarray], np.ndarray]:
     """x_s -> grad log ghat_s(x_s) = Jac(m_s)^T grad log g0(m_s(x_s)), resolved once per level (s >= 1), no log_g0:
     q_s - x_s P_s of ``level_factorization`` for a Gaussian prior and linear-Gaussian likelihood, else the
-    denoiser's VJP, with ``prior.denoise`` looked up at each call."""
+    denoiser's VJP, with ``prior.denoise`` looked up at each call.  The Gibbs sweep resolves it for its VI fit."""
     if s < 1:  # level 0 is g0 itself (the factorization keeps an entry for it), not a guided level
         raise ValueError("guidance needs s >= 1; use grad_log_g0")
     if isinstance(prior, GaussianPrior) and isinstance(likelihood, LinearGaussianLikelihood):

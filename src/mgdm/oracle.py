@@ -29,7 +29,7 @@ import numpy as np
 
 from .likelihoods import LinearGaussianLikelihood, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
-from .priors import GaussianPrior, logsumexp
+from .priors import GaussianPrior, GmmPrior, exact_posterior, logsumexp
 from .sampler import MgdmConfig
 from .schedule import NoiseSchedule, gauss_log_density
 from .vi import conditional_coefficients
@@ -249,8 +249,6 @@ def auto_grids(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, n: in
     posterior mean; each axis spans ``width`` standard deviations of its
     smoothed marginal.
     """
-    from .priors import GmmPrior, exact_posterior
-
     if isinstance(prior, GmmPrior):
         mean0 = float(np.sum(prior.weights * prior.means[:, 0]))
         second = float(np.sum(prior.weights * (prior.covs[:, 0, 0] + prior.means[:, 0] ** 2)))

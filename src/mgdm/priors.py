@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .moments import GaussianMoments
 from .schedule import NoiseSchedule
 
 _MIN_EIGVAL = 1e-12
@@ -211,8 +212,6 @@ class GaussianPrior:
         return self.mean + rng.standard_normal((n, self.dim)) @ self._chol.T
 
     def moments(self):
-        from .moments import GaussianMoments
-
         return GaussianMoments(mean=self.mean, cov=self.cov)
 
 
@@ -390,8 +389,6 @@ class GmmPrior:
 
     def moments(self):
         """Overall mixture mean and covariance."""
-        from .moments import GaussianMoments
-
         mean = self.weights @ self.means
         second = np.einsum("j,jab->ab", self.weights, self.covs)
         second += np.einsum("j,ja,jb->ab", self.weights, self.means, self.means)

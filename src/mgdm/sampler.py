@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vi as vi_mod
+from .likelihoods import guidance, log_g_hat
 from .priors import GaussianPrior
 from .schedule import NoiseSchedule
 
@@ -268,18 +269,25 @@ def gibbs_step(
     vi_fit: tuple[int, float],
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One deterministic-scan sweep of the three conditionals at levels s < t: (x0, xs, xt).
+    """One deterministic-scan sweep of the three conditionals at levels 1 <= s < t: (x0, xs, xt).
 
-    ``vi_fit`` is the VI fit's (steps, learning_rate) at this outer step, as
-    ``config.vi.resolve`` gives it; the exact backend ignores it.
+    Every x_s backend reads the sweep's one bridge q(x_s | x_0, x_t).  ``vi_fit`` is the VI fit's
+    (steps, learning_rate) at this outer step, as ``config.vi.resolve`` gives it; the exact backend ignores it.
     """
+    if not 1 <= s < t:
+        raise ValueError(f"a Gibbs sweep needs 1 <= s < t, got s={s}, t={t}")
+    bridge = schedule.bridge_params(s, t)
     if config.conditional == "exact":
-        xs = vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, t, x0, xt, rng)
+        # The bridge mean is made in the call, so that it does not outlive the draw.
+        xs = vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, bridge.mean(x0, xt), bridge.variance, rng)
     else:
-        theta = vi_mod.fit_variational(likelihood, prior, schedule, s, t, x0, xt, *vi_fit, rng)
+        bridge_mean = bridge.mean(x0, xt)
+        theta = vi_mod.fit_variational(guidance(likelihood, prior, schedule, s), bridge_mean, bridge.variance,
+                                       *vi_fit, rng)
         xs = vi_mod.variational_sample(theta, rng)
-        if config.conditional == "vi-mh":
-            xs = vi_mod.mh_correct(likelihood, prior, schedule, s, t, x0, xt, xs, theta, config.mh_steps, rng)
+        if config.conditional == "vi-mh":  # log ghat_s, with log_g_hat looked up at each call
+            xs = vi_mod.mh_correct(lambda x: log_g_hat(likelihood, prior, schedule, s, x), bridge_mean, bridge.variance,
+                                   xs, theta, config.mh_steps, rng)
     xt = schedule.forward_sample(xs, s, t, rng)
     if config.denoise == "exact":
         x0 = prior.backward_sample(schedule, s, xs, rng)
@@ -321,8 +329,9 @@ def _mgdm_core(
         # Denoiser-valued last step: x_s ~ g0(x_s) q(x_s | m_{t_2}(x_t), x_t), the exact conditional at the
         # level-0 potential (ghat_0 = g0, as m_0 is the identity) from the plugged x_0; then x_0 = m_s(x_s).
         s, t = config.final_s, ts[1]
-        x_plug = prior.denoise(schedule, t, xt).value
-        x_s = vi_mod.exact_conditional_sample(likelihood, prior, schedule, s, t, x_plug, xt, rng, level=0)
+        bridge, x_plug = schedule.bridge_params(s, t), prior.denoise(schedule, t, xt).value
+        x_s = vi_mod.exact_conditional_sample(likelihood, prior, schedule, 0, bridge.mean(x_plug, xt), bridge.variance,
+                                              rng)
         x0 = prior.denoise(schedule, s, x_s).value
         _check_finite(1, t, s, x0)
     return x0

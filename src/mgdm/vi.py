@@ -10,9 +10,11 @@ minimizes the reverse KL by Adam on single-sample reparameterized
 gradients; the squared-norm term of the KL-to-bridge part is estimated
 with the sampled point rather than its closed-form expectation (computing
 it exactly is known to behave worse), and the entropy term contributes
--1/2 per rho coordinate.  A fit resolves the guidance gradient once and
-draws all its noise in one call.  Initialization is the bridge itself, so
-zero gradient steps reproduce an exact bridge draw.
+-1/2 per rho coordinate.  A fit draws all its noise in one call.
+Initialization is the bridge itself, so zero gradient steps reproduce an
+exact bridge draw.  The fit and the MH correction read the bridge's mean
+and variance from the Gibbs sweep and level s through a guide or a log
+potential: no likelihood, prior, schedule or chain state.
 
 For a Gaussian prior with a linear-Gaussian likelihood the conditional is
 Gaussian and available exactly (``exact_conditional``); an optional
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .likelihoods import guidance, level_factorization, log_g_hat, require_linear_gaussian
+from .likelihoods import level_factorization, require_linear_gaussian
 from .moments import GaussianMoments
 from .schedule import NoiseSchedule, gauss_log_density
 
@@ -44,11 +46,9 @@ def variational_sample(theta: np.ndarray, rng: np.random.Generator) -> np.ndarra
     return theta[0] + np.exp(0.5 * theta[1]) * rng.standard_normal(theta[0].shape)
 
 
-def _check_pair(s: int, t: int) -> None:
-    if s == 0:
-        raise ValueError("conditional target needs s >= 1")
-    if s >= t:
-        raise ValueError(f"need s < t, got s={s}, t={t}")
+def _check_bridge(bridge_var) -> None:
+    if not bridge_var > 0.0:  # NaN too; the s = 0 bridge collapses on x_0
+        raise ValueError(f"conditional target needs a bridge variance > 0 (s >= 1), got {bridge_var}")
 
 
 def kl_gradient_estimate(guide: Callable, bridge_mean: np.ndarray, bridge_var, theta: np.ndarray, z: np.ndarray):
@@ -66,31 +66,19 @@ def kl_gradient_estimate(guide: Callable, bridge_mean: np.ndarray, bridge_var, t
 
 
 def fit_variational(
-    likelihood,
-    prior,
-    schedule: NoiseSchedule,
-    s: int,
-    t: int,
-    x0: np.ndarray,
-    xt: np.ndarray,
-    steps: int,
-    learning_rate: float,
-    rng: np.random.Generator,
+    guide: Callable, bridge_mean: np.ndarray, bridge_var, steps: int, learning_rate: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """theta = (mu, rho) after ``steps`` Adam updates at ``learning_rate`` from the bridge initialization.
+    """theta = (mu, rho) after ``steps`` Adam updates at ``learning_rate`` from (bridge_mean, log bridge_var).
 
-    The bridge and the guidance gradient are resolved once, and all steps' noise is drawn in one call, the stream
-    of one draw per step; zero steps read neither the likelihood, the prior nor ``rng``.  The sampler takes
+    ``guide`` is ``likelihoods.guidance`` at the sweep's level s.  All steps' noise is drawn in one call, the
+    stream of one draw per step; zero steps call neither ``guide`` nor ``rng``.  The sampler takes
     (steps, learning_rate) from ``ViPhaseSchedule.resolve``, whose schedule checks both.
     """
-    _check_pair(s, t)
-    bridge = schedule.bridge_params(s, t)
-    bridge_mean = bridge.mean(x0, xt)
-    theta = np.array((bridge_mean, np.full_like(bridge_mean, math.log(bridge.variance))))
+    _check_bridge(bridge_var)
+    theta = np.array((bridge_mean, np.full_like(bridge_mean, math.log(bridge_var))))
     if not steps:
         return theta
-    guide = guidance(likelihood, prior, schedule, s)
-    variance, rate = np.array(bridge.variance), np.array(learning_rate)
+    variance, rate = np.array(bridge_var), np.array(learning_rate)
     mom = vel = 0.0
     for step, z in enumerate(rng.standard_normal((steps,) + bridge_mean.shape), 1):
         grads = kl_gradient_estimate(guide, bridge_mean, variance, theta, z)
@@ -107,15 +95,13 @@ def fit_variational(
 # -- exact conditional (linear-Gaussian + Gaussian prior) ---------------------
 
 
-def _exact_factors(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, level: int | None = None):
-    """(bridge params, W, ell, h) with Lambda = W diag(ell) W^T and e = W (ell * h), from the ``level_factorization``
-    of the potential at ``level``, s unless given (the denoise final step gives 0, for g0), on the bridge s < t;
-    only ell = 1 / (1 / bridge_var + mu) depends on t."""
-    _check_pair(s, t)
+def _exact_factors(likelihood, prior, schedule: NoiseSchedule, level: int, bridge_var):
+    """(W, ell, h) with Lambda = W diag(ell) W^T and e = W (ell * h), from the ``level_factorization`` of the
+    potential at ``level`` on a bridge of variance bridge_var; only ell = 1 / (1 / bridge_var + mu) depends on it."""
+    _check_bridge(bridge_var)
     require_linear_gaussian(likelihood, prior, "exact conditional")
-    w, mu, h, _, _ = level_factorization(likelihood, prior, schedule, s if level is None else level)
-    p = schedule.bridge_params(s, t)
-    return p, w, p.variance / (1.0 + p.variance * mu), h
+    w, mu, h, _, _ = level_factorization(likelihood, prior, schedule, level)
+    return w, bridge_var / (1.0 + bridge_var * mu), h
 
 
 def conditional_coefficients(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, *, level: int | None = None):
@@ -124,21 +110,23 @@ def conditional_coefficients(likelihood, prior, schedule: NoiseSchedule, s: int,
     pibar(x_s | x_0, x_t) = N(M x_0 + N x_t + e, Lambda) with Lambda = [(1/bridge_var) I + A_hat^T A_hat /
     sigma_y^2]^{-1}, A_hat the potential's at ``level`` (default s); M and N rescale the bridge mean coefficients.
     """
-    p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t, level)
+    p = schedule.bridge_params(s, t)  # rejects s >= t; s = 0 has variance 0
+    w, ell, h = _exact_factors(likelihood, prior, schedule, s if level is None else level, p.variance)
     lam = (w * ell) @ w.T
     return lam * (p.mean_coeff_x0 / p.variance), lam * (p.mean_coeff_xt / p.variance), w @ (ell * h), lam
 
 
 def exact_conditional_sample(
-    likelihood, prior, schedule: NoiseSchedule, s: int, t: int, x0: np.ndarray, xt: np.ndarray, rng, *, level=None
+    likelihood, prior, schedule: NoiseSchedule, level: int, bridge_mean: np.ndarray, bridge_var, rng
 ) -> np.ndarray:
-    """One draw from pibar(x_s | x_0, x_t) per state; states may carry leading batch axes.
+    """One draw per state from ghat_level(x) N(x; bridge_mean, bridge_var I), normalized; states may carry
+    leading batch axes.  The sweep passes its level s, the denoise final step level 0 (g0).
 
     The mean is Lambda bridge_mean / bridge_var + e and the noise root
-    W diag(sqrt(ell)), all from diagonal scalings in W (potential at ``level``, default s).
+    W diag(sqrt(ell)), all from diagonal scalings in W.
     """
-    p, w, ell, h = _exact_factors(likelihood, prior, schedule, s, t, level)
-    mean = p.mean(x0, xt) @ ((w * (ell / p.variance)) @ w.T)
+    w, ell, h = _exact_factors(likelihood, prior, schedule, level, bridge_var)
+    mean = bridge_mean @ ((w * (ell / bridge_var)) @ w.T)
     mean += np.tile(w @ (ell * h), mean.shape[:-1] + (1,))  # a broadcast (d,) add loops over d
     return mean + rng.standard_normal(mean.shape) @ (np.sqrt(ell)[:, None] * w.T)
 
@@ -184,31 +172,18 @@ def independent_mh(
 
 
 def mh_correct(
-    likelihood,
-    prior,
-    schedule: NoiseSchedule,
-    s: int,
-    t: int,
-    x0: np.ndarray,
-    xt: np.ndarray,
-    current: np.ndarray,
-    theta: np.ndarray,
-    n_steps: int,
-    rng: np.random.Generator,
+    log_potential: Callable, bridge_mean: np.ndarray, bridge_var, current: np.ndarray, theta, n_steps: int, rng
 ) -> np.ndarray:
     """Refine a conditional draw by independent-proposal MH.
 
     Proposal: lambda = N(theta[0], diag(exp(theta[1]))), its variance taken once per call.
-    Target: ghat_s times the bridge, through the value of log_g_hat alone:
-    MH reads no gradient, so it applies no vector-Jacobian product.
+    Target: ghat_s times the bridge, through ``log_potential`` = log ghat_s alone (the sweep passes
+    ``likelihoods.log_g_hat`` at s): MH reads no gradient, so it applies no vector-Jacobian product.
     """
-    _check_pair(s, t)
-    p = schedule.bridge_params(s, t)
-    m_b = p.mean(x0, xt)
     var = np.exp(theta[1])
 
     def log_weight(x):
-        log_target = log_g_hat(likelihood, prior, schedule, s, x) + gauss_log_density(x, m_b, p.variance)
+        log_target = log_potential(x) + gauss_log_density(x, bridge_mean, bridge_var)
         return log_target - gauss_log_density(x, theta[0], var)
 
     return independent_mh(log_weight, partial(variational_sample, theta), current, n_steps, rng)

@@ -260,9 +260,11 @@ def test_criterion_07_vi_quality():
     xt = sched.alpha(t) * x0
     exact = exact_conditional(lik, prior, sched, s, t, x0, xt)
     scale = np.linalg.norm(exact.mean)
+    guide, bridge = guidance(lik, prior, sched, s), sched.bridge_params(s, t)  # as the Gibbs sweep passes them
+    bridge_mean = bridge.mean(x0, xt)
     errs = []
     for seed in range(100):
-        theta = fit_variational(lik, prior, sched, s, t, x0, xt, 200, 0.03, np.random.default_rng((1007, seed)))
+        theta = fit_variational(guide, bridge_mean, bridge.variance, 200, 0.03, np.random.default_rng((1007, seed)))
         errs.append(np.linalg.norm(theta[0] - exact.mean) / scale)
     mean_err = float(np.mean(errs))
     assert mean_err < 0.05, mean_err

@@ -405,6 +405,42 @@ class TestCli:
         (config["sampler"]["vi"] if section == "vi" else config[section])[key] = value
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
 
+    @pytest.mark.parametrize("command,sampler,key,value,message", [
+        ("run", {}, "sampler.R", 2.7, "sampler.R must be an integer, got 2.7"),
+        ("run", {}, "n_runs", 3.9, "n_runs must be an integer, got 3.9"),
+        ("run", {}, "master_seed", 7.5, "master_seed must be an integer, got 7.5"),
+        ("run", {}, "sampler.M", "5", "sampler.M must be an integer, got '5'"),
+        ("run", {"backend": "vi-mh"}, "sampler.mh_steps", 1.5, "sampler.mh_steps must be an integer, got 1.5"),
+        ("run", {}, "sampler.index.tau", 5.5, "sampler.index.tau must be an integer, got 5.5"),
+        ("run", {}, "sampler.index.tau", np.nan, "sampler.index.tau must be an integer, got nan"),
+        ("run", {"index": {"kind": "fixed"}}, "sampler.index.values", [5.5] + [5] * 8,
+         "sampler.index.values[0] must be an integer, got 5.5"),
+        ("run", {}, "schedule.T", 200.5, "schedule.T must be an integer, got 200.5"),
+        ("run", {"final": "denoise"}, "sampler.final_s", 1.5, "sampler.final_s must be an integer, got 1.5"),
+        ("run", {}, "sampler.timesteps", [20.5, 200], "sampler.timesteps[0] must be an integer, got 20.5"),
+        ("run", {}, "sampler.vi.steps", 2.5, "sampler.vi.steps must be an integer, got 2.5"),
+        ("run", {}, "sampler.vi.steps_late", np.nan, "sampler.vi.steps_late must be an integer, got nan"),
+        ("run", {}, "sampler.K", True, "sampler.K must be an integer, got True"),
+        ("run", {"algorithm": "dps"}, "sampler.K", 10.5, "sampler.K must be an integer, got 10.5"),
+        ("sweep", {}, "sweep.R", [1, 2.5], "sweep.R[1] must be an integer, got 2.5"),
+        ("sweep", {}, "sweep.G", [5, 7.5], "sweep.G[1] must be an integer, got 7.5"),
+    ], ids=["R", "n-runs", "master-seed", "M-string", "mh-steps", "tau", "tau-nan", "values", "T", "final-s",
+            "timesteps", "vi-steps", "vi-steps-late-nan", "K-bool", "dps-K", "sweep-R", "sweep-G"])
+    def test_non_integer_setting_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, sampler, key,
+                                                         value, message):
+        """An integer setting must be a JSON integer: 2.7 is not truncated to 2, "5" is not read as 5, and a
+        NaN or a bool fails naming its key, not from inside the first run or with another check's message."""
+        config = harness.smoke_config()
+        config["sampler"].update(sampler)
+        if sampler.get("algorithm") == "dps":
+            config["sampler"] = {"algorithm": "dps"}
+        *path, leaf = key.split(".")
+        target = config
+        for part in path:
+            target = target.setdefault(part, {})
+        target[leaf] = value
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
+
     @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
     @pytest.mark.parametrize("section,entries,message", [
         (None, {"n_run": 3}, "unknown key 'n_run' in the config"),

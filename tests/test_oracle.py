@@ -258,8 +258,9 @@ class TestFinalKernels:
         xt = rng.standard_normal((40, 3))
         for s, t in ((1, 2), (3, 40), (10, 200)):
             H, h, L = final_kernel(prior, lik, sched, s, t)
-            x_plug = prior.denoise(sched, t, xt).value
-            xs = exact_conditional_sample(lik, prior, sched, s, t, x_plug, xt, np.random.default_rng(9), level=0)
+            x_plug, bridge = prior.denoise(sched, t, xt).value, sched.bridge_params(s, t)
+            xs = exact_conditional_sample(lik, prior, sched, 0, bridge.mean(x_plug, xt), bridge.variance,
+                                          np.random.default_rng(9))
             noise = prior.denoise(sched, s, xs).value - (xt @ H.T + h)
             eps = np.random.default_rng(9).standard_normal(xt.shape)
             root = np.linalg.lstsq(eps, noise, rcond=None)[0].T

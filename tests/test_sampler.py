@@ -227,6 +227,41 @@ class TestGibbsStep:
         x0, xs, xt = gibbs_step(np.zeros(1), np.ones(1), 100, 600, lik, prior, sched, cfg, vi_fit, rng)
         assert x0.shape == xs.shape == xt.shape == (1,)
 
+    BACKENDS = {
+        "exact": {"conditional": "exact", "denoise": "exact"},
+        "vi": {},
+        "vi-mh": {"conditional": "vi-mh", "mh_steps": 2},
+    }
+
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_one_bridge_per_sweep(self, backend, monkeypatch):
+        """The sweep builds q(x_s | x_0, x_t) once and every x_s backend reads it: VI plus MH too."""
+        from mgdm.schedule import NoiseSchedule
+
+        lik, prior, sched = problem_1d()
+        s, t = 60, 400
+        pairs = []
+        bridge_params = NoiseSchedule.bridge_params
+        monkeypatch.setattr(NoiseSchedule, "bridge_params", lambda self, lo, hi: pairs.append((lo, hi))
+                            or bridge_params(self, lo, hi))
+        cfg = MgdmConfig(timesteps=(100, 1000), **self.BACKENDS[backend])
+        x0, xt = np.full((5, 1), 0.2), np.full((5, 1), -0.4)
+        gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, (4, 0.03), np.random.default_rng(0))
+        assert pairs.count((s, t)) == 1  # the DDPM pass adds its own sub-step bridges below s
+
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    @pytest.mark.parametrize("s", [0, 400, 401])
+    def test_rejects_levels_outside_sweep(self, backend, s):
+        """s outside [1, t) fails before any update runs, with no numerical warning on the way."""
+        import warnings
+
+        lik, prior, sched = problem_1d()
+        cfg = MgdmConfig(timesteps=(100, 1000), **self.BACKENDS[backend])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1 <= s < t"):
+                gibbs_step(np.zeros(1), np.ones(1), s, 400, lik, prior, sched, cfg, (4, 0.03), np.random.default_rng(0))
+
     def test_exact_sweep_preserves_quadrature_marginals(self):
         """One sweep from exact-joint draws keeps all three marginals
         within W1 < 0.02 of the quadrature marginals (1e5 chains)."""

@@ -48,8 +48,26 @@ def bridge(sched, s, t, x0, xt):
 
 def bridge_init(sched, s, t, x0, xt):
     """Bridge moments as variational parameters: the fit's starting point, which a
-    zero-step fit returns without reading the likelihood, the prior or a generator."""
-    return fit_variational(None, None, sched, s, t, x0, xt, 0, 0.03, None)
+    zero-step fit returns without calling its guide or a generator."""
+    return fit_variational(None, *bridge(sched, s, t, x0, xt), 0, 0.03, None)
+
+
+def fit(lik, prior, sched, s, t, x0, xt, steps, learning_rate, rng):
+    """The VI fit as the Gibbs sweep at levels s < t calls it: the guide at s and the bridge's mean and variance."""
+    return fit_variational(guidance(lik, prior, sched, s), *bridge(sched, s, t, x0, xt), steps, learning_rate, rng)
+
+
+def mh(lik, prior, sched, s, t, x0, xt, current, theta, n_steps, rng):
+    """The MH correction as the Gibbs sweep calls it: log ghat_s and the bridge's mean and variance."""
+    def log_potential(x):
+        return log_g_hat(lik, prior, sched, s, x)
+
+    return mh_correct(log_potential, *bridge(sched, s, t, x0, xt), current, theta, n_steps, rng)
+
+
+def exact_draw(lik, prior, sched, s, t, x0, xt, rng):
+    """The exact conditional draw as the Gibbs sweep calls it, at level s on the bridge s < t."""
+    return exact_conditional_sample(lik, prior, sched, s, *bridge(sched, s, t, x0, xt), rng)
 
 
 def tiled(theta, n):
@@ -95,40 +113,64 @@ class TestInitialization:
         x0, xt = np.array([0.4]), np.array([-0.2])
         s, t = 120, 500
         rng = np.random.default_rng(99)
-        draw = variational_sample(fit_variational(lik, prior, sched, s, t, x0, xt, 0, 0.03, rng), rng)
+        draw = variational_sample(fit(lik, prior, sched, s, t, x0, xt, 0, 0.03, rng), rng)
         ref = sched.bridge_sample(x0, xt, s, t, np.random.default_rng(99))
         np.testing.assert_allclose(draw, ref, atol=1e-12)
 
     def test_rejects_bad_levels(self):
+        """The sweep checks its levels; the fit reads level s only through its guide and its bridge."""
+        from mgdm.sampler import MgdmConfig, gibbs_step
+
         lik, prior, sched = problem_1d()
+        cfg = MgdmConfig(timesteps=(100, 1000), conditional="vi")
+        for s, t in ((0, 10), (10, 10)):
+            with pytest.raises(ValueError):
+                gibbs_step(np.zeros(1), np.zeros(1), s, t, lik, prior, sched, cfg, (5, 0.03), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            guidance(lik, prior, sched, 0)  # the estimator reads level s only through its guide
+            guidance(lik, prior, sched, 0)
         with pytest.raises(ValueError):
             bridge_init(sched, 10, 10, np.zeros(1), np.zeros(1))
-        with pytest.raises(ValueError):
-            fit_variational(lik, prior, sched, 0, 10, np.zeros(1), np.zeros(1), 5, 0.03, np.random.default_rng(0))
+        with pytest.raises(ValueError):  # the s = 0 bridge: variance 0
+            fit(lik, prior, sched, 0, 10, np.zeros(1), np.zeros(1), 5, 0.03, np.random.default_rng(0))
 
     @pytest.mark.parametrize("steps", [0, 1, 10])
     def test_one_bridge_per_fit(self, steps, monkeypatch):
-        """The fit builds its bridge once and makes one gradient estimate per Adam step."""
+        """A VI sweep builds its bridge once and its fit makes one gradient estimate per Adam step."""
         import mgdm.vi as vi_mod
+        from mgdm.sampler import MgdmConfig, gibbs_step
         from mgdm.schedule import NoiseSchedule
 
         lik, prior, sched = problem_2d()
+        s, t = 120, 400
         calls = {"bridge_params": 0, "kl_gradient_estimate": 0}
         bridge_params, gradient = NoiseSchedule.bridge_params, vi_mod.kl_gradient_estimate
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted_bridge(self, lo, hi):
+            calls["bridge_params"] += (lo, hi) == (s, t)  # the DDPM pass builds its own sub-step bridges
+            return bridge_params(self, lo, hi)
 
-        monkeypatch.setattr(NoiseSchedule, "bridge_params", counted("bridge_params", bridge_params))
-        monkeypatch.setattr(vi_mod, "kl_gradient_estimate", counted("kl_gradient_estimate", gradient))
+        def counted_gradient(*args):
+            calls["kl_gradient_estimate"] += 1
+            return gradient(*args)
+
+        monkeypatch.setattr(NoiseSchedule, "bridge_params", counted_bridge)
+        monkeypatch.setattr(vi_mod, "kl_gradient_estimate", counted_gradient)
         x0, xt = np.array([[0.3, -0.2], [1.0, 0.4]]), np.array([[0.1, 0.5], [-0.7, 0.2]])
-        fit_variational(lik, prior, sched, 120, 400, x0, xt, steps, 0.03, np.random.default_rng(3))
+        cfg = MgdmConfig(timesteps=(200, 1000), conditional="vi")
+        gibbs_step(x0, xt, s, t, lik, prior, sched, cfg, (steps, 0.03), np.random.default_rng(3))
         assert calls == {"bridge_params": 1, "kl_gradient_estimate": steps}
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, float("nan")])
+    def test_rejects_a_collapsed_bridge(self, variance):
+        """The fit and the exact draw need a bridge variance > 0: the s = 0 bridge collapses on x_0."""
+        lik, prior, sched = problem_1d()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="bridge variance"):
+            fit_variational(guidance(lik, prior, sched, 5), np.zeros(1), variance, 5, 0.03, rng)
+        with pytest.raises(ValueError, match="bridge variance"):
+            fit_variational(None, np.zeros(1), variance, 0, 0.03, None)
+        with pytest.raises(ValueError, match="bridge variance"):
+            exact_conditional_sample(lik, prior, sched, 5, np.zeros(1), variance, rng)
 
 
 class TestGradientEstimator:
@@ -195,7 +237,7 @@ class TestPotentialValueOnDemand:
         calls = []
         original = LinearGaussianLikelihood.log_g0
         monkeypatch.setattr(LinearGaussianLikelihood, "log_g0", lambda self, x: calls.append(1) or original(self, x))
-        fit_variational(lik, prior, sched, 50, 300, np.array([0.2]), np.array([0.1]), 7, 0.03, np.random.default_rng(0))
+        fit(lik, prior, sched, 50, 300, np.array([0.2]), np.array([0.1]), 7, 0.03, np.random.default_rng(0))
         assert calls == []
         x = np.array([[0.3], [-0.4]])
         den = prior.denoise(sched, 50, x)
@@ -216,9 +258,8 @@ class TestPotentialValueOnDemand:
         original = GaussianPrior.denoise
         monkeypatch.setattr(GaussianPrior, "denoise", lambda *args: denoises.append(1) or original(*args))
         x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
-        fit_variational(lik, prior, sched, 100, 500, x0, xt, steps, 0.03, np.random.default_rng(0))
-        fit_variational(lik, prior, sched, 100, 500, np.tile(x0, (6, 1)), np.tile(xt, (6, 1)), steps, 0.03,
-                        np.random.default_rng(1))
+        fit(lik, prior, sched, 100, 500, x0, xt, steps, 0.03, np.random.default_rng(0))
+        fit(lik, prior, sched, 100, 500, np.tile(x0, (6, 1)), np.tile(xt, (6, 1)), steps, 0.03, np.random.default_rng(1))
         assert denoises == []
 
     @pytest.mark.parametrize("prior_cls", [GaussianPrior, GmmPrior])
@@ -241,11 +282,11 @@ class TestPotentialValueOnDemand:
         monkeypatch.setattr(prior_cls, "denoise", counting_denoise)
         rng = np.random.default_rng(3)
         x0, xt = np.array([0.3, 0.1]), np.array([-0.2, 0.5])
-        theta = fit_variational(lik, prior, sched, 100, 500, x0, xt, 4, 0.03, rng)
+        theta = fit(lik, prior, sched, 100, 500, x0, xt, 4, 0.03, rng)
         fit_vjps = 0 if prior_cls is GaussianPrior else 4  # a Gaussian fit takes the closed-form gradient
         assert len(vjps) == len(denoises) == fit_vjps
         batch = tiled(theta, 8)
-        mh_correct(lik, prior, sched, 100, 500, x0, xt, variational_sample(batch, rng), batch, 3, rng)
+        mh(lik, prior, sched, 100, 500, x0, xt, variational_sample(batch, rng), batch, 3, rng)
         assert len(denoises) == fit_vjps + 4 and len(vjps) == fit_vjps
 
 
@@ -260,7 +301,7 @@ class TestFit:
         exact = exact_conditional(lik, prior, sched, s, t, x0, xt)
         errs = []
         for seed in range(20):
-            theta = fit_variational(lik, prior, sched, s, t, x0, xt, 200, 0.03, np.random.default_rng(seed))
+            theta = fit(lik, prior, sched, s, t, x0, xt, 200, 0.03, np.random.default_rng(seed))
             errs.append(np.linalg.norm(theta[0] - exact.mean) / np.linalg.norm(exact.mean))
         assert np.mean(errs) < 0.05
 
@@ -330,7 +371,7 @@ class TestFit:
                 update = learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 blocks[slot] = blocks[slot] - update
 
-        got = fit_variational(lik, prior, sched, s, t, x0, xt, steps, learning_rate, np.random.default_rng(9))
+        got = fit(lik, prior, sched, s, t, x0, xt, steps, learning_rate, np.random.default_rng(9))
         assert np.array_equal(got[0], blocks[0]) and np.array_equal(got[1], blocks[1])
         assert got.shape == (2,) + shape
 
@@ -346,7 +387,7 @@ class TestFit:
         kl_init = reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, init, n_nodes=301)
         finals = []
         for seed in range(200):
-            theta = fit_variational(lik, prior, sched, s, t, x0, xt, 50, 0.03, np.random.default_rng(seed))
+            theta = fit(lik, prior, sched, s, t, x0, xt, 50, 0.03, np.random.default_rng(seed))
             finals.append(reverse_kl_quadrature(lik, prior, sched, s, t, x0, xt, theta, n_nodes=301))
         assert np.mean(finals) < kl_init
 
@@ -456,7 +497,7 @@ class TestFactorizedConditional:
         x0, xt = rng.standard_normal((40, d)), rng.standard_normal((40, d))
         for s, t in self.PAIRS:
             coef_x0, coef_xt, shift, lam = conditional_coefficients(lik, prior, sched, s, t)
-            noise = exact_conditional_sample(lik, prior, sched, s, t, x0, xt, np.random.default_rng(9))
+            noise = exact_draw(lik, prior, sched, s, t, x0, xt, np.random.default_rng(9))
             noise -= x0 @ coef_x0.T + xt @ coef_xt.T + shift
             eps = np.random.default_rng(9).standard_normal(x0.shape)
             root = np.linalg.lstsq(eps, noise, rcond=None)[0].T
@@ -467,9 +508,9 @@ class TestFactorizedConditional:
         lik, prior, sched = problem_1d()
         rng = np.random.default_rng(0)
         with pytest.raises(TypeError):
-            exact_conditional_sample(QuadraticLikelihood([[1.0]], [1.0], 0.5), prior, sched, 5, 10, [0.0], [0.0], rng)
+            exact_draw(QuadraticLikelihood([[1.0]], [1.0], 0.5), prior, sched, 5, 10, [0.0], [0.0], rng)
         with pytest.raises(ValueError):
-            exact_conditional_sample(lik, prior, sched, 10, 10, [0.0], [0.0], rng)
+            exact_draw(lik, prior, sched, 10, 10, [0.0], [0.0], rng)
 
 
 class TestConditionalMemo:
@@ -499,7 +540,7 @@ class TestConditionalMemo:
     def test_guidance_and_conditional_share_one_entry(self):
         """The VI gradient's P_s and q_s sit in the exact conditional's entry for level s."""
         lik, prior, sched = problem_2d()
-        fit_variational(lik, prior, sched, 30, 60, np.zeros(2), np.ones(2), 3, 0.03, np.random.default_rng(0))
+        fit(lik, prior, sched, 30, 60, np.zeros(2), np.ones(2), 3, 0.03, np.random.default_rng(0))
         entry = prior._conditionals[2][30]
         conditional_coefficients(lik, prior, sched, 30, 60)
         assert prior._conditionals[2][30] is entry and list(prior._conditionals[2]) == [30]
@@ -554,7 +595,7 @@ class TestMhCorrection:
         x0, xt = np.array([0.1]), np.array([0.2])
         theta = bridge_init(sched, 50, 300, x0, xt)
         current = np.array([0.33])
-        out = mh_correct(lik, prior, sched, 50, 300, x0, xt, current, theta, 0, np.random.default_rng(0))
+        out = mh(lik, prior, sched, 50, 300, x0, xt, current, theta, 0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, current)
 
     def test_acceptance_ratio_cancels_for_exact_proposal(self):
@@ -587,15 +628,15 @@ class TestMhCorrection:
         s, t = 80, 420
         x0, xt = np.array([0.7]), np.array([0.2])
         rng = np.random.default_rng(77)
-        theta = fit_variational(lik, prior, sched, s, t, x0, xt, 60, 0.02, rng)
+        theta = fit(lik, prior, sched, s, t, x0, xt, 60, 0.02, rng)
 
         n_chains, burn, keep = 512, 150, 100
         batch = tiled(theta, n_chains)
         x = variational_sample(batch, rng)
-        x = mh_correct(lik, prior, sched, s, t, x0, xt, x, batch, burn, rng)
+        x = mh(lik, prior, sched, s, t, x0, xt, x, batch, burn, rng)
         pool = []
         for _ in range(keep):
-            x = mh_correct(lik, prior, sched, s, t, x0, xt, x, batch, 1, rng)
+            x = mh(lik, prior, sched, s, t, x0, xt, x, batch, 1, rng)
             pool.append(x[:, 0].copy())
         pool = np.concatenate(pool)
 
@@ -695,7 +736,7 @@ class TestOneLogWeight:
         s, t, n = 60, 300, 64
         rng = np.random.default_rng(12)
         x0, xt = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
-        theta = fit_variational(lik, prior, sched, s, t, x0, xt, 5, 0.1, rng)
+        theta = fit(lik, prior, sched, s, t, x0, xt, 5, 0.1, rng)
         current = variational_sample(theta, rng)
         p = sched.bridge_params(s, t)
         m_b = p.mean(x0, xt)
@@ -705,7 +746,7 @@ class TestOneLogWeight:
             lambda gen: theta[0] + np.exp(0.5 * theta[1]) * gen.standard_normal(theta[0].shape),
             current, n_steps, np.random.default_rng(13),
         )
-        got = mh_correct(lik, prior, sched, s, t, x0, xt, current, theta, n_steps, np.random.default_rng(13))
+        got = mh(lik, prior, sched, s, t, x0, xt, current, theta, n_steps, np.random.default_rng(13))
         assert np.array_equal(got, want)
         moved = np.any(got != current, axis=-1)
         assert 0 < moved.sum() < n  # both branches of the accept step ran
