@@ -31,7 +31,7 @@ from .sampler import (
     mgdm_run,
     mgdm_run_batch,
 )
-from .schedule import NoiseSchedule, make_schedule
+from .schedule import NoiseSchedule, make_schedule, require_integer
 
 log = logging.getLogger("mgdm")
 
@@ -100,8 +100,7 @@ def _check_keys(section: dict, known: tuple, name: str) -> dict:
         if key in _INTEGER_KEYS.get(name, ()):
             label, value = key if name == "the config" else f"{name}.{key}", section[key]
             for j, entry in enumerate(value) if isinstance(value, (list, tuple)) else [(None, value)]:
-                if isinstance(entry, bool) or not isinstance(entry, int):
-                    raise ValueError(f"{label if j is None else f'{label}[{j}]'} must be an integer, got {entry!r}")
+                require_integer(label if j is None else f"{label}[{j}]", entry)
     return section
 
 

@@ -229,6 +229,10 @@ class GmmPrior:
     entries) is skipped.  The level constants of ``_terms`` are kept,
     read-only, for the last (alpha_t, v_t) seen: the calls of one Gibbs
     sweep share a level.
+
+    When every component has the same covariance (equal as float64 arrays), it is
+    factored once and ``denoise`` takes a closed form with no per-component quadratic
+    form; its 3d + J constants per level are kept, read-only, for every level seen.
     """
 
     weights: np.ndarray
@@ -240,6 +244,7 @@ class GmmPrior:
     _mean_coords: np.ndarray = field(init=False, repr=False)  # (J, d): Q_j^T m_j
     _log_weights: np.ndarray = field(init=False, repr=False)  # (J,)
     _level: tuple = field(init=False, repr=False, compare=False)  # (alpha, v, prec, log w_j - quad_const_j / 2)
+    _shared: dict | None = field(init=False, repr=False, compare=False)  # {(alpha, v): constants}; None unless shared
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
@@ -253,9 +258,10 @@ class GmmPrior:
             raise ValueError("weights, means, covs must agree on the number of components")
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
-        factors = [_eigh_spd(covs[j], f"component {j} covariance") for j in range(covs.shape[0])]
+        shared = bool(np.all(covs == covs[0]))  # one covariance (NaN never equals): validate and factor it once
+        factors = [_eigh_spd(covs[j], f"component {j} covariance") for j in range(1 if shared else covs.shape[0])]
         vecs = np.stack([q for _, _, q in factors])
-        lams = np.stack([lam for _, lam, _ in factors])
+        lams = np.repeat(np.stack([lam for _, lam, _ in factors]), covs.shape[0] if shared else 1, axis=0)
         if all(np.array_equal(q, vecs[0]) for q in vecs):
             vecs = vecs[:1].copy()
         else:
@@ -277,6 +283,7 @@ class GmmPrior:
         object.__setattr__(self, "_mean_coords", (means[:, None, :] @ vecs)[:, 0])
         object.__setattr__(self, "_log_weights", log_w)
         object.__setattr__(self, "_level", (None, None))
+        object.__setattr__(self, "_shared", {} if shared else None)
 
     @property
     def dim(self) -> int:
@@ -327,6 +334,20 @@ class GmmPrior:
         quad = (prec[..., :d] @ (xc * xc) - (2.0 * a) * (prec[..., d:] @ xc)).reshape(self.n_components, -1)
         return log_norm - 0.5 * quad, xc, prec
 
+    def _shared_level(self, a: float, v: float):
+        """Constants of the shared-covariance denoiser at level (a, v), with iv = 1 / (a^2 lam + v):
+        a iv, a lam iv and v iv as (d, 1) columns, and b_j = log w_j - a^2 iv . mc_j^2 / 2 as (J, 1)."""
+        level = self._shared.get((a, v))
+        if level is None:
+            lam = self._eigvals[0]
+            iv = 1.0 / ((a * a) * lam + v)
+            bias = self._log_weights - (0.5 * a * a) * ((self._mean_coords * self._mean_coords) @ iv)
+            level = ((a * iv)[:, None], (a * lam * iv)[:, None], (v * iv)[:, None], bias[:, None])
+            for arr in level:
+                arr.flags.writeable = False
+            self._shared[(a, v)] = level
+        return level
+
     @staticmethod
     def _weigh(prec: np.ndarray, c: np.ndarray) -> np.ndarray:
         """[sum_j c_j iv_j, sum_j c_j ivm_j] per basis, (G, 2d, M), for weights c of shape (J, M)."""
@@ -353,13 +374,34 @@ class GmmPrior:
         with u is a few small matmuls in the eigenbases, never a matrix.
         The covariance term takes centred weights r_j (score_j . u - E_r[score . u]),
         which keeps the VJP accurate where alpha_t is small and the score large.
+
+        With one shared covariance Q diag(lam) Q^T, the x^T S^{-1} x term cancels from the
+        responsibilities, r = softmax_j(b_j + g_j . xc) with g_j = a iv mc_j (see ``_shared_level``),
+        and the value is the Gaussian denoiser about the weighted mean,
+        Q[a lam iv xc + v iv sum_j r_j mc_j], with no division by alpha_t.  Its Jacobian in the basis
+        is diag(a lam iv) + v diag(iv) Cov_r[mc, g], applied with the same centred weights.
         """
         if t == 0:
             raise ValueError("denoiser is defined for t >= 1")
         a, v = schedule.alpha(t), schedule.sigma2(0, t)
+        basis, d = self._basis, self.dim
         pts = self._points(x_t)
+        if self._shared is not None:
+            grad, gain, shrink, bias = self._shared_level(a, v)
+            mc = self._mean_coords
+            xc = np.ascontiguousarray(pts) if basis is None else basis.T @ pts  # C order either way: I rounds as Q
+            resp = _normalize_exp(mc @ (grad * xc) + bias)
+            value = gain * xc + shrink * (mc.T @ resp)
+
+            def shared_vjp(u):
+                u_pts = self._points(u)
+                uc = np.ascontiguousarray(u_pts) if basis is None else basis.T @ u_pts
+                proj = mc @ (grad * uc)  # g_j . u
+                out = gain * uc + shrink * (mc.T @ (resp * (proj - np.sum(resp * proj, axis=0))))
+                return (out if basis is None else basis @ out).T.reshape(np.shape(u))
+
+            return DenoiserOutput((value if basis is None else basis @ value).T.reshape(np.shape(x_t)), shared_vjp)
         mean_score, (xc, prec, resp, rw) = self._score(a, v, pts)
-        d = self.dim
 
         def vjp(u):
             u_pts = self._points(u)

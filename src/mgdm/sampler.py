@@ -24,7 +24,7 @@ import numpy as np
 from . import vi as vi_mod
 from .likelihoods import guidance, log_g_hat
 from .priors import GaussianPrior
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, require_integer
 
 CONDITIONAL_BACKENDS = ("exact", "vi", "vi-mh")
 DENOISE_BACKENDS = ("ddpm", "exact")
@@ -64,7 +64,9 @@ class IndexDistribution:
     def __post_init__(self):
         if self.kind not in ("uniform-mix", "near-zero", "fixed-midpoint", "explicit", "fixed"):
             raise ValueError(f"unknown index distribution kind {self.kind!r}")
-        if self.tau < 1:
+        for j, value in enumerate(self.values or ()):
+            require_integer(f"values[{j}]", value)
+        if require_integer("tau", self.tau) < 1:
             raise ValueError("tau must be >= 1")
         if not 0.0 <= self.late_fraction <= 1.0:
             raise ValueError(f"late_fraction must lie in [0, 1], got {self.late_fraction}")
@@ -126,7 +128,7 @@ class ViPhaseSchedule:
     def __post_init__(self):
         # Check both phases' settings now, so a bad budget or rate fails before any run.
         for name in ("steps", "steps_late"):
-            if getattr(self, name) < 0:
+            if require_integer(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("eta_early", "eta"):
             rate = getattr(self, name)
@@ -169,7 +171,9 @@ class MgdmConfig:
     final_s: int = 1
 
     def __post_init__(self):
-        ts = tuple(int(t) for t in self.timesteps)
+        ts = tuple(require_integer(f"timesteps[{j}]", t) for j, t in enumerate(self.timesteps))
+        for name in ("R", "M", "mh_steps", "final_s"):
+            require_integer(name, getattr(self, name))
         object.__setattr__(self, "timesteps", ts)
         if len(ts) < 2:
             raise ValueError("need K >= 2 timesteps")

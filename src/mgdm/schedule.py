@@ -21,6 +21,14 @@ import numpy as np
 _FAMILIES = ("linear", "cosine", "custom")
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an int when it is a Python or numpy integer; a bool or a float (even 2.0)
+    raises, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BridgeParams:
     """Coefficients of the bridge kernel q(x_s | x_0, x_t).
@@ -139,7 +147,7 @@ class NoiseSchedule:
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseSchedule":
         sched = cls(alphas=np.asarray(obj["alphas"], dtype=np.float64), family=obj.get("family", "custom"))
-        if "T" in obj and int(obj["T"]) != sched.T:
+        if "T" in obj and require_integer("T", obj["T"]) != sched.T:
             raise ValueError("stated T inconsistent with len(alphas) - 1")
         return sched
 
@@ -172,9 +180,7 @@ def make_schedule(kind: str, T: int, alpha_end: float = 0.01) -> NoiseSchedule:
     "cosine": squared-cosine profile with the argument stopped short of
     pi/2 so that alpha_T stays strictly positive.
     """
-    if not isinstance(T, (int, np.integer)):
-        raise TypeError("T must be an integer")
-    if T < 2:
+    if require_integer("T", T) < 2:
         raise ValueError(f"T must be >= 2, got {T}")
     t = np.arange(T + 1, dtype=np.float64)
     if kind == "linear":

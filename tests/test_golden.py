@@ -1,7 +1,8 @@
 """Seeded outputs pinned to the values the sampler gave before the VI fit built its bridge
 once per fit and the GMM prior kept its last level's constants; the GMM pins, to the values
 before the guidance potential was split into its value and its gradient, the mixture weights
-were clamped before their exp and an identity eigenbasis was skipped.
+were clamped before their exp and an identity eigenbasis was skipped; the shared-covariance
+pins, to the values before such mixtures took the closed-form denoiser.
 
 A performance change must leave every seeded output as it was; these tests carry that
 check in the suite.  They compare at rtol 1e-10 rather than bit for bit, because another
@@ -11,11 +12,12 @@ BLAS or SIMD kernel may round differently.
 import csv
 
 import numpy as np
+import pytest
 
 from mgdm import harness
 from mgdm.likelihoods import LinearGaussianLikelihood
 from mgdm.oracle import QuadratureJoint, auto_grids
-from mgdm.priors import GaussianPrior
+from mgdm.priors import GaussianPrior, GmmPrior
 from mgdm.schedule import make_schedule
 
 # (x0_0, log_post) of runs 0-4 of harness.smoke_config() (VI backend, 1-D Gaussian prior).
@@ -49,11 +51,53 @@ GMM_NON_COMMUTING_VI_RUNS = [
     (0.7675155483032273, 0.08217215772512583, -1.7106581996812147),
 ]
 
+# The same of gmm_config(SHARED_COVS, "vi") and of gmm_config(SHARED_COVS, "vi-mh"): one covariance for both
+# components, pinned before the denoiser of such mixtures took its closed form about the weighted mean.
+GMM_SHARED_VI_RUNS = [
+    (0.7324774269529636, 0.15169154178325236, -1.5938161343993245),
+    (-0.42757558223580455, 0.5630246059761129, -1.4437051796565368),
+    (0.6461304784030611, 0.9539884462783591, -2.8435054380053684),
+    (0.3524877933210693, -0.7245547650576473, -1.6529282102357932),
+    (0.7695658661326907, 0.3113834575645315, -1.9087694260705572),
+]
+GMM_SHARED_VIMH_RUNS = [
+    (-0.31588371734956466, 0.1580482283879142, -1.0913605704979266),
+    (0.6370213008264006, -0.0325424802482744, -1.3076652238457402),
+    (0.1140161525551212, -0.2174726757721574, -0.6199849616484271),
+    (0.5077418145981862, -0.35759835594058603, -1.3741362008924847),
+    (0.6794309048562223, 0.2770567727750082, -1.3791843499667826),
+]
+
+# Denoiser value and VJP of the MCGdiff grid mixture (25 unit-covariance components, d = 80) at the two
+# points of mcgdiff_denoiser_fingerprint, pinned at the same time: per level t, (value, VJP), each given per
+# point as its first 4 coordinates and its squared norm.
+MCGDIFF_DENOISER = {
+    1: (
+        [[-17.864727757202214, 17.36460410198479, -15.278161283062682, 15.67915753153444, 20848.594088070473],
+         [8.077924589595872, -15.570440146745476, 8.337377682989414, -17.21043701657852, 12858.530240969685]],
+        [[0.2898036145745152, -0.542745304701482, -0.33398067364422135, -0.23115289757099594, 81.52688886525311],
+         [0.1164679112850651, 0.6368726461729456, 1.650433597133776, 0.3716354471828404, 85.48843389689041]],
+    ),
+    200: (
+        [[17.852311406464718, -0.4189687646316757, 17.08542514756246, 0.8305968316707416, 10466.067075204526],
+         [-8.13021521634409, 0.332235253527592, -8.118136200272675, 1.0970390654430928, 2548.6424512899957]],
+        [[0.5952506564162618, -0.6746657558892589, -0.5793268959555727, 0.6371081604567088, 76.57407204920412],
+         [1.7632631111058483, -1.7403990756670984, 0.2604903871599675, -0.34111158031177125, 61.9817574777196]],
+    ),
+    999: (
+        [[-13.507716972131817, -8.211163162080823, -13.476996867173051, -8.204787725993452, 10005.722164828496],
+         [9.178417342567771, -0.4255837707763163, 9.076326946552207, -0.3173597923223733, 3366.805809059236]],
+        [[-3.716030727225132, -4.51258861163963, -3.6487289816121224, -4.490175308521859, 1357.0302891467113],
+         [-2.924184619246281, -5.287226120189675, -2.9319697038789116, -5.3249856269265905, 1448.4670270350657]],
+    ),
+}
+
 # QuadratureJoint(...).log_z on the criterion-4 instance (s = 60, t = 400, 1024-point grids).
 CRITERION_4_LOG_Z = -1.0469911914762742
 
 ISOTROPIC_COVS = [[[0.3, 0.0], [0.0, 0.3]], [[0.5, 0.0], [0.0, 0.5]]]
 NON_COMMUTING_COVS = [[[0.3, 0.1], [0.1, 0.4]], [[0.5, 0.0], [0.0, 0.2]]]
+SHARED_COVS = [[[0.3, 0.0], [0.0, 0.3]], [[0.3, 0.0], [0.0, 0.3]]]
 
 
 def gmm_config(covs, backend):
@@ -98,6 +142,36 @@ def test_gmm_isotropic_vi_mh_runs_match_pinned_values(tmp_path):
 def test_gmm_non_commuting_vi_runs_match_pinned_values(tmp_path):
     got = first_rows(gmm_config(NON_COMMUTING_COVS, "vi"), tmp_path, ("x0_0", "x0_1", "log_post"))
     np.testing.assert_allclose(got, GMM_NON_COMMUTING_VI_RUNS, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("backend,pinned", [("vi", GMM_SHARED_VI_RUNS), ("vi-mh", GMM_SHARED_VIMH_RUNS)])
+def test_gmm_shared_covariance_runs_match_pinned_values(tmp_path, backend, pinned):
+    got = first_rows(gmm_config(SHARED_COVS, backend), tmp_path, ("x0_0", "x0_1", "log_post"))
+    np.testing.assert_allclose(got, pinned, rtol=1e-10, atol=0)
+
+
+def mcgdiff_denoiser_fingerprint():
+    """{t: (value, VJP)} of the MCGdiff grid mixture at two points drawn from p_t, per point its first
+    4 coordinates and its squared norm (the points and directions are drawn in this order from seed 2026)."""
+    grid = np.array([[8.0 * i, 8.0 * j] for i in range(-2, 3) for j in range(-2, 3)])
+    prior = GmmPrior(weights=np.full(25, 1.0 / 25), means=np.tile(grid, (1, 40)),
+                     covs=np.broadcast_to(np.eye(80), (25, 80, 80)))
+    sched = make_schedule("linear", 1000)
+    rng = np.random.default_rng(2026)
+    out = {}
+    for t in MCGDIFF_DENOISER:
+        x = sched.forward_sample(prior.sample(2, rng), 0, t, rng)
+        u = rng.standard_normal(x.shape)
+        den = prior.denoise(sched, t, x)
+        out[t] = tuple(np.hstack([arr[:, :4], np.sum(arr * arr, axis=-1, keepdims=True)])
+                       for arr in (den.value, den.vjp(u)))
+    return out
+
+
+def test_mcgdiff_denoiser_value_and_vjp_match_pinned_values():
+    for t, (value, vjp) in mcgdiff_denoiser_fingerprint().items():
+        np.testing.assert_allclose(value, MCGDIFF_DENOISER[t][0], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(vjp, MCGDIFF_DENOISER[t][1], rtol=1e-10, atol=0)
 
 
 def test_criterion_4_quadrature_log_z_matches_pinned_value():

@@ -250,33 +250,36 @@ class TestGmmLevelConstants:
                 assert not arr.flags.writeable
 
     def test_threads_alternating_levels_on_one_prior(self):
-        """Threads that share a prior, each at its own level, get their own level's values."""
+        """Threads that share a prior, each at its own level, get their own level's values: the score of
+        a mixture reads ``_level``, and the denoiser of one with one covariance reads ``_shared``."""
         import sys
         import threading
 
-        prior = gmm_instance("separate", 3, 4, np.random.default_rng(5))
-        sched = make_schedule("linear", 100)
-        x = prior.sample(5, np.random.default_rng(6))
-        fresh = GmmPrior(weights=prior.weights, means=prior.means, covs=prior.covs)
-        want = {t: fresh.score(sched, t, x) for t in (20, 60)}
-        wrong = []
+        rng = np.random.default_rng(5)
+        for prior, method in ((gmm_instance("separate", 3, 4, rng), GmmPrior.score),
+                              (shared_gmm(3, 4, True, rng), lambda *args: GmmPrior.denoise(*args).value)):
+            sched = make_schedule("linear", 100)
+            x = prior.sample(5, np.random.default_rng(6))
+            fresh = GmmPrior(weights=prior.weights, means=prior.means, covs=prior.covs)
+            want = {t: method(fresh, sched, t, x) for t in (20, 60)}
+            wrong = []
 
-        def work(t):
-            for _ in range(5000):
-                if not np.array_equal(prior.score(sched, t, x), want[t]):
-                    wrong.append(t)
+            def work(t):
+                for _ in range(5000):
+                    if not np.array_equal(method(prior, sched, t, x), want[t]):
+                        wrong.append(t)
 
-        threads = [threading.Thread(target=work, args=(t,)) for t in (20, 60, 20, 60)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads) and wrong == []
+            threads = [threading.Thread(target=work, args=(t,)) for t in (20, 60, 20, 60)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads) and wrong == [], prior._shared is None
 
 
 class TestDenoiserVjp:
@@ -418,22 +421,140 @@ class TestGmmComponentPass:
                 assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w)), (name, t)
 
     def test_shared_basis_peak_memory_below_one_component_slab(self):
-        """One denoise + VJP on the MCGdiff instance (M = 96) peaks below J * M * d * 8 bytes."""
+        """One denoise + VJP on the MCGdiff instance (M = 96) peaks below J * M * d * 8 bytes, in its
+        closed form and in the component pass."""
         import tracemalloc
 
         sched = make_schedule("linear", 1000)
-        prior = mcgdiff_grid_gmm()
         rng = np.random.default_rng(44)
-        x = sched.forward_sample(prior.sample(96, rng), 0, 300, rng)
-        u = rng.standard_normal(x.shape)
-        prior.denoise(sched, 300, x).vjp(u)
-        tracemalloc.start()
-        try:
+        for prior in (mcgdiff_grid_gmm(), per_component_twin(mcgdiff_grid_gmm())):
+            x = sched.forward_sample(prior.sample(96, rng), 0, 300, rng)
+            u = rng.standard_normal(x.shape)
             prior.denoise(sched, 300, x).vjp(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 25 * 96 * 80 * 8
+            tracemalloc.start()
+            try:
+                prior.denoise(sched, 300, x).vjp(u)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 25 * 96 * 80 * 8, prior._shared is None
+
+
+def shared_gmm(d, n_comp, rotated, rng):
+    """n_comp components with one covariance: 0.3 I (eigh returns I, so the basis is skipped), or
+    Q diag(lam) Q^T with a random rotation Q and eigenvalues in [e^-3, e]."""
+    cov = 0.3 * np.eye(d)
+    if rotated:
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        cov = (q * np.exp(rng.uniform(-3.0, 1.0, d))) @ q.T
+    weights = rng.uniform(0.5, 1.5, n_comp)
+    return GmmPrior(weights=weights / weights.sum(), means=rng.uniform(-6.0, 6.0, (n_comp, d)), covs=[cov] * n_comp)
+
+
+def per_component_twin(prior):
+    """The same mixture with its shared-covariance form switched off: ``denoise`` runs
+    ``_score``'s per-component pass."""
+    twin = GmmPrior(weights=prior.weights, means=prior.means, covs=prior.covs)
+    object.__setattr__(twin, "_shared", None)
+    return twin
+
+
+class TestSharedCovariance:
+    """Components with one covariance: the denoiser and its VJP take the closed form about the weighted mean."""
+
+    # a 1-D basis is always I
+    CASES = [(d, j, rot) for d in (1, 2, 80) for j in (1, 2, 25) for rot in (False, True) if d > 1 or not rot]
+
+    @pytest.mark.parametrize("d,n_comp,rotated", CASES)
+    def test_matches_the_per_component_pass(self, d, n_comp, rotated):
+        """Draws from p_t, and far points (|x_i| up to 30) for t <= 200, in every input shape."""
+        sched = make_schedule("linear", 1000)
+        rng = np.random.default_rng(10 * d + n_comp + rotated)
+        prior = shared_gmm(d, n_comp, rotated, rng)
+        assert prior._shared is not None and (prior._basis is None) == (not rotated)
+        twin = per_component_twin(prior)
+        for t in (1, 10, 200, sched.T - 1):
+            x0 = prior.sample(12, rng)
+            far = rng.uniform(-30.0, 30.0, (4 if t <= 200 else 0, d))
+            pool = np.vstack([sched.forward_sample(x0, 0, t, rng), far])
+            for shape in ((d,), (len(pool), d), (2, len(pool) // 2, d)):
+                x = pool[: int(np.prod(shape[:-1]))].reshape(shape)
+                u = rng.standard_normal(shape)
+                got, want = prior.denoise(sched, t, x), twin.denoise(sched, t, x)
+                for g, w in ((got.value, want.value), (got.vjp(u), want.vjp(u))):
+                    assert g.shape == w.shape == shape
+                    assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w)), (t, shape)
+
+    def test_vjp_matches_finite_differences_on_a_rotated_mixture(self):
+        sched = make_schedule("cosine", 400)
+        rng = np.random.default_rng(45)
+        prior = shared_gmm(5, 4, True, rng)
+        assert prior._shared is not None and prior._basis is not None
+        for t in (3, 120, 390):
+            x = sched.forward_sample(prior.sample(6, rng), 0, t, rng)
+            w = rng.standard_normal(x.shape)
+            np.testing.assert_allclose(prior.denoise(sched, t, x).vjp(w), fd_vjp(prior, sched, t, x, w), atol=1e-5)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_one_component_is_the_gaussian_denoiser(self, rotated):
+        sched = make_schedule("linear", 1000)
+        rng = np.random.default_rng(46)
+        mix = shared_gmm(3, 1, rotated, rng)
+        gauss = GaussianPrior(mean=mix.means[0], cov=mix.covs[0])
+        for t in (1, 10, 200, 999):
+            x = 3.0 * rng.standard_normal((7, 3))
+            u = rng.standard_normal((7, 3))
+            a, b = gauss.denoise(sched, t, x), mix.denoise(sched, t, x)
+            for g, w in ((b.value, a.value), (b.vjp(u), a.vjp(u))):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), t
+
+    def test_equal_covariances_run_one_eigh_and_the_closed_form(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(1) or eigh(mat))
+        sched = make_schedule("linear", 1000)
+        x = np.random.default_rng(47).standard_normal((5, 80))
+        prior = mcgdiff_grid_gmm()
+        assert len(calls) == 1 and prior._shared == {}
+        prior.denoise(sched, 30, x).vjp(x)
+        level = (sched.alpha(30), sched.sigma2(0, 30))
+        assert prior._level == (None, None) and list(prior._shared) == [level]
+        entry = prior._shared[level]
+        assert len(entry) == 4 and [arr.size for arr in entry] == [80, 80, 80, 25]
+        for arr in entry:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        prior.denoise(sched, 30, x)
+        assert prior._shared[level] is entry
+
+    @pytest.mark.parametrize("covs", [
+        [np.eye(2) * 0.3, np.eye(2) * 0.5],
+        [[[0.3, 0.1], [0.1, 0.4]], [[0.5, 0.0], [0.0, 0.2]]],
+        [np.eye(2) * 0.3, np.eye(2) * np.nextafter(0.3, 1.0)],
+    ], ids=["isotropic", "non-commuting", "one-ulp-apart"])
+    def test_other_mixtures_keep_the_per_component_pass(self, monkeypatch, covs):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(1) or eigh(mat))
+        sched = make_schedule("linear", 1000)
+        prior = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]], covs=covs)
+        assert len(calls) == 2 and prior._shared is None
+        prior.denoise(sched, 30, np.ones((4, 2)))
+        assert prior._level[:2] == (sched.alpha(30), sched.sigma2(0, 30))
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
+    def test_vjp_unchanged_after_the_points_are_overwritten_in_a_rotated_basis(self, shape):
+        """``TestIdentityBasis`` checks the shared form under I."""
+        sched = make_schedule("linear", 1000)
+        rng = np.random.default_rng(48)
+        prior = shared_gmm(3, 4, True, rng)
+        x = 4.0 * rng.standard_normal(shape)
+        u = rng.standard_normal(shape)
+        out = prior.denoise(sched, 300, x)
+        want = out.vjp(u)
+        x[...] = 123.0
+        np.testing.assert_array_equal(out.vjp(u), want)
 
 
 def unclamped_normalize_exp(logs):
@@ -484,30 +605,34 @@ class TestIdentityBasis:
 
     @pytest.mark.parametrize("d", [2, 80])
     def test_bit_equal_to_an_explicit_identity_basis(self, d):
+        """In the closed form of the shared covariance and in the component pass."""
         sched = make_schedule("linear", 1000)
-        prior, forced = mcgdiff_grid_gmm(d), mcgdiff_grid_gmm(d)
-        object.__setattr__(forced, "_basis", np.eye(d))
-        rng = np.random.default_rng(d)
-        for t in (1, 10, 300, 1000):
-            x = np.vstack([sched.forward_sample(prior.sample(24, rng), 0, t, rng), rng.uniform(-60.0, 60.0, (4, d))])
-            u = rng.standard_normal(x.shape)
-            a, b = prior.denoise(sched, t, x), forced.denoise(sched, t, x)
-            np.testing.assert_array_equal(a.value, b.value)
-            np.testing.assert_array_equal(a.vjp(u), b.vjp(u))
-            np.testing.assert_array_equal(prior.score(sched, t, x), forced.score(sched, t, x))
-        np.testing.assert_array_equal(prior.log_density(x), forced.log_density(x))
+        for make in (mcgdiff_grid_gmm, lambda d: per_component_twin(mcgdiff_grid_gmm(d))):
+            prior, forced = make(d), make(d)
+            object.__setattr__(forced, "_basis", np.eye(d))
+            rng = np.random.default_rng(d)
+            for t in (1, 10, 300, 1000):
+                x = sched.forward_sample(prior.sample(24, rng), 0, t, rng)
+                x = np.vstack([x, rng.uniform(-60.0, 60.0, (4, d))])
+                u = rng.standard_normal(x.shape)
+                a, b = prior.denoise(sched, t, x), forced.denoise(sched, t, x)
+                np.testing.assert_array_equal(a.value, b.value)
+                np.testing.assert_array_equal(a.vjp(u), b.vjp(u))
+                np.testing.assert_array_equal(prior.score(sched, t, x), forced.score(sched, t, x))
+            np.testing.assert_array_equal(prior.log_density(x), forced.log_density(x))
 
     @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
     def test_vjp_unchanged_after_the_points_are_overwritten(self, shape):
+        """In the closed form of the shared covariance and in the component pass."""
         sched = make_schedule("linear", 1000)
-        prior = mcgdiff_grid_gmm(2)
-        rng = np.random.default_rng(9)
-        x = 6.0 * rng.standard_normal(shape)
-        u = rng.standard_normal(shape)
-        out = prior.denoise(sched, 300, x)
-        want = out.vjp(u)
-        x[...] = 123.0
-        np.testing.assert_array_equal(out.vjp(u), want)
+        for prior in (mcgdiff_grid_gmm(2), per_component_twin(mcgdiff_grid_gmm(2))):
+            rng = np.random.default_rng(9)
+            x = 6.0 * rng.standard_normal(shape)
+            u = rng.standard_normal(shape)
+            out = prior.denoise(sched, 300, x)
+            want = out.vjp(u)
+            x[...] = 123.0
+            np.testing.assert_array_equal(out.vjp(u), want)
 
 
 class TestScore:

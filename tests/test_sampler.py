@@ -1,5 +1,7 @@
 """Index sampling, the inner DDPM denoiser, Gibbs sweeps, and the drivers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from mgdm.sampler import (
     mgdm_run_batch,
     sample_index,
 )
-from mgdm.schedule import make_schedule
+from mgdm.schedule import NoiseSchedule, make_schedule
 
 
 def smoothed(prior, sched, t):
@@ -399,6 +401,39 @@ class TestConfig:
         """Both phases' settings are checked when the schedule is built, not when a step resolves them."""
         with pytest.raises(ValueError, match=message):
             ViPhaseSchedule(**{field: value})
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: MgdmConfig(timesteps=(20.5, 200.9)), "timesteps[0] must be an integer, got 20.5"),
+        (lambda: MgdmConfig(timesteps=(20, np.float64(200.0))),
+         "timesteps[1] must be an integer, got np.float64(200.0)"),
+        (lambda: MgdmConfig(timesteps=(20, 200), R=1.5), "R must be an integer, got 1.5"),
+        (lambda: MgdmConfig(timesteps=(20, 200), R=True), "R must be an integer, got True"),
+        (lambda: MgdmConfig(timesteps=(20, 200), M=2.5), "M must be an integer, got 2.5"),
+        (lambda: MgdmConfig(timesteps=(20, 200), conditional="vi-mh", mh_steps=1.5),
+         "mh_steps must be an integer, got 1.5"),
+        (lambda: MgdmConfig(timesteps=(20, 200), final="denoise", final_s=1.5), "final_s must be an integer, got 1.5"),
+        (lambda: ViPhaseSchedule(steps=2.5), "steps must be an integer, got 2.5"),
+        (lambda: ViPhaseSchedule(steps_late=20.0), "steps_late must be an integer, got 20.0"),
+        (lambda: IndexDistribution(tau=5.5), "tau must be an integer, got 5.5"),
+        (lambda: IndexDistribution(kind="fixed", values=(3.7, 2.2)), "values[0] must be an integer, got 3.7"),
+        (lambda: IndexDistribution(kind="fixed", values=(3, True)), "values[1] must be an integer, got True"),
+        (lambda: NoiseSchedule.from_json({"alphas": make_schedule("linear", 10).alphas.tolist(), "T": 10.7}),
+         "T must be an integer, got 10.7"),
+        (lambda: make_schedule("linear", 10.5), "T must be an integer, got 10.5"),
+    ], ids=["timesteps", "numpy-float-timestep", "R", "R-bool", "M", "mh_steps", "final_s", "steps", "steps_late",
+            "tau", "values", "values-bool", "schedule-T", "make-schedule-T"])
+    def test_integer_settings_reject_non_integers(self, build, message):
+        """Integer settings built from Python are checked as the harness checks a config: never truncated."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_integer_settings_accept_numpy_integers(self):
+        cfg = MgdmConfig(timesteps=np.array([20, 200]), R=np.int64(2), M=np.int32(5),
+                         vi=ViPhaseSchedule(steps=np.int64(3)),
+                         index_dist=IndexDistribution(kind="fixed", values=tuple(np.array([7]))))
+        assert cfg.timesteps == (20, 200) and all(type(t) is int for t in cfg.timesteps) and cfg.R == 2
+        alphas = make_schedule("linear", np.int64(10)).alphas.tolist()
+        assert NoiseSchedule.from_json({"alphas": alphas, "T": np.int64(10)}).T == 10
 
 
 class TestMgdmRun:
