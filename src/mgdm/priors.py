@@ -256,6 +256,8 @@ class GmmPrior:
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         if means.shape[0] != w.shape[0] or covs.shape[0] != w.shape[0]:
             raise ValueError("weights, means, covs must agree on the number of components")
+        if covs.shape[1:2] != means.shape[1:]:
+            raise ValueError(f"means and covs dimensions disagree: means are {means.shape}, covs {covs.shape}")
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
         shared = bool(np.all(covs == covs[0]))  # one covariance (NaN never equals): validate and factor it once

@@ -324,9 +324,7 @@ def _mgdm_core(
             xt = schedule.bridge_sample(x0, xt, t_i, ts[i], rng)
         vi_fit = config.vi.resolve(i, K)
         for _ in range(config.R):
-            # xs is held until the next sweep returns: freed before it, glibc trims the heap top and
-            # re-faults those pages on each sweep (2.7x the page faults of 10^4-chain exact runs).
-            x0, xs, xt = gibbs_step(x0, xt, s, t_i, likelihood, prior, schedule, config, vi_fit, rng)
+            x0, _, xt = gibbs_step(x0, xt, s, t_i, likelihood, prior, schedule, config, vi_fit, rng)
             _check_finite(i, t_i, s, x0, xt)
 
     if config.final == "denoise":

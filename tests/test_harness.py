@@ -312,14 +312,17 @@ class TestCli:
 
     @staticmethod
     def bad_configs():
-        """(config, extra args, message): each rejected today only from inside a run."""
+        """(config, extra args, message): each must fail before any run, naming its cause."""
         gmm_exact = compare_config(n_runs=50)
         gmm_exact["prior"] = {"kind": "gmm", "weights": [0.5, 0.5], "means": [[-1.0, 0.0], [1.0, 0.0]],
                               "covs": [np.eye(2).tolist(), np.eye(2).tolist()]}
         high_tau = harness.smoke_config()
         high_tau["sampler"]["index"]["tau"] = 50  # T = 200, K = 10: t_prev = 40 at outer step 3
+        gmm_dims = compare_config(n_runs=50)
+        gmm_dims["prior"] = {**gmm_exact["prior"], "means": [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}
         return [(gmm_exact, [], "exact conditional requires a Gaussian prior"),
-                (high_tau, ["--backend", "exact"], "t_prev=40 < tau=50")]
+                (high_tau, ["--backend", "exact"], "t_prev=40 < tau=50"),
+                (gmm_dims, [], "means and covs dimensions disagree")]
 
     @staticmethod
     def assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, extra, message):
@@ -341,7 +344,7 @@ class TestCli:
         assert calls == []
 
     @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("case", [0, 1, 2])
     def test_bad_config_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, case):
         config, extra, message = self.bad_configs()[case]
         extra = extra if command == "compare" else []

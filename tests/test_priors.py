@@ -83,6 +83,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GmmPrior(weights=[0.6, 0.6], means=[[0.0], [1.0]], covs=[[[1.0]], [[1.0]]])
 
+    @pytest.mark.parametrize("means,cov", [([[0.0, 0.0, 0.0]], np.eye(2)), ([[0.0, 0.0]], np.eye(3))],
+                             ids=["means-wider", "covs-wider"])
+    def test_gmm_rejects_means_and_covs_of_different_dimensions(self, means, cov):
+        """The mismatch is named, as GaussianPrior names mean and cov, not left to a failed reshape."""
+        with pytest.raises(ValueError, match="means and covs dimensions disagree"):
+            GmmPrior(weights=[1.0], means=means, covs=[cov])
+
 
 class TestDenoiser:
     def test_unit_gaussian_half_alpha(self):
