@@ -31,7 +31,7 @@ from .sampler import (
     mgdm_run,
     mgdm_run_batch,
 )
-from .schedule import NoiseSchedule, make_schedule, require_integer
+from .schedule import NoiseSchedule, make_schedule, require_integer, require_number
 
 log = logging.getLogger("mgdm")
 
@@ -188,7 +188,7 @@ class ExperimentConfig:
                 require_linear_gaussian(likelihood, prior, "the denoise final step")
             mgdm.check_index_support()
         elif algorithm == "dps":
-            mgdm, dps = None, (sampler.get("K", 100), float(sampler.get("zeta", 1.0)))
+            mgdm, dps = None, (sampler.get("K", 100), require_number("zeta", sampler.get("zeta", 1.0)))
             make_timesteps(dps[0], schedule.T)  # dps_run's grid: K >= 2 distinct levels up to T
             if not 0.0 <= dps[1] < np.inf:  # NaN too
                 raise ValueError("zeta must be >= 0 and finite")
@@ -359,7 +359,7 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     agg_rows = []
-    for combo_idx, ((r_val, g_val, index_kind), experiment) in enumerate(zip(combos, experiments)):
+    for combo_idx, ((r_val, g_val, _), experiment) in enumerate(zip(combos, experiments)):
         rows = _collect_runs(experiment, jobs, combo_idx=combo_idx)
         agg = _aggregate(experiment, rows, experiment.master_seed + combo_idx)
         agg_rows.append(
@@ -367,7 +367,7 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
                 "combo_id": combo_idx,
                 "R": r_val,
                 "G": -1 if g_val is None else g_val,
-                "index_dist": index_kind or config["sampler"].get("index", {}).get("kind", "uniform-mix"),
+                "index_dist": experiment.mgdm.index_dist.kind,
                 "n_runs": agg["n_runs"],
                 "mean_error": agg.get("mean_error", float("nan")),
                 "sliced_w2": agg.get("sliced_w2", float("nan")),

@@ -17,27 +17,28 @@ from typing import Callable
 
 import numpy as np
 
-from .priors import GaussianPrior
-from .schedule import NoiseSchedule
+from .priors import GaussianPrior, memo_entry
+from .schedule import NoiseSchedule, require_number
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianObservation:
-    """y = F(x) + N(0, sigma_y^2 I) noise, F = ``forward`` (x A^T unless overridden); subclasses add grad_log_g0."""
+    """y = F(x) + N(0, sigma_y^2 I) noise, F = ``forward`` (x A^T unless overridden); subclasses add grad_log_g0.
+    Compared and hashed by identity, as a key of the priors' memos."""
 
     A: np.ndarray
     y: np.ndarray
     sigma_y: float
-    _log_norm: float = field(init=False, repr=False, compare=False)  # d_y log(2 pi sigma_y^2)
+    _log_norm: float = field(init=False, repr=False)  # d_y log(2 pi sigma_y^2)
 
     def __post_init__(self):
         a_mat = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
         y = np.atleast_1d(np.asarray(self.y, dtype=np.float64))
         object.__setattr__(self, "A", a_mat)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "sigma_y", float(self.sigma_y))
+        object.__setattr__(self, "sigma_y", require_number("sigma_y", self.sigma_y))
         if not 0.0 < self.sigma_y < np.inf:
             raise ValueError("sigma_y must be positive and finite")
         for name, arr in (("A", a_mat), ("y", y)):
@@ -141,18 +142,15 @@ def linearized_potential(likelihood, prior, schedule: NoiseSchedule, s: int):
 def level_factorization(likelihood, prior, schedule: NoiseSchedule, s: int):
     """(W, mu, h, P_s, q_s) of the Gaussian potential ghat_s(x) propto exp(q_s . x - x P_s x / 2), with
     P_s = A_hat_s^T A_hat_s / sigma_y^2 = W diag(mu) W^T, q_s = (y - a_s) A_hat_s / sigma_y^2 and h = W^T q_s:
-    one read-only entry per level in the prior's ``_conditionals`` memo for the last (schedule, likelihood)
-    pair, shared by the exact conditional and the closed-form guidance gradient.  Level 0 is g0 itself
-    (A_hat_0 = A, a_0 = 0: m_0 is the identity), the potential of the sampler's denoise final step."""
-    levels = prior.level_memo("_conditionals", schedule, likelihood)
-    entry = levels.get(s)
-    if entry is None:
-        a_hat, offset = (likelihood.A, 0.0) if s == 0 else linearized_potential(likelihood, prior, schedule, s)
-        s2 = likelihood.sigma_y**2
-        prec, resid = a_hat.T @ a_hat / s2, (likelihood.y - offset) @ a_hat
-        mu, w = np.linalg.eigh(prec)
-        entry = (w, np.clip(mu, 0.0, None), resid @ w / s2, prec, resid / s2)
-        for arr in entry:
-            arr.flags.writeable = False
-        levels[s] = entry
-    return entry
+    one read-only entry of the prior's memo per (schedule, likelihood, s), shared by the exact conditional and
+    the closed-form guidance gradient.  Level 0 is g0 itself (A_hat_0 = A, a_0 = 0: m_0 is the identity), the
+    potential of the sampler's denoise final step."""
+    return memo_entry(prior, (schedule, likelihood, s), lambda: _factorize(likelihood, prior, schedule, s))
+
+
+def _factorize(likelihood, prior, schedule: NoiseSchedule, s: int):
+    a_hat, offset = (likelihood.A, 0.0) if s == 0 else linearized_potential(likelihood, prior, schedule, s)
+    s2 = likelihood.sigma_y**2
+    prec, resid = a_hat.T @ a_hat / s2, (likelihood.y - offset) @ a_hat
+    mu, w = np.linalg.eigh(prec)
+    return w, np.clip(mu, 0.0, None), resid @ w / s2, prec, resid / s2

@@ -29,7 +29,7 @@ import numpy as np
 
 from .likelihoods import LinearGaussianLikelihood, log_g_hat, require_linear_gaussian
 from .moments import GaussianMoments
-from .priors import GaussianPrior, GmmPrior, exact_posterior, logsumexp
+from .priors import GaussianPrior, exact_posterior, logsumexp
 from .sampler import MgdmConfig
 from .schedule import NoiseSchedule, gauss_log_density
 from .vi import conditional_coefficients
@@ -247,15 +247,10 @@ def auto_grids(likelihood, prior, schedule: NoiseSchedule, s: int, t: int, n: in
 
     Centers cover the prior mean and, when available in closed form, the
     posterior mean; each axis spans ``width`` standard deviations of its
-    smoothed marginal.
+    smoothed marginal, from the prior's ``moments`` (either family).
     """
-    if isinstance(prior, GmmPrior):
-        mean0 = float(np.sum(prior.weights * prior.means[:, 0]))
-        second = float(np.sum(prior.weights * (prior.covs[:, 0, 0] + prior.means[:, 0] ** 2)))
-        sd0 = math.sqrt(second - mean0**2)
-    else:
-        mean0 = float(prior.mean[0])
-        sd0 = math.sqrt(float(prior.cov[0, 0]))
+    moments = prior.moments()
+    mean0, sd0 = float(moments.mean[0]), math.sqrt(float(moments.cov[0, 0]))
     centers = [mean0]
     if isinstance(likelihood, LinearGaussianLikelihood) and isinstance(prior, GaussianPrior):
         centers.append(float(exact_posterior(prior, likelihood).mean[0]))

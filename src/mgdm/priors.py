@@ -12,6 +12,10 @@ Each covariance is eigendecomposed once, at construction, as
 Sigma = Q diag(lam) Q^T.  The smoothed covariance at any level then shares
 the eigenbasis, S_t = Q diag(alpha_t^2 lam + v_t) Q^T, so its inverse and
 log-determinant are diagonal scalings in Q: no factorization per call.
+
+The constants of a level are built once per prior and kept in its one dict ``_memo`` (see ``memo_entry``),
+under the inputs they are built from: (alpha_t, v_t) for a denoiser, (schedule, s, M) for the DDPM kernel,
+(schedule, likelihood, s) for the guidance factorization.  Schedules and likelihoods hash by identity.
 """
 
 from __future__ import annotations
@@ -58,6 +62,18 @@ def _eigh_spd(cov: np.ndarray, what: str):
     return cov, lam, vecs
 
 
+def memo_entry(prior, key, build: Callable[[], tuple]) -> tuple:
+    """The entry of ``prior._memo`` under ``key``; on a miss, ``build()`` makes its arrays, which are
+    made read-only and kept for the prior's lifetime.  Threads that race on a miss build equal entries."""
+    entry = prior._memo.get(key)
+    if entry is None:
+        entry = build()
+        for arr in entry:
+            arr.flags.writeable = False
+        prior._memo[key] = entry
+    return entry
+
+
 def _normalize_exp(logs: np.ndarray) -> np.ndarray:
     """exp(logs) normalized to sum to 1 along axis 0; weights below 1e-200 of the largest
     become 0, which no float64 sum can feel, as subnormal weights slow every product tenfold.
@@ -72,11 +88,10 @@ def _normalize_exp(logs: np.ndarray) -> np.ndarray:
 class GaussianPrior:
     """Gaussian prior N(mean, cov) with SPD covariance.
 
-    ``denoiser_affine`` keeps (J_t, b_t) per level, and ``ddpm_kernel`` the DDPM noise weights per
-    (s, M) in the same memo, for the last schedule; ``likelihoods.level_factorization`` keeps the
-    guidance potential's factorization per level, which the exact conditional and the closed-form VI
-    gradient share, for the last (schedule, likelihood) pair.  Each memo holds read-only entries for
-    the levels visited and is dropped when another schedule or likelihood comes in (``level_memo``).
+    ``_memo`` keeps, read-only, (J_t, b_t) of ``denoiser_affine`` per (alpha_t, v_t), the DDPM noise
+    weights of ``ddpm_kernel`` per (schedule, s, M), and the guidance factorization of
+    ``likelihoods.level_factorization`` per (schedule, likelihood, s), which the exact conditional and
+    the closed-form VI gradient share: every level visited, a few (d, d) arrays each.
     """
 
     mean: np.ndarray
@@ -84,8 +99,7 @@ class GaussianPrior:
     _chol: np.ndarray = field(init=False, repr=False)
     _eigvals: np.ndarray = field(init=False, repr=False)
     _eigvecs: np.ndarray = field(init=False, repr=False)
-    _levels: tuple = field(init=False, repr=False, compare=False)  # (schedule, {t: (J_t, b_t), (s, M): (Q, W)})
-    _conditionals: tuple = field(init=False, repr=False, compare=False)  # (schedule, likelihood, {s: factors})
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
@@ -99,8 +113,7 @@ class GaussianPrior:
         object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
         object.__setattr__(self, "_eigvals", lam)
         object.__setattr__(self, "_eigvecs", vecs)
-        object.__setattr__(self, "_levels", (None, {}))
-        object.__setattr__(self, "_conditionals", (None, None, {}))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def dim(self) -> int:
@@ -115,15 +128,6 @@ class GaussianPrior:
         a = schedule.alpha(t)
         v = schedule.sigma2(0, t)
         return a, v, (a * a) * self._eigvals + v
-
-    def level_memo(self, slot: str, *owners) -> dict:
-        """The per-level dict of memo ``slot`` ("_levels" or "_conditionals") for these
-        owners, compared by identity; other owners start the memo afresh."""
-        memo = getattr(self, slot)
-        if memo[0] is not owners[0] or memo[-2] is not owners[-1]:  # one or two owners
-            memo = (*owners, {})
-            object.__setattr__(self, slot, memo)
-        return memo[-1]
 
     # -- smoothed marginal p_t ---------------------------------------------
 
@@ -145,39 +149,30 @@ class GaussianPrior:
         diagonal scalings, by alpha_t lam / (abar_t lam + v_t) and
         v_t / (abar_t lam + v_t).
         """
-        levels = self.level_memo("_levels", schedule)
-        affine = levels.get(t)
-        if affine is None:
-            if t == 0:
-                raise ValueError("denoiser is defined for t >= 1")
-            a, v, var = self._smoothed_eigvals(schedule, t)
-            bias = self._eigvecs @ ((v / var) * (self.mean @ self._eigvecs))
-            affine = (self._spectral(a * self._eigvals / var), bias)
-            for arr in affine:
-                arr.flags.writeable = False
-            levels[t] = affine
-        return affine
+        return memo_entry(self, (schedule.alpha(t), schedule.sigma2(0, t)), lambda: self._affine(schedule, t))
+
+    def _affine(self, schedule: NoiseSchedule, t: int):
+        if t == 0:
+            raise ValueError("denoiser is defined for t >= 1")
+        a, v, var = self._smoothed_eigvals(schedule, t)
+        return self._spectral(a * self._eigvals / var), self._eigvecs @ ((v / var) * (self.mean @ self._eigvecs))
 
     def ddpm_kernel(self, schedule: NoiseSchedule, s: int, M: int):
         """(Q, W): the DDPM pass of ``sampler.ddpm_denoise`` from s returns m_s(x_s) + sum_k xi_k Q diag(W[k]) Q^T,
         xi_k the noise of its k-th sub-step.  Sub-step hi -> lo scales it by the bridge's sqrt(v), each later one
         by c0 j_hi + c1, the last denoise by j_{s_1}, where j_t = alpha_t lam / (abar_t lam + v_t) are the
-        eigenvalues of J_t.  Kept read-only in ``_levels`` under the key (s, M)."""
-        levels = self.level_memo("_levels", schedule)
-        kernel = levels.get((s, M))
-        if kernel is None:
-            grid = schedule.substep_grid(s, M)
-            gains = [a * self._eigvals / var for a, _, var in (self._smoothed_eigvals(schedule, t) for t in grid[1:])]
-            scale, rows = gains[0], []
-            for lo, hi, gain in zip(grid[1:-1], grid[2:], gains[1:]):
-                p = schedule.bridge_params(lo, hi)
-                rows.append(np.sqrt(p.variance) * scale)
-                scale = scale * (p.mean_coeff_x0 * gain + p.mean_coeff_xt)
-            kernel = (self._eigvecs, np.array(rows[::-1]).reshape(-1, self.dim))
-            for arr in kernel:
-                arr.flags.writeable = False
-            levels[(s, M)] = kernel
-        return kernel
+        eigenvalues of J_t."""
+        return memo_entry(self, (schedule, s, M), lambda: self._ddpm_weights(schedule, s, M))
+
+    def _ddpm_weights(self, schedule: NoiseSchedule, s: int, M: int):
+        grid = schedule.substep_grid(s, M)
+        gains = [a * self._eigvals / var for a, _, var in (self._smoothed_eigvals(schedule, t) for t in grid[1:])]
+        scale, rows = gains[0], []
+        for lo, hi, gain in zip(grid[1:-1], grid[2:], gains[1:]):
+            p = schedule.bridge_params(lo, hi)
+            rows.append(np.sqrt(p.variance) * scale)
+            scale = scale * (p.mean_coeff_x0 * gain + p.mean_coeff_xt)
+        return self._eigvecs, np.array(rows[::-1]).reshape(-1, self.dim)
 
     def posterior_x0_cov(self, schedule: NoiseSchedule, t: int) -> np.ndarray:
         """Cov[X_0 | X_t] = Sigma_{0|t} = v_t Sigma S_t^{-1}."""
@@ -226,13 +221,13 @@ class GmmPrior:
     Sums over components are small matmuls inside the basis change (see
     ``_terms``), so a shared basis never builds a (J, M, d) array; one that
     is exactly I (isotropic covariances, or diagonal ones with ascending
-    entries) is skipped.  The level constants of ``_terms`` are kept,
-    read-only, for the last (alpha_t, v_t) seen: the calls of one Gibbs
-    sweep share a level.
+    entries) is skipped.  ``_memo`` keeps the 2Jd + J constants of ``_terms``,
+    read-only, for every (alpha_t, v_t) seen.
 
     When every component has the same covariance (equal as float64 arrays), it is
     factored once and ``denoise`` takes a closed form with no per-component quadratic
-    form; its 3d + J constants per level are kept, read-only, for every level seen.
+    form; ``_memo`` keeps its 3d + J constants per level under (alpha_t, v_t, "shared"),
+    apart from the per-component ones that ``score`` and ``log_density`` still read.
     """
 
     weights: np.ndarray
@@ -243,8 +238,8 @@ class GmmPrior:
     _basis: np.ndarray | None = field(init=False, repr=False)  # (d, G d): [Q_1 ... Q_G]; None for I
     _mean_coords: np.ndarray = field(init=False, repr=False)  # (J, d): Q_j^T m_j
     _log_weights: np.ndarray = field(init=False, repr=False)  # (J,)
-    _level: tuple = field(init=False, repr=False, compare=False)  # (alpha, v, prec, log w_j - quad_const_j / 2)
-    _shared: dict | None = field(init=False, repr=False, compare=False)  # {(alpha, v): constants}; None unless shared
+    _shared: bool = field(init=False, repr=False)  # one covariance: ``denoise`` takes the closed form
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
@@ -284,8 +279,8 @@ class GmmPrior:
         object.__setattr__(self, "_basis", None if np.array_equal(basis, np.eye(means.shape[1])) else basis)
         object.__setattr__(self, "_mean_coords", (means[:, None, :] @ vecs)[:, 0])
         object.__setattr__(self, "_log_weights", log_w)
-        object.__setattr__(self, "_level", (None, None))
-        object.__setattr__(self, "_shared", {} if shared else None)
+        object.__setattr__(self, "_shared", shared)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def dim(self) -> int:
@@ -321,34 +316,29 @@ class GmmPrior:
         iv_j . xc^2 - 2a ivm_j . xc + a^2 ivm_j . Q_j^T m_j: one (J / G, d) x (d, M) matmul per basis.
         Returns log w_j + log N(x; a m_j, S_j) (J, M), xc (G, d, M) and [iv_j, ivm_j] by basis (G, J / G, 2d).
         """
-        d, level = self.dim, self._level  # one read: another thread may replace the entry meanwhile
-        if level[:2] != (a, v):
-            var = (a * a) * self._eigvals + v
-            prec = np.concatenate([1.0 / var, self._mean_coords / var], axis=1)
-            quad_const = d * _LOG_2PI + np.log(var).sum(axis=1)
-            quad_const += (a * a) * np.sum(prec[:, d:] * self._mean_coords, axis=1)
-            level = (a, v, prec.reshape(len(self._eigvecs), -1, 2 * d), (self._log_weights - 0.5 * quad_const)[:, None])
-            for arr in level[2:]:
-                arr.flags.writeable = False
-            object.__setattr__(self, "_level", level)
-        _, _, prec, log_norm = level
+        d = self.dim
+        prec, log_norm = memo_entry(self, (a, v), lambda: self._component_level(a, v))
         xc = self._coords(pts)
         quad = (prec[..., :d] @ (xc * xc) - (2.0 * a) * (prec[..., d:] @ xc)).reshape(self.n_components, -1)
         return log_norm - 0.5 * quad, xc, prec
 
+    def _component_level(self, a: float, v: float):
+        """The level constants of ``_terms``: [iv_j, ivm_j] by basis (G, J / G, 2d), and
+        log w_j - (d log 2 pi + log det S_j + a^2 ivm_j . Q_j^T m_j) / 2 as (J, 1)."""
+        d = self.dim
+        var = (a * a) * self._eigvals + v
+        prec = np.concatenate([1.0 / var, self._mean_coords / var], axis=1)
+        quad_const = d * _LOG_2PI + np.log(var).sum(axis=1)
+        quad_const += (a * a) * np.sum(prec[:, d:] * self._mean_coords, axis=1)
+        return prec.reshape(len(self._eigvecs), -1, 2 * d), (self._log_weights - 0.5 * quad_const)[:, None]
+
     def _shared_level(self, a: float, v: float):
         """Constants of the shared-covariance denoiser at level (a, v), with iv = 1 / (a^2 lam + v):
         a iv, a lam iv and v iv as (d, 1) columns, and b_j = log w_j - a^2 iv . mc_j^2 / 2 as (J, 1)."""
-        level = self._shared.get((a, v))
-        if level is None:
-            lam = self._eigvals[0]
-            iv = 1.0 / ((a * a) * lam + v)
-            bias = self._log_weights - (0.5 * a * a) * ((self._mean_coords * self._mean_coords) @ iv)
-            level = ((a * iv)[:, None], (a * lam * iv)[:, None], (v * iv)[:, None], bias[:, None])
-            for arr in level:
-                arr.flags.writeable = False
-            self._shared[(a, v)] = level
-        return level
+        lam = self._eigvals[0]
+        iv = 1.0 / ((a * a) * lam + v)
+        bias = self._log_weights - (0.5 * a * a) * ((self._mean_coords * self._mean_coords) @ iv)
+        return (a * iv)[:, None], (a * lam * iv)[:, None], (v * iv)[:, None], bias[:, None]
 
     @staticmethod
     def _weigh(prec: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -388,8 +378,8 @@ class GmmPrior:
         a, v = schedule.alpha(t), schedule.sigma2(0, t)
         basis, d = self._basis, self.dim
         pts = self._points(x_t)
-        if self._shared is not None:
-            grad, gain, shrink, bias = self._shared_level(a, v)
+        if self._shared:
+            grad, gain, shrink, bias = memo_entry(self, (a, v, "shared"), lambda: self._shared_level(a, v))
             mc = self._mean_coords
             xc = np.ascontiguousarray(pts) if basis is None else basis.T @ pts  # C order either way: I rounds as Q
             resp = _normalize_exp(mc @ (grad * xc) + bias)

@@ -24,7 +24,7 @@ import numpy as np
 from . import vi as vi_mod
 from .likelihoods import guidance, log_g_hat
 from .priors import GaussianPrior
-from .schedule import NoiseSchedule, require_integer
+from .schedule import NoiseSchedule, require_integer, require_number
 
 CONDITIONAL_BACKENDS = ("exact", "vi", "vi-mh")
 DENOISE_BACKENDS = ("ddpm", "exact")
@@ -383,7 +383,7 @@ def dps_run(
 
     zeta = 0 reduces to unconditional DDPM sampling from the prior.
     """
-    if not 0.0 <= zeta < math.inf:  # NaN too
+    if not 0.0 <= require_number("zeta", zeta) < math.inf:  # NaN too
         raise ValueError("zeta must be >= 0 and finite")
     ts = make_timesteps(K, schedule.T)
     shape = (prior.dim,) if n_chains is None else (n_chains, prior.dim)

@@ -29,6 +29,14 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
+def require_number(name: str, value) -> float:
+    """``value`` as a float when it is a Python or numpy integer or float; a bool, a string or anything
+    else raises, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BridgeParams:
     """Coefficients of the bridge kernel q(x_s | x_0, x_t).
@@ -50,20 +58,21 @@ class BridgeParams:
         return self.mean_coeff_x0 * x0 + self.mean_coeff_xt * xt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Discrete noise schedule alpha_0 .. alpha_T.
 
     Immutable after construction; safe to share across threads.  All
     sampling methods take a caller-owned ``numpy.random.Generator``.  The
     alpha_t are also kept as Python floats, so every coefficient is a few
-    float operations on lookups.
+    float operations on lookups.  Compared and hashed by identity, as a key
+    of the priors' memos.
     """
 
     alphas: np.ndarray
     family: str = "custom"
     T: int = field(init=False)
-    _alpha: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _alpha: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)

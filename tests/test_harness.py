@@ -103,6 +103,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             harness.run_sweep(harness.smoke_config(), tmp_path)
 
+    def test_null_index_runs_and_labels_the_default_kind(self, tmp_path):
+        """``"index": null`` runs the default law, as ``mgdm run`` does; each row names the kind its combo ran."""
+        config = harness.smoke_config()
+        config["n_runs"], config["sampler"]["index"] = 4, None
+        config["sweep"] = {"R": [1, 2], "index": [None, "near-zero"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        header, *rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+        column = header.split(",").index("index_dist")
+        assert [row.split(",")[column] for row in rows] == ["uniform-mix", "near-zero"] * 2
+
     @pytest.mark.parametrize("kind", ["uniform-mix", "near-zero"])
     def test_index_axis_keeps_the_base_index_keys(self, kind):
         """A swept index kind replaces the base law's kind alone, so its row runs tau = 5, not the default 10."""
@@ -392,12 +404,20 @@ class TestCli:
         ("dps", "zeta", np.nan, "zeta must be >= 0 and finite"),
         ("dps", "zeta", np.inf, "zeta must be >= 0 and finite"),
         ("schedule", "alpha_end", np.nan, "all alpha_t must be positive"),
+        ("likelihood", "sigma_y", "0.5", "sigma_y must be a number, got '0.5'"),
+        ("likelihood", "sigma_y", True, "sigma_y must be a number, got True"),
+        ("likelihood", "sigma_y", False, "sigma_y must be a number, got False"),
+        ("dps", "zeta", "0.5", "zeta must be a number, got '0.5'"),
+        ("dps", "zeta", True, "zeta must be a number, got True"),
+        ("dps", "zeta", False, "zeta must be a number, got False"),
     ], ids=["y-nan", "A-inf", "sigma-nan", "sigma-inf", "mean-nan", "cov-inf", "weights-nan", "means-nan",
-            "covs-inf", "eta-nan", "eta-early-inf", "zeta-nan", "zeta-inf", "alpha-end-nan"])
+            "covs-inf", "eta-nan", "eta-early-inf", "zeta-nan", "zeta-inf", "alpha-end-nan", "sigma-string",
+            "sigma-true", "sigma-false", "zeta-string", "zeta-true", "zeta-false"])
     def test_non_finite_number_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, section, key, value,
                                                        message):
         """json reads NaN and Infinity: each fails naming its field, not as a NaN state mid-run, a run to
-        exit 0 (a NaN zeta skipped the guidance) or another check's message."""
+        exit 0 (a NaN zeta skipped the guidance) or another check's message.  Nor is a string or a bool read
+        as a number: "0.5" as 0.5, true as 1.0, false as 0.0."""
         config = harness.smoke_config()
         if section == "dps":
             section, config["sampler"] = "sampler", {"algorithm": "dps", "K": 10}

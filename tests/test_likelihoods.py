@@ -51,6 +51,23 @@ class TestLogG0:
         with pytest.raises(ValueError):
             LinearGaussianLikelihood(A=[[np.nan]], y=[0.0], sigma_y=1.0)
 
+    @pytest.mark.parametrize("cls", [LinearGaussianLikelihood, QuadraticLikelihood])
+    @pytest.mark.parametrize("sigma_y", ["0.5", True, False, None, [0.5]])
+    def test_rejects_a_sigma_that_is_not_a_number(self, cls, sigma_y):
+        """float() would read "0.5" as 0.5 and True as 1.0."""
+        with pytest.raises(ValueError, match="sigma_y must be a number"):
+            cls(A=[[1.0]], y=[0.0], sigma_y=sigma_y)
+
+    @pytest.mark.parametrize("sigma_y", [2, np.float64(0.5), np.int64(2), np.float32(0.5)])
+    def test_accepts_integer_and_numpy_sigmas(self, sigma_y):
+        lik = LinearGaussianLikelihood(A=[[1.0]], y=[0.0], sigma_y=sigma_y)
+        assert type(lik.sigma_y) is float and lik.sigma_y == float(sigma_y)
+
+    def test_compared_and_hashed_by_identity(self):
+        """Array fields make value equality undefined; identity serves as a memo key."""
+        lik, twin = (LinearGaussianLikelihood(A=[[1.0]], y=[0.0], sigma_y=1.0) for _ in range(2))
+        assert lik == lik and lik != twin and {lik: 1}[lik] == 1 and hash(lik) != hash(twin)
+
 
 class TestNonlinearMap:
     def test_vjp_consistent_with_finite_differences(self):

@@ -542,6 +542,22 @@ class TestQuadratureJoint:
         for axis in ("x0", "xs", "xt"):
             np.testing.assert_allclose(np.sum(joint.grids[axis].weights * joint.marginal(axis)[1]), 1.0, atol=1e-6)
 
+    def test_gmm_prior_on_auto_grids(self):
+        """``auto_grids`` spans a mixture by its ``moments``: the marginals are normalized, and the x_0 one
+        matches that of ``test_gmm_prior_supported``'s fixed grids."""
+        prior = GmmPrior(weights=[0.5, 0.5], means=[[-1.0], [1.0]], covs=[[[0.3]], [[0.3]]])
+        lik = LinearGaussianLikelihood(A=[[1.0]], y=[0.4], sigma_y=0.3)
+        sched = make_schedule("linear", 1000)
+        grids = auto_grids(lik, prior, sched, 60, 400, n=1024)
+        assert grids[0].lo == -grids[0].hi == pytest.approx(-10.0 * math.sqrt(1.3))  # Var X_0 = 0.3 + 1
+        joint = QuadratureJoint(lik, prior, sched, 60, 400, grids)
+        for axis in ("x0", "xs", "xt"):
+            _, dens = joint.marginal(axis)
+            np.testing.assert_allclose(np.sum(joint.grids[axis].weights * dens), 1.0, atol=1e-6)
+            assert max(dens[0], dens[-1]) < 1e-12 * dens.max()
+        fixed = QuadratureJoint(lik, prior, sched, 60, 400, (GridSpec(-6, 6, 768),) * 3)
+        np.testing.assert_allclose(joint.moments("x0"), fixed.moments("x0"), atol=1e-6)
+
     def test_flat_potential_xt_marginal_is_smoothed_prior(self):
         lik, prior, sched = instance_1d(sigma_y=1e8)
         s, t = 60, 400

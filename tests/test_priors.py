@@ -176,7 +176,7 @@ def fd_vjp(prior, sched, t, x, w, h=1e-5):
 
 
 class TestDenoiserAffineLevels:
-    """(J_t, b_t) are kept per level for the last schedule; entries are read-only and never shared."""
+    """(J_t, b_t) are kept per (alpha_t, v_t); entries are read-only and never shared between priors."""
 
     @staticmethod
     def fresh(prior, sched, t):
@@ -214,14 +214,14 @@ class TestDenoiserAffineLevels:
             assert np.array_equal(jac, want_jac) and np.array_equal(bias, want_bias)
 
     def test_memory_bounded_by_levels_of_one_schedule(self):
+        """Revisiting a level adds no entry, and a second schedule with the same alphas reads the same entries."""
         prior = gauss_1d()
         first, second = make_schedule("linear", 40), make_schedule("linear", 40)
         for _ in range(3):
             for t in range(1, 41):
                 prior.denoiser_affine(first, t)
-        assert prior._levels[0] is first and len(prior._levels[1]) == 40
-        prior.denoiser_affine(second, 7)
-        assert prior._levels[0] is second and list(prior._levels[1]) == [7]
+        assert len(prior._memo) == 40
+        assert prior.denoiser_affine(second, 7) is prior.denoiser_affine(first, 7) and len(prior._memo) == 40
 
     def test_rejects_bad_levels(self):
         prior, sched = gauss_1d(), make_schedule("linear", 10)
@@ -231,7 +231,7 @@ class TestDenoiserAffineLevels:
 
 
 class TestGmmLevelConstants:
-    """The level constants of ``GmmPrior._terms`` are kept for the last (alpha_t, v_t) only, read-only."""
+    """The level constants of ``GmmPrior._terms`` are kept, read-only, for every (alpha_t, v_t) seen."""
 
     @staticmethod
     def outputs(prior, sched, t, x, u):
@@ -247,18 +247,45 @@ class TestGmmLevelConstants:
         rng = np.random.default_rng(6)
         x = prior.sample(7, rng) + rng.standard_normal((7, 3))
         u = rng.standard_normal((7, 3))
-        for sched, t in ((linear, 40), (linear, 70), (linear, 40), (cosine, 40), (linear, 40)):
+        visits = ((linear, 40), (linear, 70), (linear, 40), (cosine, 40), (linear, 40))
+        for sched, t in visits:
             fresh = GmmPrior(weights=prior.weights, means=prior.means, covs=prior.covs)
             for got, want in zip(self.outputs(prior, sched, t, x, u), self.outputs(fresh, sched, t, x, u)):
                 assert np.array_equal(got, want)
-            alpha, v, *arrays = prior._level
-            assert (alpha, v) == (sched.alpha(t), sched.sigma2(0, t)) and len(arrays) == 2
+            arrays = prior._memo[(sched.alpha(t), sched.sigma2(0, t))]
+            assert len(arrays) == 2
             for arr in arrays:
                 assert not arr.flags.writeable
+        assert {key[:2] for key in prior._memo} == {(sched.alpha(t), sched.sigma2(0, t)) for sched, t in visits}
+
+    def test_a_vimh_run_builds_each_level_once(self, tmp_path, monkeypatch):
+        """The 20-run VI-MH config of CI, covariances 0.3 I and 0.5 I: a DDPM sub-step or the next sweep's level
+        does not evict a level, so each prior builds the constants of each (alpha_t, v_t) once."""
+        from mgdm import harness
+
+        built, build = [], GmmPrior._component_level
+
+        def counted(self, a, v):
+            built.append((id(self), a, v))
+            return build(self, a, v)
+
+        monkeypatch.setattr(GmmPrior, "_component_level", counted)
+        config = {
+            "prior": {"kind": "gmm", "weights": [0.3, 0.7], "means": [[1.0, 1.0], [-1.0, -0.5]],
+                      "covs": [[[0.3, 0.0], [0.0, 0.3]], [[0.5, 0.0], [0.0, 0.5]]]},
+            "likelihood": {"kind": "linear", "A": [[1.0, 0.5]], "y": [0.3], "sigma_y": 0.3},
+            "schedule": {"family": "linear", "T": 200},
+            "sampler": {"algorithm": "mgdm", "K": 10, "R": 1, "M": 5, "backend": "vi-mh", "mh_steps": 2,
+                        "index": {"kind": "uniform-mix", "tau": 5},
+                        "vi": {"eta_early": 0.1, "eta": 0.1, "steps_late": 10, "steps": 10}},
+            "n_runs": 20, "master_seed": 7,
+        }
+        harness.run_experiment(config, tmp_path)
+        assert len(built) > 20 and len(built) == len(set(built))
 
     def test_threads_alternating_levels_on_one_prior(self):
         """Threads that share a prior, each at its own level, get their own level's values: the score of
-        a mixture reads ``_level``, and the denoiser of one with one covariance reads ``_shared``."""
+        a mixture and the denoiser of one with one covariance read their entries of the one ``_memo``."""
         import sys
         import threading
 
@@ -286,7 +313,7 @@ class TestGmmLevelConstants:
                     thread.join(timeout=60)
             finally:
                 sys.setswitchinterval(interval)
-            assert not any(thread.is_alive() for thread in threads) and wrong == [], prior._shared is None
+            assert not any(thread.is_alive() for thread in threads) and wrong == [], prior._shared
 
 
 class TestDenoiserVjp:
@@ -444,7 +471,7 @@ class TestGmmComponentPass:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 25 * 96 * 80 * 8, prior._shared is None
+            assert peak < 25 * 96 * 80 * 8, prior._shared
 
 
 def shared_gmm(d, n_comp, rotated, rng):
@@ -462,7 +489,7 @@ def per_component_twin(prior):
     """The same mixture with its shared-covariance form switched off: ``denoise`` runs
     ``_score``'s per-component pass."""
     twin = GmmPrior(weights=prior.weights, means=prior.means, covs=prior.covs)
-    object.__setattr__(twin, "_shared", None)
+    object.__setattr__(twin, "_shared", False)
     return twin
 
 
@@ -478,7 +505,7 @@ class TestSharedCovariance:
         sched = make_schedule("linear", 1000)
         rng = np.random.default_rng(10 * d + n_comp + rotated)
         prior = shared_gmm(d, n_comp, rotated, rng)
-        assert prior._shared is not None and (prior._basis is None) == (not rotated)
+        assert prior._shared and (prior._basis is None) == (not rotated)
         twin = per_component_twin(prior)
         for t in (1, 10, 200, sched.T - 1):
             x0 = prior.sample(12, rng)
@@ -496,7 +523,7 @@ class TestSharedCovariance:
         sched = make_schedule("cosine", 400)
         rng = np.random.default_rng(45)
         prior = shared_gmm(5, 4, True, rng)
-        assert prior._shared is not None and prior._basis is not None
+        assert prior._shared and prior._basis is not None
         for t in (3, 120, 390):
             x = sched.forward_sample(prior.sample(6, rng), 0, t, rng)
             w = rng.standard_normal(x.shape)
@@ -522,18 +549,18 @@ class TestSharedCovariance:
         sched = make_schedule("linear", 1000)
         x = np.random.default_rng(47).standard_normal((5, 80))
         prior = mcgdiff_grid_gmm()
-        assert len(calls) == 1 and prior._shared == {}
+        assert len(calls) == 1 and prior._shared and prior._memo == {}
         prior.denoise(sched, 30, x).vjp(x)
-        level = (sched.alpha(30), sched.sigma2(0, 30))
-        assert prior._level == (None, None) and list(prior._shared) == [level]
-        entry = prior._shared[level]
+        level = (sched.alpha(30), sched.sigma2(0, 30), "shared")
+        assert list(prior._memo) == [level]  # no per-component entry
+        entry = prior._memo[level]
         assert len(entry) == 4 and [arr.size for arr in entry] == [80, 80, 80, 25]
         for arr in entry:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         prior.denoise(sched, 30, x)
-        assert prior._shared[level] is entry
+        assert prior._memo[level] is entry and len(prior._memo) == 1
 
     @pytest.mark.parametrize("covs", [
         [np.eye(2) * 0.3, np.eye(2) * 0.5],
@@ -546,9 +573,9 @@ class TestSharedCovariance:
         monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(1) or eigh(mat))
         sched = make_schedule("linear", 1000)
         prior = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]], covs=covs)
-        assert len(calls) == 2 and prior._shared is None
+        assert len(calls) == 2 and not prior._shared
         prior.denoise(sched, 30, np.ones((4, 2)))
-        assert prior._level[:2] == (sched.alpha(30), sched.sigma2(0, 30))
+        assert list(prior._memo) == [(sched.alpha(30), sched.sigma2(0, 30))]
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
     def test_vjp_unchanged_after_the_points_are_overwritten_in_a_rotated_basis(self, shape):

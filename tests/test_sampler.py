@@ -186,26 +186,26 @@ class TestDdpmDenoise:
             assert rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_kernel_entries_read_only_and_bounded_by_levels(self):
-        """The kernel of each (s, M) is kept once, read-only, beside (J_t, b_t) of the levels visited."""
+        """The kernel of each (schedule, s, M) is kept once, read-only, beside (J_t, b_t) of the levels visited."""
         sched = make_schedule("linear", 200)
         prior = random_gaussian_prior(3, np.random.default_rng(8))
         x_s = np.zeros(3)
         visits = [(37, 5), (37, 5), (60, 20), (1, 5), (60, 1)]
         for s, M in visits:
             ddpm_denoise(prior, sched, x_s, s, M, np.random.default_rng(0))
-        levels = prior._levels[1]
-        assert set(levels) == {s for s, _ in visits} | set(visits)
+        memo = prior._memo
+        assert set(memo) == {(sched.alpha(s), sched.sigma2(0, s)) for s, _ in visits} | {(sched, *v) for v in visits}
         for s, M in set(visits):
-            q, w = levels[(s, M)]
-            assert prior.ddpm_kernel(sched, s, M) is levels[(s, M)]
+            q, w = memo[(sched, s, M)]
+            assert prior.ddpm_kernel(sched, s, M) is memo[(sched, s, M)]
             assert w.shape == (len(sched.substep_grid(s, M)) - 2, 3)
             for arr in (q, w):
                 assert not arr.flags.writeable
         ddpm_denoise(prior, sched, x_s, 37, 5, np.random.default_rng(0))
-        assert len(levels) == 7
-        other = make_schedule("linear", 200)
+        assert len(memo) == 7
+        other = make_schedule("linear", 200)  # the same alphas: its kernel is its own entry, (J_t, b_t) are shared
         ddpm_denoise(prior, other, x_s, 37, 5, np.random.default_rng(0))
-        assert prior._levels[0] is other and set(prior._levels[1]) == {37, (37, 5)}
+        assert len(memo) == 8 and np.array_equal(memo[(other, 37, 5)][1], memo[(sched, 37, 5)][1])
 
     def test_substep_grid_matches_linspace_rule(self):
         sched = make_schedule("linear", 1000)
@@ -571,6 +571,13 @@ class TestDpsRun:
         lik, prior, sched = problem_1d()
         with pytest.raises(ValueError):
             dps_run(lik, prior, sched, K=10, zeta=-0.1, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("zeta", ["0.5", True, False, None])
+    def test_rejects_a_zeta_that_is_not_a_number(self, zeta):
+        """True is not 1.0 and False is not 0.0 (unguided DDPM)."""
+        lik, prior, sched = problem_1d()
+        with pytest.raises(ValueError, match="zeta must be a number"):
+            dps_run(lik, prior, sched, K=10, zeta=zeta, rng=np.random.default_rng(0))
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is set through glibc's mallopt")

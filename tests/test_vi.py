@@ -514,7 +514,7 @@ class TestFactorizedConditional:
 
 
 class TestConditionalMemo:
-    """The per-level factorization: read-only, at most T + 1 entries, never shared."""
+    """The per-level factorization: read-only, one entry per (schedule, likelihood, s), never shared."""
 
     @staticmethod
     def fresh(lik, prior, sched, s, t):
@@ -523,12 +523,14 @@ class TestConditionalMemo:
     def test_entries_read_only_and_bounded_by_levels(self):
         lik, prior, _ = problem_1d()
         sched = make_schedule("linear", 40)
+        sizes = []
         for _ in range(2):
             for s in range(1, 40):
                 for t in (s + 1, 40):
                     conditional_coefficients(lik, prior, sched, s, t)
-        known_sched, known_lik, levels = prior._conditionals
-        assert known_sched is sched and known_lik is lik
+            sizes.append(len(prior._memo))
+        assert sizes[0] == sizes[1]  # revisiting a level adds no entry
+        levels = {key[2]: entry for key, entry in prior._memo.items() if key[:2] == (sched, lik)}
         assert sorted(levels) == list(range(1, 40)) and len(levels) <= sched.T + 1
         for entry in levels.values():
             assert len(entry) == 5  # W, mu, h of the exact conditional; P_s, q_s of the guidance gradient
@@ -541,9 +543,10 @@ class TestConditionalMemo:
         """The VI gradient's P_s and q_s sit in the exact conditional's entry for level s."""
         lik, prior, sched = problem_2d()
         fit(lik, prior, sched, 30, 60, np.zeros(2), np.ones(2), 3, 0.03, np.random.default_rng(0))
-        entry = prior._conditionals[2][30]
+        entry = prior._memo[(sched, lik, 30)]
         conditional_coefficients(lik, prior, sched, 30, 60)
-        assert prior._conditionals[2][30] is entry and list(prior._conditionals[2]) == [30]
+        assert prior._memo[(sched, lik, 30)] is entry
+        assert [key for key in prior._memo if len(key) == 3] == [(sched, lik, 30)]
         w, mu, h, prec, shift = entry
         a_hat, offset = linearized_potential(lik, prior, sched, 30)
         np.testing.assert_array_equal(prec, a_hat.T @ a_hat / lik.sigma_y**2)
@@ -556,12 +559,12 @@ class TestConditionalMemo:
         lik_a = LinearGaussianLikelihood(A=[[1.1]], y=[0.7], sigma_y=0.5)
         lik_b = LinearGaussianLikelihood(A=[[0.4]], y=[-1.0], sigma_y=0.2)
         linear, cosine = make_schedule("linear", 100), make_schedule("cosine", 100)
-        for lik, sched in ((lik_a, linear), (lik_b, linear), (lik_a, cosine), (lik_a, linear), (lik_b, cosine)):
+        visits = ((lik_a, linear), (lik_b, linear), (lik_a, cosine), (lik_a, linear), (lik_b, cosine))
+        for lik, sched in visits:
             want = self.fresh(lik, prior, sched, 30, 60)
             for got, ref in zip(conditional_coefficients(lik, prior, sched, 30, 60), want):
                 assert np.array_equal(got, ref)
-            assert prior._conditionals[0] is sched and prior._conditionals[1] is lik
-            assert list(prior._conditionals[2]) == [30]
+        assert {key for key in prior._memo if len(key) == 3} == {(sched, lik, 30) for lik, sched in visits}
 
     def test_exact_run_and_oracle_factorize_once_per_level(self, monkeypatch):
         """An exact-backend batch plus its oracle make one eigh per distinct level and no Cholesky."""
