@@ -5,6 +5,11 @@ master seed so a result file can be reproduced exactly from itself.
 Per-run randomness comes from ``SeedSequence((master_seed, run_index))``
 (or ``(master_seed, combo_index, run_index)`` inside sweeps), so runs are
 independent streams and insensitive to execution order.
+
+An experiment's runs travel as their seeds and one ``(n_runs, d)`` array of
+x_0 in run order, in process or from ``--jobs`` workers (one array a chunk),
+into ``results.csv``, ``summary.json`` and ``sweep.csv``; one writer,
+``_write_report``, writes every JSON report.
 """
 
 from __future__ import annotations
@@ -172,6 +177,8 @@ class ExperimentConfig:
         _check_keys(config, _CONFIG_KEYS, "the config")
         if "master_seed" not in config:
             raise ValueError("config needs a 'master_seed'")
+        if config["master_seed"] < 0:  # SeedSequence's own message names no field
+            raise ValueError(f"master_seed must be >= 0, got {config['master_seed']}")
         sampler = config.get("sampler")
         if not isinstance(sampler, dict):
             raise ValueError("config needs a 'sampler' section")
@@ -211,48 +218,40 @@ class ExperimentConfig:
             return None
 
 
-# -- single runs ---------------------------------------------------------------
+# -- runs ----------------------------------------------------------------------
 
 
-def _execute_run(experiment: ExperimentConfig, run_idx: int, combo_idx: int | None = None) -> dict:
-    indices = (combo_idx, run_idx) if combo_idx is not None else (run_idx,)
-    seed = _run_seed(experiment.master_seed, *indices)
+def _execute_run(experiment: ExperimentConfig, seed: int) -> np.ndarray:
+    """The x_0 of one run, shape (d,)."""
     rng = np.random.default_rng(seed)
     problem = (experiment.likelihood, experiment.prior, experiment.schedule)
-    mcfg = experiment.mgdm
-    if mcfg is None:
+    if experiment.mgdm is None:
         K, zeta = experiment.dps
-        sample = dps_run(*problem, K=K, zeta=zeta, rng=rng)
-        r_val, g_val, index_kind = 0, 0, "none"
-    else:
-        sample = mgdm_run(*problem, mcfg, rng)
-        r_val, g_val, index_kind = mcfg.R, mcfg.vi.steps, mcfg.index_dist.kind
-    row = {"run_id": run_idx, "seed": seed, "R": r_val, "G": g_val, "index_dist": index_kind}
-    for j, v in enumerate(np.atleast_1d(sample)):
-        row[f"x0_{j}"] = float(v)
-    post = experiment.posterior
-    row["log_post"] = float("nan") if post is None else float(post.log_density(np.atleast_1d(sample)))
-    return row
+        return dps_run(*problem, K=K, zeta=zeta, rng=rng)
+    return mgdm_run(*problem, experiment.mgdm, rng)
 
 
-def _run_chunk(config: dict, run_ids: range, combo_idx: int | None) -> list[dict]:
-    """Runs of one experiment in a worker process, which builds its objects once."""
+def _run_chunk(config: dict, seeds: list[int]) -> np.ndarray:
+    """Runs of one experiment in a worker process, which builds its objects once; one row each."""
     experiment = ExperimentConfig.from_dict(config)
-    return [_execute_run(experiment, r, combo_idx) for r in run_ids]
+    return np.array([_execute_run(experiment, seed) for seed in seeds])
 
 
-def _collect_runs(experiment: ExperimentConfig, jobs: int, combo_idx: int | None = None) -> list[dict]:
-    n_runs = experiment.n_runs
+def _collect_runs(experiment: ExperimentConfig, jobs: int, combo_idx: int | None = None) -> tuple[list, np.ndarray]:
+    """The runs' seeds and their (n_runs, d) samples, in run order."""
+    tag = () if combo_idx is None else (combo_idx,)
+    seeds = [_run_seed(experiment.master_seed, *tag, r) for r in range(experiment.n_runs)]
     if jobs <= 1:
-        return [_execute_run(experiment, r, combo_idx) for r in range(n_runs)]
+        return seeds, np.array([_execute_run(experiment, seed) for seed in seeds])
     from concurrent.futures import ProcessPoolExecutor  # here, not at the top: it loads multiprocessing
 
-    chunks = [range(k, n_runs, jobs) for k in range(min(jobs, n_runs))]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(_run_chunk, [experiment.raw] * len(chunks), chunks, [combo_idx] * len(chunks))
-        rows = [row for part in parts for row in part]
-    rows.sort(key=lambda r: r["run_id"])
-    return rows
+    n_chunks = min(jobs, len(seeds))
+    samples = np.empty((len(seeds), experiment.prior.dim))
+    with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+        chunks = [seeds[k::n_chunks] for k in range(n_chunks)]
+        for k, part in enumerate(pool.map(_run_chunk, [experiment.raw] * n_chunks, chunks)):
+            samples[k::n_chunks] = part
+    return seeds, samples
 
 
 def _fmt(value) -> str:
@@ -261,44 +260,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+def _write_csv(path: Path, columns: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in columns])
+        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
-def _aggregate(experiment: ExperimentConfig, rows: list[dict], seed_tag: int) -> dict:
-    d = experiment.prior.dim
-    samples = np.asarray([[row[f"x0_{j}"] for j in range(d)] for row in rows])
+def _write_report(path: Path, experiment: ExperimentConfig, report: dict) -> dict:
+    """``report`` stamped with the config hash and master seed, written as sorted, indented JSON."""
+    report.update(config_hash=config_hash(experiment.raw), master_seed=experiment.master_seed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+    return report
+
+
+def _aggregate(experiment: ExperimentConfig, samples: np.ndarray, seed_tag: int) -> dict:
+    n, mean = len(samples), samples.mean(axis=0)
+    emp_cov = np.atleast_2d(np.cov(samples.T, bias=False)) if n > 1 else None
     prior = experiment.prior.moments()
     # a run diverged when a coordinate of x_0 is NaN or more than 100 prior standard deviations from the prior mean
     diverged = np.any(~(np.abs(samples - prior.mean) <= 100.0 * np.sqrt(np.diag(prior.cov))), axis=1)
     agg: dict = {
-        "n_runs": len(rows),
-        "mean": samples.mean(axis=0).tolist(),
-        "cov": np.atleast_2d(np.cov(samples.T, bias=False)).tolist() if len(rows) > 1 else None,
+        "n_runs": n,
+        "mean": mean.tolist(),
+        "cov": None if emp_cov is None else emp_cov.tolist(),
         "diverged_frac": float(diverged.mean()),
-        "diverged_runs": [row["run_id"] for row, flag in zip(rows, diverged) if flag],
+        "diverged_runs": np.flatnonzero(diverged).tolist(),
     }
     post = experiment.posterior
     if post is None:
         return agg
     rng = np.random.default_rng(_run_seed(seed_tag, 999_983))
-    ref = post.sample(max(len(rows), 1024), rng)
+    ref = post.sample(max(n, 1024), rng)
     post_moments = post.moments()
-    post_mean, post_cov = post_moments.mean, post_moments.cov
-    agg["posterior_mean"] = np.asarray(post_mean).tolist()
-    agg["mean_error"] = float(np.linalg.norm(samples.mean(axis=0) - post_mean))
-    if len(rows) > 1:
-        emp_cov = np.atleast_2d(np.cov(samples.T, bias=False))
-        agg["cov_error_fro"] = float(np.linalg.norm(emp_cov - post_cov))
+    agg["posterior_mean"] = np.asarray(post_moments.mean).tolist()
+    agg["mean_error"] = float(np.linalg.norm(mean - post_moments.mean))
+    if emp_cov is not None:
+        agg["cov_error_fro"] = float(np.linalg.norm(emp_cov - post_moments.cov))
     agg["sliced_w2"] = float(
         sliced_wasserstein2(samples, ref, rng=np.random.default_rng(_run_seed(seed_tag, 999_979)))
     )
-    if d == 1:
-        ref_eq = post.sample(len(rows), np.random.default_rng(_run_seed(seed_tag, 999_961)))
+    if samples.shape[1] == 1:
+        ref_eq = post.sample(n, np.random.default_rng(_run_seed(seed_tag, 999_961)))
         agg["w1"] = float(wasserstein1_1d(samples, ref_eq))
     return agg
 
@@ -306,21 +311,19 @@ def _aggregate(experiment: ExperimentConfig, rows: list[dict], seed_tag: int) ->
 def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     """Execute ``n_runs`` seeded runs, write results.csv + summary.json."""
     experiment = ExperimentConfig.from_dict(config)
-    experiment.posterior  # built now, so a degenerate posterior fails before any run
+    post = experiment.posterior  # built now, so a degenerate posterior fails before any run
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = _collect_runs(experiment, jobs)
-    d = sum(1 for key in rows[0] if key.startswith("x0_"))
-    columns = ["run_id", "seed", "R", "G", "index_dist"] + [f"x0_{j}" for j in range(d)] + ["log_post"]
-    _write_csv(out / "results.csv", rows, columns)
-    summary = {
-        "config": config,
-        "config_hash": config_hash(config),
-        "master_seed": experiment.master_seed,
-        "aggregate": _aggregate(experiment, rows, experiment.master_seed),
-    }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    out.mkdir(parents=True, exist_ok=True)  # now, so an unusable --out fails before any run
+    seeds, samples = _collect_runs(experiment, jobs)
+    mcfg = experiment.mgdm
+    label = (0, 0, "none") if mcfg is None else (mcfg.R, mcfg.vi.steps, mcfg.index_dist.kind)
+    columns = ["run_id", "seed", "R", "G", "index_dist"] + [f"x0_{j}" for j in range(samples.shape[1])] + ["log_post"]
+    _write_csv(out / "results.csv", columns, (
+        [r, seed, *label, *x.tolist(), float("nan") if post is None else float(post.log_density(x))]
+        for r, (seed, x) in enumerate(zip(seeds, samples))
+    ))
+    aggregate = _aggregate(experiment, samples, experiment.master_seed)
+    summary = _write_report(out / "summary.json", experiment, {"config": config, "aggregate": aggregate})
     log.info("wrote %s and summary.json (%d runs)", out / "results.csv", experiment.n_runs)
     return summary
 
@@ -356,12 +359,12 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     combos = [(r, g, ix) for r in r_values for g in g_values for ix in index_kinds]
     experiments = [_combo_experiment(config, *combo) for combo in combos]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # now, so an unusable --out fails before any run
 
     agg_rows = []
     for combo_idx, ((r_val, g_val, _), experiment) in enumerate(zip(combos, experiments)):
-        rows = _collect_runs(experiment, jobs, combo_idx=combo_idx)
-        agg = _aggregate(experiment, rows, experiment.master_seed + combo_idx)
+        _, samples = _collect_runs(experiment, jobs, combo_idx=combo_idx)
+        agg = _aggregate(experiment, samples, experiment.master_seed + combo_idx)
         agg_rows.append(
             {
                 "combo_id": combo_idx,
@@ -376,20 +379,11 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
         )
     for prev, cur in zip(agg_rows, agg_rows[1:]):
         cur["sw2_nonincreasing"] = bool(cur["sliced_w2"] <= prev["sliced_w2"] + 1e-12)
-    if agg_rows:
-        agg_rows[0]["sw2_nonincreasing"] = ""
+    agg_rows[0]["sw2_nonincreasing"] = ""
     columns = ["combo_id", "R", "G", "index_dist", "n_runs", "mean_error", "sliced_w2", "sw2_nonincreasing",
                "diverged_frac"]
-    _write_csv(out / "sweep.csv", agg_rows, columns)
-    summary = {
-        "config": config,
-        "config_hash": config_hash(config),
-        "master_seed": base.master_seed,
-        "rows": agg_rows,
-    }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    return summary
+    _write_csv(out / "sweep.csv", columns, ([row[c] for c in columns] for row in agg_rows))
+    return _write_report(out / "summary.json", base, {"config": config, "rows": agg_rows})
 
 
 # -- oracle paths ---------------------------------------------------------------
@@ -409,20 +403,13 @@ def run_oracle(config: dict, out_dir: str | Path) -> dict:
     """Evaluate the moment recursion and write oracle.json."""
     experiment = ExperimentConfig.from_dict(config)
     mcfg = _replay_config(experiment)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     moments = oracle_recursion(experiment.prior, experiment.likelihood, experiment.schedule, mcfg)
-    report = {
+    return _write_report(Path(out_dir) / "oracle.json", experiment, {
         "mean": moments.mean.tolist(),
         "cov": moments.cov.tolist(),
         "index_sequence": list(mcfg.index_dist.values),
         "timesteps": list(mcfg.timesteps),
-        "config_hash": config_hash(config),
-        "master_seed": experiment.master_seed,
-    }
-    with open(out / "oracle.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    return report
+    })
 
 
 def covariance_se(cov: np.ndarray, n: int) -> np.ndarray:
@@ -463,8 +450,6 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
     emp_mean = samples.mean(axis=0)
     emp_cov = np.atleast_2d(np.cov(samples.T, bias=False))
     report: dict = {
-        "config_hash": config_hash(config),
-        "master_seed": experiment.master_seed,
         "n_runs": n_runs,
         "backend": backend,
         "index_sequence": list(mcfg.index_dist.values),
@@ -489,11 +474,7 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
         report["z_mean"] = z_mean.tolist()
         report["z_cov"] = z_cov.tolist()
         report["passed"] = bool(np.all(np.abs(z_mean) < 3.0) and np.all(np.abs(z_cov) < 3.0))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "compare.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    return report
+    return _write_report(Path(out_dir) / "compare.json", experiment, report)
 
 
 def smoke_config() -> dict:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .priors import GaussianPrior, memo_entry
-from .schedule import NoiseSchedule, require_number
+from .schedule import NoiseSchedule, require_number, require_numeric_array
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -34,8 +34,8 @@ class GaussianObservation:
     _log_norm: float = field(init=False, repr=False)  # d_y log(2 pi sigma_y^2)
 
     def __post_init__(self):
-        a_mat = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
-        y = np.atleast_1d(np.asarray(self.y, dtype=np.float64))
+        a_mat = np.atleast_2d(require_numeric_array("A", self.A))
+        y = np.atleast_1d(require_numeric_array("y", self.y))
         object.__setattr__(self, "A", a_mat)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma_y", require_number("sigma_y", self.sigma_y))
@@ -95,7 +95,7 @@ def likelihood_from_json(obj: dict) -> GaussianObservation:
     cls = {"linear": LinearGaussianLikelihood, "quadratic": QuadraticLikelihood}.get(obj["kind"])
     if cls is None:
         raise ValueError(f"unknown likelihood kind {obj['kind']!r}")
-    return cls(A=np.asarray(obj["A"]), y=np.asarray(obj["y"]), sigma_y=obj["sigma_y"])
+    return cls(A=obj["A"], y=obj["y"], sigma_y=obj["sigma_y"])
 
 
 def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray):

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .moments import GaussianMoments
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, require_numeric_array
 
 _MIN_EIGVAL = 1e-12
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -49,7 +49,7 @@ class DenoiserOutput:
 
 def _eigh_spd(cov: np.ndarray, what: str):
     """Validated SPD matrix with its eigenvalues and eigenvectors."""
-    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
+    cov = np.atleast_2d(require_numeric_array(what, cov))
     if cov.shape[0] != cov.shape[1]:
         raise ValueError(f"{what} must be square, got {cov.shape}")
     if not np.all(np.isfinite(cov)):
@@ -102,7 +102,7 @@ class GaussianPrior:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
+        mean = np.atleast_1d(require_numeric_array("prior mean", self.mean))
         cov, lam, vecs = _eigh_spd(self.cov, "prior covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and cov dimensions disagree")
@@ -242,9 +242,9 @@ class GmmPrior:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        covs = np.asarray(self.covs, dtype=np.float64)
+        w = np.atleast_1d(require_numeric_array("weights", self.weights))
+        means = np.atleast_2d(require_numeric_array("means", self.means))
+        covs = require_numeric_array("covs", self.covs)
         if covs.ndim == 2:
             covs = covs[None]
         if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):  # NaN fails both comparisons
@@ -476,7 +476,7 @@ def prior_from_json(obj: dict):
     if kind == "gaussian":
         return GaussianPrior(mean=obj["mean"], cov=obj["cov"])
     if kind == "gmm":
-        return GmmPrior(weights=np.asarray(obj["weights"], dtype=np.float64), means=obj["means"], covs=obj["covs"])
+        return GmmPrior(weights=obj["weights"], means=obj["means"], covs=obj["covs"])
     raise ValueError(f"unknown prior kind {kind!r}")
 
 

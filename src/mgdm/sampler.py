@@ -68,7 +68,7 @@ class IndexDistribution:
             require_integer(f"values[{j}]", value)
         if require_integer("tau", self.tau) < 1:
             raise ValueError("tau must be >= 1")
-        if not 0.0 <= self.late_fraction <= 1.0:
+        if not 0.0 <= require_number("late_fraction", self.late_fraction) <= 1.0:
             raise ValueError(f"late_fraction must lie in [0, 1], got {self.late_fraction}")
         if self.kind == "explicit":
             if self.weights is None:
@@ -131,7 +131,7 @@ class ViPhaseSchedule:
             if require_integer(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("eta_early", "eta"):
-            rate = getattr(self, name)
+            rate = require_number(name, getattr(self, name))
             if not rate > 0.0:  # NaN too
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(rate):

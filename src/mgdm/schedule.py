@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,21 @@ def require_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def require_numeric_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array when its entries are Python or numpy integers or floats; a bool (even
+    among numbers, where numpy reads it as 0 or 1), a string or anything else raises, naming ``name``."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
+        raise ValueError(f"{name} must hold numbers, got {reprlib.repr(value)}")
+    return np.asarray(arr, dtype=np.float64)
+
+
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
 
 
 @dataclass(frozen=True)
@@ -75,7 +91,7 @@ class NoiseSchedule:
     _alpha: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64)
+        alphas = require_numeric_array("alphas", self.alphas)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "T", alphas.shape[0] - 1)
         if self.family not in _FAMILIES:
@@ -155,7 +171,7 @@ class NoiseSchedule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseSchedule":
-        sched = cls(alphas=np.asarray(obj["alphas"], dtype=np.float64), family=obj.get("family", "custom"))
+        sched = cls(alphas=obj["alphas"], family=obj.get("family", "custom"))
         if "T" in obj and require_integer("T", obj["T"]) != sched.T:
             raise ValueError("stated T inconsistent with len(alphas) - 1")
         return sched
@@ -191,6 +207,7 @@ def make_schedule(kind: str, T: int, alpha_end: float = 0.01) -> NoiseSchedule:
     """
     if require_integer("T", T) < 2:
         raise ValueError(f"T must be >= 2, got {T}")
+    alpha_end = require_number("alpha_end", alpha_end)
     t = np.arange(T + 1, dtype=np.float64)
     if kind == "linear":
         abar = 1.0 - (t / T) * (1.0 - alpha_end**2)

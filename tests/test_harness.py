@@ -60,12 +60,19 @@ class TestRunExperiment:
         harness.run_experiment(config2, tmp_path / "b")
         assert (tmp_path / "a/results.csv").read_bytes() != (tmp_path / "b/results.csv").read_bytes()
 
-    def test_parallel_jobs_preserve_order_and_values(self, tmp_path):
-        config = harness.smoke_config()
-        harness.run_experiment(config, tmp_path / "serial", jobs=1)
-        harness.run_experiment(config, tmp_path / "pool", jobs=2)
-        assert (tmp_path / "serial/results.csv").read_bytes() == (tmp_path / "pool/results.csv").read_bytes()
-        assert (tmp_path / "serial/summary.json").read_bytes() == (tmp_path / "pool/summary.json").read_bytes()
+    @pytest.mark.parametrize("kind", ["smoke", "sweep", "dps"])
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_parallel_jobs_preserve_order_and_values(self, tmp_path, jobs, kind):
+        """10 runs over 2 workers, or 3 with uneven chunks (4, 3, 3): the files of the in-process runs."""
+        config, run, files = harness.smoke_config(), harness.run_experiment, ("results.csv", "summary.json")
+        if kind == "sweep":
+            config["sweep"], run, files = {"R": [1, 2]}, harness.run_sweep, ("sweep.csv", "summary.json")
+        if kind == "dps":
+            config["sampler"] = {"algorithm": "dps", "K": 10, "zeta": 0.5}
+        run(config, tmp_path / "serial", jobs=1)
+        run(config, tmp_path / "pool", jobs=jobs)
+        for name in files:
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
 
     def test_summary_memory_stays_small(self, tmp_path):
         """100 smoke runs peak under 5 MB of traced memory; projecting all 512 sliced-W2
@@ -98,6 +105,18 @@ class TestSweep:
         header, *rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert "sw2_nonincreasing" in header
         assert len(rows) == 2
+
+    def test_sweep_scores_no_run_under_the_posterior(self, tmp_path, monkeypatch):
+        """A sweep reports aggregates alone, so it evaluates no run's log posterior density; a run does, once a run."""
+        calls = []
+        density = priors.GaussianPrior.log_density
+        monkeypatch.setattr(priors.GaussianPrior, "log_density", lambda self, x: calls.append(x) or density(self, x))
+        config = harness.smoke_config()
+        config["n_runs"], config["sweep"] = 4, {"R": [1, 2]}
+        harness.run_sweep(config, tmp_path / "sweep")
+        assert calls == []
+        harness.run_experiment(config, tmp_path / "run")
+        assert len(calls) == 4
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         with pytest.raises(ValueError):
@@ -410,14 +429,28 @@ class TestCli:
         ("dps", "zeta", "0.5", "zeta must be a number, got '0.5'"),
         ("dps", "zeta", True, "zeta must be a number, got True"),
         ("dps", "zeta", False, "zeta must be a number, got False"),
+        ("vi", "eta", True, "sampler.vi.eta must be a number, got True"),
+        ("vi", "eta", "0.1", "sampler.vi.eta must be a number, got '0.1'"),
+        ("vi", "eta_early", True, "sampler.vi.eta_early must be a number, got True"),
+        ("index", "late_fraction", True, "late_fraction must be a number, got True"),
+        ("schedule", "alpha_end", True, "alpha_end must be a number, got True"),
+        ("prior", "mean", ["0.5"], "prior mean must hold numbers, got ['0.5']"),
+        ("prior", "cov", [[True]], "prior covariance must hold numbers, got [[True]]"),
+        ("gmm", "weights", [True, False], "weights must hold numbers, got [True, False]"),
+        ("gmm", "means", [["1"], [-1.0]], "means must hold numbers, got [['1'], [-1.0]]"),
+        ("gmm", "covs", [[[0.3]], [[True]]], "covs must hold numbers, got [[[0.3]], [[True]]]"),
+        ("likelihood", "y", [True], "y must hold numbers, got [True]"),
+        ("likelihood", "A", [["1"]], "A must hold numbers, got [['1']]"),
     ], ids=["y-nan", "A-inf", "sigma-nan", "sigma-inf", "mean-nan", "cov-inf", "weights-nan", "means-nan",
             "covs-inf", "eta-nan", "eta-early-inf", "zeta-nan", "zeta-inf", "alpha-end-nan", "sigma-string",
-            "sigma-true", "sigma-false", "zeta-string", "zeta-true", "zeta-false"])
+            "sigma-true", "sigma-false", "zeta-string", "zeta-true", "zeta-false", "eta-true", "eta-string",
+            "eta-early-true", "late-fraction-true", "alpha-end-true", "mean-string", "cov-bool", "weights-bool",
+            "means-string", "covs-bool", "y-bool", "A-string"])
     def test_non_finite_number_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, section, key, value,
                                                        message):
         """json reads NaN and Infinity: each fails naming its field, not as a NaN state mid-run, a run to
         exit 0 (a NaN zeta skipped the guidance) or another check's message.  Nor is a string or a bool read
-        as a number: "0.5" as 0.5, true as 1.0, false as 0.0."""
+        as a number, alone or in an array: "0.5" as 0.5, true as 1.0, false as 0.0."""
         config = harness.smoke_config()
         if section == "dps":
             section, config["sampler"] = "sampler", {"algorithm": "dps", "K": 10}
@@ -425,8 +458,23 @@ class TestCli:
             section = "prior"
             config["prior"] = {"kind": "gmm", "weights": [0.3, 0.7], "means": [[1.0], [-1.0]],
                                "covs": [[[0.3]], [[0.5]]]}
-        (config["sampler"]["vi"] if section == "vi" else config[section])[key] = value
+        (config["sampler"][section] if section in ("vi", "index") else config[section])[key] = value
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_negative_master_seed_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, how, command):
+        """A seed below 0 is named, not left to SeedSequence's "expected non-negative integer" after the output
+        directory exists, whether the config or ``--seed`` sets it."""
+        config = harness.smoke_config()
+        if command == "sweep":
+            config["sweep"] = {"R": [1, 2]}
+        if how == "config":
+            config["master_seed"] = -1
+        extra = ["--seed", "-1"] if how == "flag" else []
+        self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, extra,
+                                            "master_seed must be >= 0, got -1")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,sampler,key,value,message", [
         ("run", {}, "sampler.R", 2.7, "sampler.R must be an integer, got 2.7"),

@@ -58,6 +58,20 @@ class TestLogG0:
         with pytest.raises(ValueError, match="sigma_y must be a number"):
             cls(A=[[1.0]], y=[0.0], sigma_y=sigma_y)
 
+    @pytest.mark.parametrize("cls", [LinearGaussianLikelihood, QuadraticLikelihood])
+    @pytest.mark.parametrize("A,y,message", [
+        ([["1"]], [0.0], "^A must hold numbers"),
+        ([[1.0]], [True], "^y must hold numbers"),
+        ([[1.0, False]], [0.0], "^A must hold numbers"),
+    ], ids=["A-string", "y-bool", "A-bool-among-numbers"])
+    def test_rejects_arrays_that_are_not_numbers(self, cls, A, y, message):
+        """A float64 conversion would read "1" as 1.0 and True as 1.0."""
+        with pytest.raises(ValueError, match=message):
+            cls(A=A, y=y, sigma_y=0.5)
+        with pytest.raises(ValueError, match=message):
+            likelihood_from_json({"kind": "linear" if cls is LinearGaussianLikelihood else "quadratic",
+                                  "A": A, "y": y, "sigma_y": 0.5})
+
     @pytest.mark.parametrize("sigma_y", [2, np.float64(0.5), np.int64(2), np.float32(0.5)])
     def test_accepts_integer_and_numpy_sigmas(self, sigma_y):
         lik = LinearGaussianLikelihood(A=[[1.0]], y=[0.0], sigma_y=sigma_y)

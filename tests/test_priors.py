@@ -83,6 +83,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GmmPrior(weights=[0.6, 0.6], means=[[0.0], [1.0]], covs=[[[1.0]], [[1.0]]])
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "gaussian", "mean": ["0.5"], "cov": [[1.0]]}, "prior mean must hold numbers"),
+        ({"kind": "gaussian", "mean": [0.5], "cov": [["1"]]}, "prior covariance must hold numbers"),
+        ({"kind": "gmm", "weights": [True], "means": [[0.0]], "covs": [[[1.0]]]}, "weights must hold numbers"),
+        ({"kind": "gmm", "weights": [0.5, 0.5], "means": [[True], [0.0]], "covs": [[[1.0]], [[1.0]]]},
+         "means must hold numbers"),
+        ({"kind": "gmm", "weights": [1.0], "means": [[0.0]], "covs": [[["1"]]]}, "covs must hold numbers"),
+    ], ids=["mean-string", "cov-string", "weights-bool", "means-bool", "covs-string"])
+    def test_rejects_arrays_that_are_not_numbers(self, spec, message):
+        """A float64 conversion would read "0.5" as 0.5 and True as 1.0, from the config form or from Python."""
+        cls = {"gaussian": GaussianPrior, "gmm": GmmPrior}[spec["kind"]]
+        fields = {key: value for key, value in spec.items() if key != "kind"}
+        for build in (lambda: prior_from_json(spec), lambda: cls(**fields)):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                build()
+
     @pytest.mark.parametrize("means,cov", [([[0.0, 0.0, 0.0]], np.eye(2)), ([[0.0, 0.0]], np.eye(3))],
                              ids=["means-wider", "covs-wider"])
     def test_gmm_rejects_means_and_covs_of_different_dimensions(self, means, cov):

@@ -434,6 +434,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ViPhaseSchedule(eta=True), "eta must be a number, got True"),
+        (lambda: ViPhaseSchedule(eta="0.1"), "eta must be a number, got '0.1'"),
+        (lambda: ViPhaseSchedule(eta_early=True), "eta_early must be a number, got True"),
+        (lambda: IndexDistribution(late_fraction=True), "late_fraction must be a number, got True"),
+        (lambda: IndexDistribution(late_fraction="0.5"), "late_fraction must be a number, got '0.5'"),
+    ], ids=["eta-bool", "eta-string", "eta-early-bool", "late-fraction-bool", "late-fraction-string"])
+    def test_real_settings_reject_bools_and_strings(self, build, message):
+        """True is not read as a rate or fraction of 1.0, nor "0.1" compared with a float."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_integer_settings_accept_numpy_integers(self):
         cfg = MgdmConfig(timesteps=np.array([20, 200]), R=np.int64(2), M=np.int32(5),
                          vi=ViPhaseSchedule(steps=np.int64(3)),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mgdm.schedule import NoiseSchedule, gauss_log_density, make_schedule
+from mgdm.schedule import NoiseSchedule, gauss_log_density, make_schedule, require_numeric_array
 
 
 def toy_schedule():
@@ -49,6 +49,24 @@ class TestConstruction:
     def test_rejects_alpha0_not_one(self):
         with pytest.raises(ValueError):
             NoiseSchedule(alphas=np.array([0.99, 0.5, 0.2]))
+
+    @pytest.mark.parametrize("alphas", [["1", "0.5", "0.1"], [True, 0.5, 0.1], np.array(["1", "0.5", "0.1"])],
+                             ids=["strings", "bool-among-numbers", "string-array"])
+    def test_rejects_alphas_that_are_not_numbers(self, alphas):
+        """A float64 conversion would read "0.5" as 0.5 and True as 1.0, here a valid schedule."""
+        for build in (lambda: NoiseSchedule(alphas=alphas), lambda: NoiseSchedule.from_json({"alphas": alphas})):
+            with pytest.raises(ValueError, match="^alphas must hold numbers"):
+                build()
+
+    @pytest.mark.parametrize("alpha_end", [True, "0.01", None])
+    def test_rejects_an_alpha_end_that_is_not_a_number(self, alpha_end):
+        with pytest.raises(ValueError, match="^alpha_end must be a number"):
+            make_schedule("linear", 10, alpha_end=alpha_end)
+
+    def test_numeric_arrays_take_integers_and_numpy_numbers(self):
+        out = require_numeric_array("x", [[1, np.int64(2)], [np.float32(0.5), 0.25]])
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [[1.0, 2.0], [0.5, 0.25]])
 
 
 class TestSigma2:
