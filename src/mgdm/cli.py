@@ -4,7 +4,8 @@ Subcommands: run, sweep, oracle, compare, smoke.  Configs are JSON files
 (see README for the schema); MGDM_LOG sets the log level.
 
 Exit codes: 0 success (for ``compare``: statistical pass), 1 usage or
-config error, 2 runtime failure, 3 statistical fail in ``compare``.
+config error (an unusable ``--out`` too), 2 runtime failure, 3 statistical
+fail in ``compare``.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, np.linalg.LinAlgError) as err:  # LinAlgError first: it subclasses ValueError
         print(f"mgdm: runtime failure: {err}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, KeyError, FileNotFoundError) as err:
+    except (ValueError, TypeError, KeyError, OSError) as err:  # OSError: a missing config, an unusable --out
         print(f"mgdm: config error: {err}", file=sys.stderr)
         return 1
 

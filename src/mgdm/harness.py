@@ -63,11 +63,12 @@ def _build_schedule(spec: dict) -> NoiseSchedule:
 
 
 def build_problem(config: dict):
-    for name, kinds in _PROBLEM_KEYS.items():
+    """(prior, likelihood, schedule) of a config whose every section, the sampler's too, holds only its kind's keys."""
+    for name, kinds in _SECTION_KEYS.items():
         spec = config.get(name)
         if not isinstance(spec, dict):
             raise ValueError(f"config needs a '{name}' section")
-        kind = "alphas" in spec if name == "schedule" else spec.get("kind")
+        kind = {"schedule": "alphas" in spec, "sampler": spec.get("algorithm", "mgdm")}.get(name, spec.get("kind"))
         if kind in kinds:  # an unknown kind is named by the section's reader
             _check_keys(spec, kinds[kind], name)
     prior = prior_from_json(config["prior"])
@@ -80,14 +81,13 @@ def build_problem(config: dict):
 
 # The keys the harness reads; any other key fails before a run (a misspelled one would run on its default).
 _CONFIG_KEYS = ("prior", "likelihood", "schedule", "sampler", "n_runs", "master_seed", "sweep")
-_SAMPLER_KEYS = (
-    "algorithm", "backend", "timesteps", "K", "R", "M", "index", "vi", "mh_steps", "final", "final_s", "zeta"
-)
-# The keys each kind of problem section reads; a schedule's kind is whether it lists its alphas.
-_PROBLEM_KEYS = {
+# The keys each kind of section reads; a schedule's kind is whether it lists its alphas, a sampler's its algorithm.
+_SECTION_KEYS = {
     "prior": {"gaussian": ("kind", "mean", "cov"), "gmm": ("kind", "weights", "means", "covs")},
     "likelihood": dict.fromkeys(("linear", "quadratic"), ("kind", "A", "y", "sigma_y")),
     "schedule": {True: ("alphas", "family", "T"), False: ("family", "T", "alpha_end")},
+    "sampler": {"mgdm": ("algorithm", "backend", "timesteps", "K", "R", "M", "index", "vi", "mh_steps", "final",
+                         "final_s"), "dps": ("algorithm", "K", "zeta")},
 }
 # The integer settings of each section (of a list setting, each entry): JSON integers, never truncated floats.
 _INTEGER_KEYS = {
@@ -179,12 +179,9 @@ class ExperimentConfig:
             raise ValueError("config needs a 'master_seed'")
         if config["master_seed"] < 0:  # SeedSequence's own message names no field
             raise ValueError(f"master_seed must be >= 0, got {config['master_seed']}")
-        sampler = config.get("sampler")
-        if not isinstance(sampler, dict):
-            raise ValueError("config needs a 'sampler' section")
-        _check_keys(sampler, _SAMPLER_KEYS, "sampler")
         _check_keys(config.get("sweep") or {}, ("R", "G", "index"), "sweep")
         prior, likelihood, schedule = build_problem(config)
+        sampler = config["sampler"]
         algorithm, dps = sampler.get("algorithm", "mgdm"), None
         if algorithm == "mgdm":
             mgdm = build_mgdm_config(sampler, schedule)
@@ -193,7 +190,6 @@ class ExperimentConfig:
                 require_linear_gaussian(likelihood, prior, "exact conditional")
             if mgdm.final == "denoise":
                 require_linear_gaussian(likelihood, prior, "the denoise final step")
-            mgdm.check_index_support()
         elif algorithm == "dps":
             mgdm, dps = None, (sampler.get("K", 100), require_number("zeta", sampler.get("zeta", 1.0)))
             make_timesteps(dps[0], schedule.T)  # dps_run's grid: K >= 2 distinct levels up to T
@@ -267,10 +263,16 @@ def _write_csv(path: Path, columns: list[str], rows) -> None:
         writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
+def _out_dir(out_dir: str | Path) -> Path:
+    """The output directory, created now, so that an unusable ``--out`` fails before any run."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_report(path: Path, experiment: ExperimentConfig, report: dict) -> dict:
     """``report`` stamped with the config hash and master seed, written as sorted, indented JSON."""
     report.update(config_hash=config_hash(experiment.raw), master_seed=experiment.master_seed)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     return report
@@ -312,8 +314,7 @@ def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     """Execute ``n_runs`` seeded runs, write results.csv + summary.json."""
     experiment = ExperimentConfig.from_dict(config)
     post = experiment.posterior  # built now, so a degenerate posterior fails before any run
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)  # now, so an unusable --out fails before any run
+    out = _out_dir(out_dir)
     seeds, samples = _collect_runs(experiment, jobs)
     mcfg = experiment.mgdm
     label = (0, 0, "none") if mcfg is None else (mcfg.R, mcfg.vi.steps, mcfg.index_dist.kind)
@@ -358,8 +359,7 @@ def run_sweep(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     index_kinds = sweep.get("index", [None])
     combos = [(r, g, ix) for r in r_values for g in g_values for ix in index_kinds]
     experiments = [_combo_experiment(config, *combo) for combo in combos]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)  # now, so an unusable --out fails before any run
+    out = _out_dir(out_dir)
 
     agg_rows = []
     for combo_idx, ((r_val, g_val, _), experiment) in enumerate(zip(combos, experiments)):
@@ -403,10 +403,11 @@ def run_oracle(config: dict, out_dir: str | Path) -> dict:
     """Evaluate the moment recursion and write oracle.json."""
     experiment = ExperimentConfig.from_dict(config)
     mcfg = _replay_config(experiment)
-    moments = oracle_recursion(experiment.prior, experiment.likelihood, experiment.schedule, mcfg)
-    return _write_report(Path(out_dir) / "oracle.json", experiment, {
-        "mean": moments.mean.tolist(),
-        "cov": moments.cov.tolist(),
+    out = _out_dir(out_dir)
+    law = oracle_recursion(experiment.prior, experiment.likelihood, experiment.schedule, mcfg)
+    return _write_report(out / "oracle.json", experiment, {
+        "mean": law.mean.tolist(),
+        "cov": law.cov.tolist(),
         "index_sequence": list(mcfg.index_dist.values),
         "timesteps": list(mcfg.timesteps),
     })
@@ -442,10 +443,11 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
         raise ValueError("compare_to_oracle needs n_runs >= 2 for z-scores")
     prior, likelihood, schedule = experiment.prior, experiment.likelihood, experiment.schedule
     require_linear_gaussian(likelihood, prior, "the moment oracle")
+    out = _out_dir(out_dir)
 
+    oracle = oracle_recursion(prior, likelihood, schedule, mcfg)  # first, so a degenerate law fails before any run
     rng = np.random.default_rng(_run_seed(experiment.master_seed, 77_377))
     samples = mgdm_run_batch(likelihood, prior, schedule, mcfg, n_runs, rng)
-    oracle = oracle_recursion(prior, likelihood, schedule, mcfg)
 
     emp_mean = samples.mean(axis=0)
     emp_cov = np.atleast_2d(np.cov(samples.T, bias=False))
@@ -474,7 +476,7 @@ def compare_to_oracle(config: dict, out_dir: str | Path, measure_vi_error: bool 
         report["z_mean"] = z_mean.tolist()
         report["z_cov"] = z_cov.tolist()
         report["passed"] = bool(np.all(np.abs(z_mean) < 3.0) and np.all(np.abs(z_cov) < 3.0))
-    return _write_report(Path(out_dir) / "compare.json", experiment, report)
+    return _write_report(out / "compare.json", experiment, report)
 
 
 def smoke_config() -> dict:

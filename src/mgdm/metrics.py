@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .moments import GaussianMoments
+from .priors import GaussianPrior
 
 
 def _as_samples(x) -> np.ndarray:
@@ -21,16 +21,11 @@ def _as_samples(x) -> np.ndarray:
     return arr
 
 
-def gaussian_kl(p: GaussianMoments, q: GaussianMoments) -> float:
-    """Closed-form KL(N_p || N_q); rejects non-SPD covariances."""
+def gaussian_kl(p: GaussianPrior, q: GaussianPrior) -> float:
+    """Closed-form KL(N_p || N_q), from the Cholesky factors each law keeps (its construction checks SPD)."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    d = p.dim
-    try:
-        chol_q = np.linalg.cholesky(q.cov)
-        chol_p = np.linalg.cholesky(p.cov)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("gaussian_kl needs SPD covariances") from err
+    d, chol_p, chol_q = p.dim, p._chol, q._chol
     solve = np.linalg.solve
     trace = float(np.trace(solve(chol_q.T, solve(chol_q, p.cov))))
     diff = q.mean - p.mean

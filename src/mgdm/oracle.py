@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihoods import LinearGaussianLikelihood, log_g_hat, require_linear_gaussian
-from .moments import GaussianMoments
 from .priors import GaussianPrior, exact_posterior, logsumexp
 from .sampler import MgdmConfig
 from .schedule import NoiseSchedule, gauss_log_density
@@ -94,8 +93,8 @@ def oracle_recursion(
     likelihood: LinearGaussianLikelihood,
     schedule: NoiseSchedule,
     config: MgdmConfig,
-) -> GaussianMoments:
-    """Exact output moments of the driver under the exact conditional.
+) -> GaussianPrior:
+    """Exact output law of the driver under the exact conditional, a Gaussian.
 
     Replays the sampler's own ``config``: its timesteps, R, final mode,
     denoise backend (the exact draw, or DDPM with its M) and its ``fixed``
@@ -114,7 +113,6 @@ def oracle_recursion(
     if config.index_dist.kind != "fixed":
         raise ValueError(f"the moment oracle replays a fixed index sequence, not {config.index_dist.kind!r}")
     config.validate_against(schedule)
-    config.check_index_support()
     ts, K = config.timesteps, config.K
     d = prior.dim
     eye = np.eye(d)
@@ -141,11 +139,15 @@ def oracle_recursion(
             cov = B @ cov @ B.T + Gamma
             cov = 0.5 * (cov + cov.T)
 
+    law = (mean[:d], cov[:d, :d])  # the x_0 block
     if config.final == "denoise":
         H, h, L = final_kernel(prior, likelihood, schedule, config.final_s, ts[1])
         out_cov = H @ cov[d:, d:] @ H.T + L
-        return GaussianMoments(mean=H @ mean[d:] + h, cov=0.5 * (out_cov + out_cov.T))
-    return GaussianMoments(mean=mean[:d], cov=cov[:d, :d])
+        law = (H @ mean[d:] + h, 0.5 * (out_cov + out_cov.T))
+    try:
+        return GaussianPrior(*law)
+    except ValueError as err:  # e.g. a near-noiseless sigma_y pins the denoise final step's law
+        raise ValueError(f"the moment oracle's output law is degenerate ({err})") from None
 
 
 # -- 1-D quadrature engine ----------------------------------------------------

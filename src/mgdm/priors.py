@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .moments import GaussianMoments
 from .schedule import NoiseSchedule, require_numeric_array
 
 _MIN_EIGVAL = 1e-12
@@ -86,7 +85,9 @@ def _normalize_exp(logs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Gaussian prior N(mean, cov) with SPD covariance.
+    """Gaussian prior N(mean, cov) with SPD covariance, and the one type of every exact Gaussian law: the
+    conjugate posterior, the moment oracle's output, the exact x_s conditional and a prior's ``moments``.
+    The covariance must be finite, symmetric within 1e-10 and have eigenvalues >= 1e-12.
 
     ``_memo`` keeps, read-only, (J_t, b_t) of ``denoiser_affine`` per (alpha_t, v_t), the DDPM noise
     weights of ``ddpm_kernel`` per (schedule, s, M), and the guidance factorization of
@@ -206,8 +207,9 @@ class GaussianPrior:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + rng.standard_normal((n, self.dim)) @ self._chol.T
 
-    def moments(self):
-        return GaussianMoments(mean=self.mean, cov=self.cov)
+    def moments(self) -> "GaussianPrior":
+        """The Gaussian of the prior's mean and covariance: the prior itself."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -421,12 +423,12 @@ class GmmPrior:
             out[mask] = self.means[j] + rng.standard_normal((k, self.dim)) @ chol.T
         return out
 
-    def moments(self):
-        """Overall mixture mean and covariance."""
+    def moments(self) -> GaussianPrior:
+        """The Gaussian of the mixture's overall mean and covariance."""
         mean = self.weights @ self.means
         second = np.einsum("j,jab->ab", self.weights, self.covs)
         second += np.einsum("j,ja,jb->ab", self.weights, self.means, self.means)
-        return GaussianMoments(mean=mean, cov=second - np.outer(mean, mean))
+        return GaussianPrior(mean=mean, cov=second - np.outer(mean, mean))
 
 
 def exact_posterior(prior, likelihood):

@@ -24,7 +24,7 @@ import numpy as np
 from . import vi as vi_mod
 from .likelihoods import guidance, log_g_hat
 from .priors import GaussianPrior
-from .schedule import NoiseSchedule, require_integer, require_number
+from .schedule import NoiseSchedule, require_integer, require_number, require_numeric_array
 
 CONDITIONAL_BACKENDS = ("exact", "vi", "vi-mh")
 DENOISE_BACKENDS = ("ddpm", "exact")
@@ -73,8 +73,8 @@ class IndexDistribution:
         if self.kind == "explicit":
             if self.weights is None:
                 raise ValueError("explicit kind needs weights")
-            w = np.asarray(self.weights, dtype=np.float64)
-            if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+            w = require_numeric_array("weights", self.weights)
+            if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-9):  # NaN fails both comparisons
                 raise ValueError("weights must be a simplex")
         if self.kind == "fixed" and self.values is None:
             raise ValueError("fixed kind needs values")
@@ -195,6 +195,11 @@ class MgdmConfig:
             raise ValueError(f"unknown final mode {self.final!r}")
         if self.final == "denoise" and not 1 <= self.final_s < ts[1]:
             raise ValueError("denoise final needs 1 <= final_s < t_2")
+        # Dry-run the level draw of every outer step on a throwaway generator, so that an index law
+        # with no valid level at some step fails here, before any run.
+        for i, s in zip(range(self.K, 1, -1), self.draw_levels(np.random.default_rng(0))):
+            if not 1 <= s < ts[i - 1]:
+                raise ValueError(f"outer step i={i} draws s={s} outside 1 <= s < t_i={ts[i - 1]}")
 
     @property
     def K(self) -> int:
@@ -208,14 +213,6 @@ class MgdmConfig:
         """One auxiliary level per outer step, in the order the outer loop runs them, i = K down to 2."""
         ts, K = self.timesteps, self.K
         return tuple(sample_index(self.index_dist, i, ts[i - 1], ts[i - 2], K, rng) for i in range(K, 1, -1))
-
-    def check_index_support(self) -> None:
-        """Dry-run the level draw of every outer step on a throwaway generator, so that an
-        index distribution with no valid level at some step fails before any run."""
-        ts = self.timesteps
-        for i, s in zip(range(self.K, 1, -1), self.draw_levels(np.random.default_rng(0))):
-            if not 1 <= s < ts[i - 1]:
-                raise ValueError(f"outer step i={i} draws s={s} outside 1 <= s < t_i={ts[i - 1]}")
 
 
 def make_timesteps(K: int, T: int, t1: int | None = None) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .likelihoods import level_factorization, require_linear_gaussian
-from .moments import GaussianMoments
+from .priors import GaussianPrior
 from .schedule import NoiseSchedule, gauss_log_density
 
 ADAM_BETA1 = 0.9
@@ -133,15 +133,15 @@ def exact_conditional_sample(
 
 def exact_conditional(
     likelihood, prior, schedule: NoiseSchedule, s: int, t: int, x0: np.ndarray, xt: np.ndarray
-) -> GaussianMoments:
-    """Exact moments of pibar(. | x_0, x_t) for the linear-Gaussian case."""
+) -> GaussianPrior:
+    """The exact law of pibar(. | x_0, x_t) for the linear-Gaussian case, a Gaussian."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     xt = np.atleast_1d(np.asarray(xt, dtype=np.float64))
     if x0.ndim != 1 or xt.ndim != 1:
         raise ValueError("exact_conditional takes single states; use conditional_coefficients for batches")
     coef_x0, coef_xt, shift, lam = conditional_coefficients(likelihood, prior, schedule, s, t)
     mean = coef_x0 @ x0 + coef_xt @ xt + shift
-    return GaussianMoments(mean=mean, cov=lam)
+    return GaussianPrior(mean=mean, cov=lam)
 
 
 # -- Metropolis-Hastings correction -------------------------------------------

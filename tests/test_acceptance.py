@@ -14,7 +14,6 @@ import pytest
 
 from mgdm.likelihoods import LinearGaussianLikelihood, guidance, log_g_hat
 from mgdm.metrics import gaussian_kl, sliced_wasserstein2
-from mgdm.moments import GaussianMoments
 from mgdm.oracle import QuadratureJoint, auto_grids, oracle_recursion
 from mgdm.priors import GaussianPrior, GmmPrior, exact_posterior
 from mgdm.sampler import (
@@ -233,7 +232,6 @@ def test_criterion_06_posterior_consistency():
     started = time.perf_counter()
     lik, prior, sched = reference_2d()
     post = exact_posterior(prior, lik)
-    post_moments = GaussianMoments(mean=post.mean, cov=post.cov)
     ts = make_timesteps(50, 1000)
     seq = midpoint_sequence(ts)
     kls = []
@@ -242,7 +240,7 @@ def test_criterion_06_posterior_consistency():
             timesteps=ts, R=r_val, conditional="exact", denoise="exact",
             index_dist=IndexDistribution(kind="fixed", values=seq)
         ))
-        kls.append(gaussian_kl(GaussianMoments(om.mean, om.cov), post_moments))
+        kls.append(gaussian_kl(om, post))
     assert kls[-1] < 1e-2, kls
     assert all(b <= a + 1e-12 for a, b in zip(kls, kls[1:])), kls
     elapsed = time.perf_counter() - started

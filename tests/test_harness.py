@@ -366,13 +366,15 @@ class TestCli:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("mgdm_run", "mgdm_run_batch", "dps_run"):
+        for name in ("mgdm_run", "mgdm_run_batch", "dps_run", "oracle_recursion"):
             monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")] + extra) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
         assert calls == []
+        return err
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("case", [0, 1, 2])
@@ -387,12 +389,15 @@ class TestCli:
         ("run", {"K": 500}, "cannot place 500 distinct timesteps"),  # T = 200
         ("oracle", {}, "the moment oracle models the MGDM sampler, not algorithm 'dps'"),
         ("compare", {}, "the moment oracle models the MGDM sampler, not algorithm 'dps'"),
-    ], ids=["K-1", "negative-zeta", "K-above-T", "oracle", "compare"])
+        ("run", {"backend": "exact"}, "unknown key 'backend' in sampler; known keys: algorithm, K, zeta"),
+        ("compare", {"index": {"kind": "bogus"}}, "unknown key 'index' in sampler; known keys: algorithm, K, zeta"),
+        ("run", {"R": 4}, "unknown key 'R' in sampler; known keys: algorithm, K, zeta"),
+    ], ids=["K-1", "negative-zeta", "K-above-T", "oracle", "compare", "backend", "index", "R"])
     def test_bad_dps_config_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, sampler, message):
-        """A DPS grid or zeta that dps_run would refuse, and a DPS config handed to the oracle
-        (even one naming the exact backend), fail before any run."""
+        """A DPS grid or zeta that dps_run would refuse, a DPS config handed to the oracle, and one that
+        names a key of the MGDM sampler, which DPS would not read, fail before any run."""
         config = harness.smoke_config()
-        config["sampler"] = {"algorithm": "dps", "K": 10, "zeta": 0.5, "backend": "exact", **sampler}
+        config["sampler"] = {"algorithm": "dps", "K": 10, "zeta": 0.5, **sampler}
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], message)
 
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -441,11 +446,14 @@ class TestCli:
         ("gmm", "covs", [[[0.3]], [[True]]], "covs must hold numbers, got [[[0.3]], [[True]]]"),
         ("likelihood", "y", [True], "y must hold numbers, got [True]"),
         ("likelihood", "A", [["1"]], "A must hold numbers, got [['1']]"),
+        ("explicit", "weights", [np.nan, 1.0], "weights must be a simplex"),
+        ("explicit", "weights", [True], "weights must hold numbers, got (True,)"),
+        ("explicit", "weights", ["0.5", "0.5"], "weights must hold numbers, got ('0.5', '0.5')"),
     ], ids=["y-nan", "A-inf", "sigma-nan", "sigma-inf", "mean-nan", "cov-inf", "weights-nan", "means-nan",
             "covs-inf", "eta-nan", "eta-early-inf", "zeta-nan", "zeta-inf", "alpha-end-nan", "sigma-string",
             "sigma-true", "sigma-false", "zeta-string", "zeta-true", "zeta-false", "eta-true", "eta-string",
             "eta-early-true", "late-fraction-true", "alpha-end-true", "mean-string", "cov-bool", "weights-bool",
-            "means-string", "covs-bool", "y-bool", "A-string"])
+            "means-string", "covs-bool", "y-bool", "A-string", "explicit-nan", "explicit-bool", "explicit-string"])
     def test_non_finite_number_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, section, key, value,
                                                        message):
         """json reads NaN and Infinity: each fails naming its field, not as a NaN state mid-run, a run to
@@ -458,8 +466,21 @@ class TestCli:
             section = "prior"
             config["prior"] = {"kind": "gmm", "weights": [0.3, 0.7], "means": [[1.0], [-1.0]],
                                "covs": [[[0.3]], [[0.5]]]}
+        if section == "explicit":
+            section, config["sampler"]["index"] = "index", {"kind": "explicit"}
         (config["sampler"][section] if section in ("vi", "index") else config[section])[key] = value
         self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle", "compare", "smoke"])
+    def test_out_naming_a_file_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command):
+        """An --out that names an existing file exits 1 with one stderr line, not a FileExistsError traceback;
+        oracle and compare find it before their work too, not when they write their report."""
+        config = compare_config(n_runs=50) if command in ("oracle", "compare") else harness.smoke_config()
+        if command == "sweep":
+            config["sweep"] = {"R": [1, 2]}
+        (tmp_path / "out").write_text("a file")
+        err = self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, config, [], "File exists")
+        assert err.startswith("mgdm: config error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("how", ["config", "flag"])
@@ -517,13 +538,14 @@ class TestCli:
         (None, {"n_run": 3}, "unknown key 'n_run' in the config"),
         ("sampler", {"RR": 3}, "unknown key 'RR' in sampler"),
         ("sampler", {"mh_step": 3}, "unknown key 'mh_step' in sampler"),
+        ("sampler", {"zeta": 5.0}, "unknown key 'zeta' in sampler"),  # DPS's guidance weight, which MGDM does not read
         ("sweep", {"g": 3}, "unknown key 'g' in sweep"),
         ("schedule", {"alpha_ned": 0.5}, "unknown key 'alpha_ned' in schedule"),
         ("likelihood", {"sigma": 0.1}, "unknown key 'sigma' in likelihood"),
         ("prior", {"covs": [[[1.0]]]}, "unknown key 'covs' in prior"),
         ("prior", {"mean": None, "cov": None, "covariances": [[1.0]], "means": [[0.0]]},
          "unknown key 'covariances' in prior"),  # the flattened form that no reader takes
-    ], ids=["n-run", "RR", "mh-step", "sweep-g", "schedule", "likelihood", "prior", "prior-covariances"])
+    ], ids=["n-run", "RR", "mh-step", "mgdm-zeta", "sweep-g", "schedule", "likelihood", "prior", "prior-covariances"])
     def test_unknown_key_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command, section, entries,
                                                  message):
         """A misspelled setting fails, naming its section and key, instead of running on its default;
@@ -590,6 +612,18 @@ class TestCli:
         cfg_path.write_text(json.dumps(config))
         for command in ("compare", "oracle"):
             assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 0
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_degenerate_oracle_law_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command):
+        """With the denoise final step, sigma_y = 1e-7 pins the output law below the 1e-12 eigenvalue floor of a
+        GaussianPrior: the oracle names it, and compare fails before it runs the sampler."""
+        config = compare_config(n_runs=50)
+        config["likelihood"]["sigma_y"], config["sampler"]["final"] = 1e-7, "denoise"
+        monkeypatch.setattr(harness, "mgdm_run_batch", lambda *args: pytest.fail("the sampler ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "mgdm: config error: the moment oracle's output law is degenerate (" in capsys.readouterr().err
 
     @pytest.mark.parametrize("late_fraction", [2.0, -1])
     def test_late_fraction_outside_unit_interval_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,

@@ -6,22 +6,22 @@ import numpy as np
 import pytest
 
 from mgdm.metrics import _linear_quantiles, gaussian_kl, sliced_wasserstein2, wasserstein1_1d
-from mgdm.moments import GaussianMoments
+from mgdm.priors import GaussianPrior
 
 
 class TestGaussianKl:
     def test_zero_on_identical(self):
-        p = GaussianMoments(mean=[0.3, -0.1], cov=[[1.0, 0.2], [0.2, 0.8]])
+        p = GaussianPrior(mean=[0.3, -0.1], cov=[[1.0, 0.2], [0.2, 0.8]])
         assert gaussian_kl(p, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_mean_shift(self):
-        p = GaussianMoments(mean=[0.0], cov=[[1.0]])
-        q = GaussianMoments(mean=[1.0], cov=[[1.0]])
+        p = GaussianPrior(mean=[0.0], cov=[[1.0]])
+        q = GaussianPrior(mean=[1.0], cov=[[1.0]])
         assert gaussian_kl(p, q) == pytest.approx(0.5, abs=1e-12)
 
     def test_variance_formula(self):
-        p = GaussianMoments(mean=[0.0], cov=[[2.0]])
-        q = GaussianMoments(mean=[0.0], cov=[[1.0]])
+        p = GaussianPrior(mean=[0.0], cov=[[2.0]])
+        q = GaussianPrior(mean=[0.0], cov=[[1.0]])
         assert gaussian_kl(p, q) == pytest.approx(0.5 * (2.0 - 1.0 - np.log(2.0)), abs=1e-9)
         assert gaussian_kl(p, q) == pytest.approx(0.153426, abs=1e-6)
 
@@ -30,15 +30,15 @@ class TestGaussianKl:
         for _ in range(50):
             a = rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3))
-            p = GaussianMoments(mean=rng.standard_normal(3), cov=a @ a.T + 0.1 * np.eye(3))
-            q = GaussianMoments(mean=rng.standard_normal(3), cov=b @ b.T + 0.1 * np.eye(3))
+            p = GaussianPrior(mean=rng.standard_normal(3), cov=a @ a.T + 0.1 * np.eye(3))
+            q = GaussianPrior(mean=rng.standard_normal(3), cov=b @ b.T + 0.1 * np.eye(3))
             assert gaussian_kl(p, q) >= 0.0
 
     def test_rejects_degenerate_covariance(self):
-        p = GaussianMoments(mean=[0.0, 0.0], cov=np.zeros((2, 2)))
-        q = GaussianMoments(mean=[0.0, 0.0], cov=np.eye(2))
-        with pytest.raises(ValueError):
-            gaussian_kl(p, q)
+        """A zero covariance is no Gaussian law: it fails at construction, before any KL."""
+        q = GaussianPrior(mean=[0.0, 0.0], cov=np.eye(2))
+        with pytest.raises(ValueError, match="eigenvalues >= 1e-12"):
+            gaussian_kl(GaussianPrior(mean=[0.0, 0.0], cov=np.zeros((2, 2))), q)
 
 
 class TestWasserstein1:

@@ -280,20 +280,21 @@ class TestFinalKernels:
 
 class TestOracleRecursion:
     def test_validation(self):
-        """The oracle replays only a fixed sequence, with the sampler's own checks on it."""
+        """The oracle replays only a fixed sequence; the sampler config rejects one with no valid level
+        at some step as it is built."""
         lik, prior, sched = instance_2d()
 
         def config(timesteps, index_dist):
             return MgdmConfig(timesteps=timesteps, conditional="exact", denoise="exact", index_dist=index_dist)
 
-        cases = [(config((10, 1000), IndexDistribution(kind="fixed-midpoint")), "replays a fixed index sequence"),
-                 (config((10, 1000), IndexDistribution(kind="fixed", values=(2, 3))), "needs 1 entries, got 2"),
-                 (config((10, 1000), IndexDistribution(kind="fixed", values=(1000,))), "draws s=1000 outside"),
-                 (config((10, 1000), IndexDistribution(kind="fixed", values=(0,))), "draws s=0 outside"),
-                 (config((10, 500), IndexDistribution(kind="fixed", values=(5,))), "t_K=500 must equal")]
-        for cfg, message in cases:
+        cases = [((10, 1000), IndexDistribution(kind="fixed-midpoint"), "replays a fixed index sequence"),
+                 ((10, 1000), IndexDistribution(kind="fixed", values=(2, 3)), "needs 1 entries, got 2"),
+                 ((10, 1000), IndexDistribution(kind="fixed", values=(1000,)), "draws s=1000 outside"),
+                 ((10, 1000), IndexDistribution(kind="fixed", values=(0,)), "draws s=0 outside"),
+                 ((10, 500), IndexDistribution(kind="fixed", values=(5,)), "t_K=500 must equal")]
+        for timesteps, index_dist, message in cases:
             with pytest.raises(ValueError, match=message):
-                oracle_recursion(prior, lik, sched, cfg)
+                oracle_recursion(prior, lik, sched, config(timesteps, index_dist))
 
     def test_matches_simulation_moments(self):
         """Exact-backend driver replications agree with the recursion

@@ -10,7 +10,6 @@ from scipy.special import logsumexp
 
 from mgdm import priors
 from mgdm.metrics import gaussian_kl, sliced_wasserstein2
-from mgdm.moments import GaussianMoments
 from mgdm.priors import (
     GaussianPrior,
     GmmPrior,
@@ -901,7 +900,7 @@ class TestExactPosterior:
         prior = GaussianPrior(mean=[0.4, -0.6], cov=[[1.0, 0.2], [0.2, 0.5]])
         lik = LinearGaussianLikelihood(A=np.eye(2), y=[5.0, -3.0], sigma_y=1e6)
         post = exact_posterior(prior, lik)
-        kl = gaussian_kl(GaussianMoments(post.mean, post.cov), GaussianMoments(prior.mean, prior.cov))
+        kl = gaussian_kl(post, prior)
         assert kl < 1e-6
 
     def test_zero_operator_returns_prior(self):
@@ -940,6 +939,27 @@ class TestExactPosterior:
         mom = post.moments()
         np.testing.assert_allclose(draws.mean(axis=0), mom.mean, atol=0.01)
         np.testing.assert_allclose(np.cov(draws.T), mom.cov, atol=0.02)
+
+
+class TestGaussianLaws:
+    def test_every_exact_gaussian_law_is_a_gaussian_prior(self):
+        """The moment oracle's output, the exact conditional and both families' moment matches are each a
+        GaussianPrior, the one type of an exact Gaussian law, as the conjugate posterior is; a Gaussian
+        prior's moment match is the prior itself."""
+        from mgdm.oracle import oracle_recursion
+        from mgdm.sampler import IndexDistribution, MgdmConfig
+        from mgdm.vi import exact_conditional
+
+        sched = make_schedule("linear", 1000)
+        prior = GaussianPrior(mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.7]])
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.4], [0.0, 0.8]], y=[2.4, -1.6], sigma_y=0.5)
+        cfg = MgdmConfig(timesteps=(500, 1000), conditional="exact", denoise="exact",
+                         index_dist=IndexDistribution(kind="fixed", values=(250,)))
+        x0, xt = np.zeros(2), np.ones(2)
+        laws = [oracle_recursion(prior, lik, sched, cfg), exact_conditional(lik, prior, sched, 100, 500, x0, xt),
+                prior.moments(), gmm_2d().moments(), exact_posterior(prior, lik)]
+        assert [type(law) for law in laws] == [GaussianPrior] * 5
+        assert prior.moments() is prior
 
 
 class TestNumpyKernels:

@@ -378,6 +378,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             MgdmConfig(timesteps=(10, 100), conditional="vi-mh", mh_steps=0)
 
+    def test_index_law_without_a_valid_level_rejected_at_construction(self):
+        """tau = 30 on K = 10 over T = 200 leaves t_prev = 20 < tau at outer step 2: the config fails as it is
+        built, not a run after some Gibbs sweeps."""
+        with pytest.raises(ValueError, match="uniform-mix needs t_prev >= tau, got t_prev=20 < tau=30"):
+            MgdmConfig(timesteps=make_timesteps(10, 200), index_dist=IndexDistribution(tau=30))
+
     def test_horizon_mismatch_detected(self):
         lik, prior, sched = problem_1d()
         cfg = MgdmConfig(timesteps=(10, 500), conditional="exact", denoise="exact")
@@ -440,9 +446,16 @@ class TestConfig:
         (lambda: ViPhaseSchedule(eta_early=True), "eta_early must be a number, got True"),
         (lambda: IndexDistribution(late_fraction=True), "late_fraction must be a number, got True"),
         (lambda: IndexDistribution(late_fraction="0.5"), "late_fraction must be a number, got '0.5'"),
-    ], ids=["eta-bool", "eta-string", "eta-early-bool", "late-fraction-bool", "late-fraction-string"])
+        (lambda: IndexDistribution(kind="explicit", weights=(True,)), "weights must hold numbers, got (True,)"),
+        (lambda: IndexDistribution(kind="explicit", weights=("0.5", "0.5")),
+         "weights must hold numbers, got ('0.5', '0.5')"),
+        (lambda: IndexDistribution(kind="explicit", weights=(np.nan, 1.0)), "weights must be a simplex"),
+        (lambda: IndexDistribution(kind="explicit", weights=(np.inf, -np.inf)), "weights must be a simplex"),
+    ], ids=["eta-bool", "eta-string", "eta-early-bool", "late-fraction-bool", "late-fraction-string", "weights-bool",
+            "weights-string", "weights-nan", "weights-inf"])
     def test_real_settings_reject_bools_and_strings(self, build, message):
-        """True is not read as a rate or fraction of 1.0, nor "0.1" compared with a float."""
+        """True is not read as a rate, fraction or weight of 1.0, nor "0.1" compared with a float; a NaN weight
+        fails the simplex check, not rng.choice in the first run."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 

@@ -567,7 +567,8 @@ class TestConditionalMemo:
         assert {key for key in prior._memo if len(key) == 3} == {(sched, lik, 30) for lik, sched in visits}
 
     def test_exact_run_and_oracle_factorize_once_per_level(self, monkeypatch):
-        """An exact-backend batch plus its oracle make one eigh per distinct level and no Cholesky."""
+        """An exact-backend batch makes one eigh per distinct level and no Cholesky, and its oracle reuses them
+        all; the oracle's output law, a GaussianPrior, factors its own covariance: one eigh and one Cholesky."""
         from mgdm.oracle import oracle_recursion
         from mgdm.sampler import IndexDistribution, MgdmConfig, make_timesteps, mgdm_run_batch
 
@@ -588,8 +589,9 @@ class TestConditionalMemo:
 
             monkeypatch.setattr(np.linalg, name, counted)
         mgdm_run_batch(lik, prior, sched, cfg, 50, np.random.default_rng(0))
-        oracle_recursion(prior, lik, sched, cfg)
         assert calls == {"eigh": len(set(seq)), "cholesky": 0}
+        oracle_recursion(prior, lik, sched, cfg)
+        assert calls == {"eigh": len(set(seq)) + 1, "cholesky": 1}
 
 
 class TestMhCorrection:
