@@ -109,14 +109,6 @@ def _check_keys(section: dict, known: tuple, name: str) -> dict:
     return section
 
 
-def _build_index_dist(spec: dict | None) -> IndexDistribution:
-    kw = dict(_check_keys(spec or {}, tuple(f.name for f in fields(IndexDistribution)), "sampler.index"))
-    for key in ("weights", "values"):
-        if kw.get(key) is not None:
-            kw[key] = tuple(kw[key])
-    return IndexDistribution(**kw)
-
-
 _BACKENDS = {
     "exact": {"conditional": "exact", "denoise": "exact"},
     "vi": {"conditional": "vi", "denoise": "ddpm"},
@@ -136,12 +128,13 @@ def build_mgdm_config(spec: dict, schedule: NoiseSchedule) -> MgdmConfig:
         vi = ViPhaseSchedule(**vi_spec)
     except ValueError as err:  # its messages start with the field name, which is the config key
         raise ValueError(f"sampler.vi.{err}") from None
+    index_spec = _check_keys(spec.get("index") or {}, tuple(f.name for f in fields(IndexDistribution)), "sampler.index")
     return MgdmConfig(
         timesteps=tuple(timesteps),
         R=spec.get("R", 1),
         M=spec.get("M", 20),
         vi=vi,
-        index_dist=_build_index_dist(spec.get("index")),
+        index_dist=IndexDistribution(**index_spec),
         mh_steps=spec.get("mh_steps", 0),
         final=spec.get("final", "sample"),
         final_s=spec.get("final_s", 1),

@@ -97,9 +97,9 @@ def oracle_recursion(
     """Exact output law of the driver under the exact conditional, a Gaussian.
 
     Replays the sampler's own ``config``: its timesteps, R, final mode,
-    denoise backend (the exact draw, or DDPM with its M) and its ``fixed``
-    index sequence (one level per outer step, i = K down to 2).  Other
-    index kinds are rejected: averaging over random levels breaks the
+    denoise backend (the exact draw, or DDPM with its M) and its level rows
+    ``config.levels``, each of one level (a ``fixed`` or ``fixed-midpoint``
+    law).  A random law is rejected: averaging over random levels breaks the
     Gaussianity of the output law, so callers replay a recorded sequence
     instead.  The conditional field is not read, so the same config also
     serves to measure how far a VI run lands from the exact-conditional law.
@@ -110,8 +110,8 @@ def oracle_recursion(
     final convention.
     """
     require_linear_gaussian(likelihood, prior, "the moment oracle")
-    if config.index_dist.kind != "fixed":
-        raise ValueError(f"the moment oracle replays a fixed index sequence, not {config.index_dist.kind!r}")
+    if any(len(support) != 1 for support, _ in config.levels):
+        raise ValueError("the moment oracle replays a fixed index sequence, not a law that draws among levels")
     config.validate_against(schedule)
     ts, K = config.timesteps, config.K
     d = prior.dim
@@ -122,7 +122,7 @@ def oracle_recursion(
     mean = np.concatenate([bias_n, np.zeros(d)])
     cov = np.block([[jac_n @ jac_n.T, jac_n], [jac_n.T, eye]])
 
-    for i, tau in zip(range(K, 1, -1), config.index_dist.values):
+    for i, ((tau,), _) in zip(range(K, 1, -1), config.levels):
         t_i = ts[i - 1]
         if i < K:
             p = schedule.bridge_params(t_i, ts[i])

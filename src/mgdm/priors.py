@@ -103,12 +103,12 @@ class GaussianPrior:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(require_numeric_array("prior mean", self.mean))
-        cov, lam, vecs = _eigh_spd(self.cov, "prior covariance")
+        mean = np.atleast_1d(require_numeric_array("mean", self.mean))
+        cov, lam, vecs = _eigh_spd(self.cov, "covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and cov dimensions disagree")
         if not np.all(np.isfinite(mean)):
-            raise ValueError("prior mean must be finite")
+            raise ValueError("mean must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
@@ -476,7 +476,10 @@ def prior_from_json(obj: dict):
     """Prior from its config form: ``mean``/``cov`` for a Gaussian, ``weights``/``means``/``covs`` for a GMM."""
     kind = obj["kind"]
     if kind == "gaussian":
-        return GaussianPrior(mean=obj["mean"], cov=obj["cov"])
+        try:
+            return GaussianPrior(mean=obj["mean"], cov=obj["cov"])
+        except ValueError as err:  # GaussianPrior also holds laws that are no prior, so names its fields bare
+            raise ValueError(f"prior {err}") from None
     if kind == "gmm":
         return GmmPrior(weights=obj["weights"], means=obj["means"], covs=obj["covs"])
     raise ValueError(f"unknown prior kind {kind!r}")

@@ -17,6 +17,7 @@ so many independent chains run vectorized.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,12 @@ def _check_finite(i: int, t: int, s: int, *states: np.ndarray) -> None:
             raise NonFiniteStateError(f"non-finite state at outer step i={i} (t={t}, s={s})")
 
 
+def draw_level(row: tuple[range, np.ndarray | None], rng: np.random.Generator) -> int:
+    """One level of an ``IndexDistribution.rows`` row, on the bits of ``rng.integers``, or with a CDF ``rng.choice``."""
+    support, cdf = row
+    return support[rng.integers(len(support)) if cdf is None else cdf.searchsorted(rng.random(), side="right")]
+
+
 @dataclass(frozen=True)
 class IndexDistribution:
     """How the auxiliary level s is chosen at outer step i (of K, counting down).
@@ -53,6 +60,7 @@ class IndexDistribution:
       "explicit":      categorical with given weights over s = 1..len(weights),
                        restricted to s < t_i and renormalized.
       "fixed":         s = values[K - i], a recorded per-step sequence.
+    ``rows`` is the law on a grid, the one form the sampler and oracle read; weights and values are tuples.
     """
 
     kind: str = "uniform-mix"
@@ -64,6 +72,10 @@ class IndexDistribution:
     def __post_init__(self):
         if self.kind not in ("uniform-mix", "near-zero", "fixed-midpoint", "explicit", "fixed"):
             raise ValueError(f"unknown index distribution kind {self.kind!r}")
+        for name, value in (("weights", self.weights), ("values", self.values)):
+            if value is not None and not (isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1):
+                raise ValueError(f"{name} must be a list, got {reprlib.repr(value)}")
+            object.__setattr__(self, name, None if value is None else tuple(value))
         for j, value in enumerate(self.values or ()):
             require_integer(f"values[{j}]", value)
         if require_integer("tau", self.tau) < 1:
@@ -74,40 +86,37 @@ class IndexDistribution:
             if self.weights is None:
                 raise ValueError("explicit kind needs weights")
             w = require_numeric_array("weights", self.weights)
-            if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-9):  # NaN fails both comparisons
+            if w.ndim != 1 or not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-9):  # NaN fails both tests
                 raise ValueError("weights must be a simplex")
         if self.kind == "fixed" and self.values is None:
             raise ValueError("fixed kind needs values")
 
-
-def sample_index(
-    dist: IndexDistribution, i: int, t_i: int, t_prev: int, K: int, rng: np.random.Generator
-) -> int:
-    """Draw the auxiliary level s for outer step i (i runs K down to 2)."""
-    if dist.kind == "uniform-mix":
-        if t_prev < dist.tau:
-            raise ValueError(f"uniform-mix needs t_prev >= tau, got t_prev={t_prev} < tau={dist.tau}")
-        if i <= math.floor(K * dist.late_fraction):
-            return t_prev
-        return int(rng.integers(dist.tau, t_prev + 1))
-    if dist.kind == "near-zero":
-        hi = max(1, min(t_i - 1, t_i // 5))
-        return int(rng.integers(1, hi + 1))
-    if dist.kind == "fixed-midpoint":
-        return max(2, t_prev // 2)
-    if dist.kind == "explicit":
-        w = np.asarray(dist.weights, dtype=np.float64)
-        support = np.arange(1, min(len(w), t_i - 1) + 1)
-        mass = w[: len(support)]
-        total = mass.sum()
-        if total <= 0.0:
-            raise ValueError("explicit weights put no mass below t_i")
-        return int(rng.choice(support, p=mass / total))
-    if dist.kind == "fixed":
-        if len(dist.values) != K - 1:
-            raise ValueError(f"fixed index sequence needs {K - 1} entries, got {len(dist.values)}")
-        return int(dist.values[K - i])
-    raise AssertionError("unreachable")
+    def rows(self, timesteps: tuple[int, ...]):
+        """Yield the row (support ``range``, read-only CDF or None for uniform) of each outer step i = K..2."""
+        K = len(timesteps)
+        if self.kind == "fixed" and len(self.values) != K - 1:
+            raise ValueError(f"fixed index sequence needs {K - 1} entries, got {len(self.values)}")
+        for i in range(K, 1, -1):
+            t_i, t_prev, cdf = timesteps[i - 1], timesteps[i - 2], None
+            if self.kind == "uniform-mix":
+                if t_prev < self.tau:
+                    raise ValueError(f"uniform-mix needs t_prev >= tau, got t_prev={t_prev} < tau={self.tau}")
+                support = range(t_prev if i <= math.floor(K * self.late_fraction) else self.tau, t_prev + 1)
+            elif self.kind == "near-zero":
+                support = range(1, max(1, min(t_i - 1, t_i // 5)) + 1)
+            elif self.kind == "explicit":
+                mass = np.asarray(self.weights[: t_i - 1], dtype=np.float64)
+                if mass.sum() <= 0.0:
+                    raise ValueError("explicit weights put no mass below t_i")
+                support, cdf = range(1, len(mass) + 1), (mass / mass.sum()).cumsum()
+                cdf /= cdf[-1]  # as rng.choice renormalizes its CDF
+                cdf.flags.writeable = False
+            else:  # one level: the midpoint, or the recorded one
+                s = max(2, t_prev // 2) if self.kind == "fixed-midpoint" else self.values[K - i]
+                if not 1 <= s < t_i:
+                    raise ValueError(f"outer step i={i} draws s={s} outside 1 <= s < t_i={t_i}")
+                support = range(s, s + 1)
+            yield support, cdf
 
 
 @dataclass(frozen=True)
@@ -156,7 +165,8 @@ class MgdmConfig:
     ("exact" | "vi" | "vi-mh"); ``denoise`` picks the x_0 backend
     ("ddpm" | "exact").  The exact backends exist for the linear-Gaussian
     model only and make the run an exact Gibbs chain, which the
-    Gaussian-case oracle reproduces in closed form.
+    Gaussian-case oracle reproduces in closed form.  ``levels``, the rows of ``index_dist`` on this
+    grid, are built here, so a law with no valid level at some outer step fails before any run.
     """
 
     timesteps: tuple[int, ...]
@@ -169,6 +179,7 @@ class MgdmConfig:
     mh_steps: int = 0
     final: str = "sample"
     final_s: int = 1
+    levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = tuple(require_integer(f"timesteps[{j}]", t) for j, t in enumerate(self.timesteps))
@@ -195,11 +206,7 @@ class MgdmConfig:
             raise ValueError(f"unknown final mode {self.final!r}")
         if self.final == "denoise" and not 1 <= self.final_s < ts[1]:
             raise ValueError("denoise final needs 1 <= final_s < t_2")
-        # Dry-run the level draw of every outer step on a throwaway generator, so that an index law
-        # with no valid level at some step fails here, before any run.
-        for i, s in zip(range(self.K, 1, -1), self.draw_levels(np.random.default_rng(0))):
-            if not 1 <= s < ts[i - 1]:
-                raise ValueError(f"outer step i={i} draws s={s} outside 1 <= s < t_i={ts[i - 1]}")
+        object.__setattr__(self, "levels", tuple(self.index_dist.rows(ts)))
 
     @property
     def K(self) -> int:
@@ -211,8 +218,7 @@ class MgdmConfig:
 
     def draw_levels(self, rng: np.random.Generator) -> tuple[int, ...]:
         """One auxiliary level per outer step, in the order the outer loop runs them, i = K down to 2."""
-        ts, K = self.timesteps, self.K
-        return tuple(sample_index(self.index_dist, i, ts[i - 1], ts[i - 2], K, rng) for i in range(K, 1, -1))
+        return tuple(draw_level(row, rng) for row in self.levels)
 
 
 def make_timesteps(K: int, T: int, t1: int | None = None) -> tuple[int, ...]:
@@ -306,15 +312,13 @@ def _mgdm_core(
     shape: tuple[int, ...],
 ):
     config.validate_against(schedule)
-    ts = config.timesteps
-    K = config.K
+    ts, K = config.timesteps, config.K
 
     xt = rng.standard_normal(shape)
     x0 = prior.denoise(schedule, ts[-1], xt).value  # the running time-0 state
 
-    for i in range(K, 1, -1):
-        t_i = ts[i - 1]
-        s = sample_index(config.index_dist, i, t_i, ts[i - 2], K, rng)
+    for i, row in zip(range(K, 1, -1), config.levels):
+        t_i, s = ts[i - 1], draw_level(row, rng)
         if i == K:
             _check_finite(i, t_i, s, x0)
         else:

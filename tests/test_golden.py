@@ -29,6 +29,23 @@ SMOKE_RUNS = [
     (1.293111360546889, -0.7221166117386324),
 ]
 
+# (x0_0, log_post) of runs 0-4 of the smoke config under a near-zero index law and under an explicit one (50 equal
+# weights, which t_i = 40 cuts to 39 at the last step), pinned before the index law became per-step rows.
+NEAR_ZERO_RUNS = [
+    (0.5366740680274946, -0.2875709431105937),
+    (0.4124506885274322, -0.4897057490447758),
+    (0.3957604974132526, -0.5227435156165747),
+    (0.07907152185247793, -1.4135642534978778),
+    (0.8265363797856898, -0.1159800256179484),
+]
+EXPLICIT_RUNS = [
+    (0.665307086625381, -0.159575029270979),
+    (1.1841740061151345, -0.4831937444240011),
+    (1.6327871531229474, -1.8480556830041812),
+    (-0.35651003743076876, -3.4580082436829174),
+    (1.5748281169461047, -1.615116104013239),
+]
+
 # compare_to_oracle on the criterion-5 config (exact backend, K = 25, R = 4, 10,000 runs), master seed 1.
 COMPARE_MEAN = [2.3258189466122934, -1.0332058270255076]
 COMPARE_COV = [[0.23163379453655789, -0.043054988040844], [-0.043054988040844, 0.2448527458600678]]
@@ -132,6 +149,16 @@ def first_rows(config, out_dir, columns):
 def test_smoke_runs_match_pinned_values(tmp_path):
     got = first_rows(harness.smoke_config(), tmp_path, ("x0_0", "log_post"))
     np.testing.assert_allclose(got, SMOKE_RUNS, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("index,pinned", [({"kind": "near-zero"}, NEAR_ZERO_RUNS),
+                                          ({"kind": "explicit", "weights": [0.02] * 50}, EXPLICIT_RUNS)],
+                         ids=["near-zero", "explicit"])
+def test_smoke_runs_under_other_index_laws_match_pinned_values(tmp_path, index, pinned):
+    config = harness.smoke_config()
+    config["sampler"]["index"] = index
+    got = first_rows(config, tmp_path, ("x0_0", "log_post"))
+    np.testing.assert_allclose(got, pinned, rtol=1e-10, atol=0)
 
 
 def test_gmm_isotropic_vi_mh_runs_match_pinned_values(tmp_path):

@@ -616,14 +616,30 @@ class TestCli:
     @pytest.mark.parametrize("command", ["oracle", "compare"])
     def test_degenerate_oracle_law_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, command):
         """With the denoise final step, sigma_y = 1e-7 pins the output law below the 1e-12 eigenvalue floor of a
-        GaussianPrior: the oracle names it, and compare fails before it runs the sampler."""
+        GaussianPrior: the oracle names it, and its covariance, not a prior's, and compare fails before it runs
+        the sampler."""
         config = compare_config(n_runs=50)
         config["likelihood"]["sigma_y"], config["sampler"]["final"] = 1e-7, "denoise"
         monkeypatch.setattr(harness, "mgdm_run_batch", lambda *args: pytest.fail("the sampler ran"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        assert "mgdm: config error: the moment oracle's output law is degenerate (" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("mgdm: config error: the moment oracle's output law is degenerate "
+                                           "(covariance must have eigenvalues >= 1e-12)\n")
+
+    @pytest.mark.parametrize("index,message", [
+        ({"kind": "explicit", "weights": 1.0}, "weights must be a list, got 1.0"),
+        ({"kind": "fixed", "values": 3}, "values must be a list, got 3"),
+        ({"kind": "explicit", "weights": {"1": 1.0}}, "weights must be a list, got {'1': 1.0}"),
+    ], ids=["weights-scalar", "values-scalar", "weights-object"])
+    def test_index_array_that_is_no_list_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, index,
+                                                                 message):
+        """A scalar index ``weights`` or ``values`` exits 1 on one config-error line naming the field, where it
+        used to report "'float' object is not iterable"."""
+        config = harness.smoke_config()
+        config["sampler"]["index"] = index
+        err = self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
+        assert err == f"mgdm: config error: {message}\n"
 
     @pytest.mark.parametrize("late_fraction", [2.0, -1])
     def test_late_fraction_outside_unit_interval_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,

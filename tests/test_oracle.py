@@ -280,14 +280,14 @@ class TestFinalKernels:
 
 class TestOracleRecursion:
     def test_validation(self):
-        """The oracle replays only a fixed sequence; the sampler config rejects one with no valid level
-        at some step as it is built."""
+        """The oracle replays only a law of one level per step, not a random one; the sampler config rejects
+        a law with no valid level at some step as it is built."""
         lik, prior, sched = instance_2d()
 
         def config(timesteps, index_dist):
             return MgdmConfig(timesteps=timesteps, conditional="exact", denoise="exact", index_dist=index_dist)
 
-        cases = [((10, 1000), IndexDistribution(kind="fixed-midpoint"), "replays a fixed index sequence"),
+        cases = [((10, 1000), IndexDistribution(kind="near-zero"), "replays a fixed index sequence"),
                  ((10, 1000), IndexDistribution(kind="fixed", values=(2, 3)), "needs 1 entries, got 2"),
                  ((10, 1000), IndexDistribution(kind="fixed", values=(1000,)), "draws s=1000 outside"),
                  ((10, 1000), IndexDistribution(kind="fixed", values=(0,)), "draws s=0 outside"),
@@ -295,6 +295,20 @@ class TestOracleRecursion:
         for timesteps, index_dist, message in cases:
             with pytest.raises(ValueError, match=message):
                 oracle_recursion(prior, lik, sched, config(timesteps, index_dist))
+
+    @pytest.mark.parametrize("final", ["sample", "denoise"])
+    @pytest.mark.parametrize("denoise", ["exact", "ddpm"])
+    def test_deterministic_law_equals_its_replayed_sequence(self, final, denoise):
+        """A law whose every row holds one level is replayed as it stands: fixed-midpoint gives, bit for bit,
+        the law of the fixed sequence of its levels, which is what the harness replays."""
+        lik, prior, sched = instance_2d()
+        ts = make_timesteps(25, 1000)
+        common = dict(timesteps=ts, R=2, M=5, conditional="exact", denoise=denoise, final=final)
+        midpoint = MgdmConfig(index_dist=IndexDistribution(kind="fixed-midpoint"), **common)
+        replayed = MgdmConfig(index_dist=IndexDistribution(kind="fixed", values=midpoint_sequence(ts)), **common)
+        assert midpoint.draw_levels(np.random.default_rng(0)) == midpoint_sequence(ts)
+        got, want = (oracle_recursion(prior, lik, sched, cfg) for cfg in (midpoint, replayed))
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
 
     def test_matches_simulation_moments(self):
         """Exact-backend driver replications agree with the recursion

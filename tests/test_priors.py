@@ -91,11 +91,14 @@ class TestConstruction:
         ({"kind": "gmm", "weights": [1.0], "means": [[0.0]], "covs": [[["1"]]]}, "covs must hold numbers"),
     ], ids=["mean-string", "cov-string", "weights-bool", "means-bool", "covs-string"])
     def test_rejects_arrays_that_are_not_numbers(self, spec, message):
-        """A float64 conversion would read "0.5" as 0.5 and True as 1.0, from the config form or from Python."""
+        """A float64 conversion would read "0.5" as 0.5 and True as 1.0, from the config form or from Python.
+        A GaussianPrior, also the type of laws that are no prior, names its fields bare, and its config form
+        names them the prior's."""
         cls = {"gaussian": GaussianPrior, "gmm": GmmPrior}[spec["kind"]]
         fields = {key: value for key, value in spec.items() if key != "kind"}
-        for build in (lambda: prior_from_json(spec), lambda: cls(**fields)):
-            with pytest.raises(ValueError, match=f"^{message}"):
+        for build, expected in ((lambda: prior_from_json(spec), message),
+                                (lambda: cls(**fields), message.removeprefix("prior "))):
+            with pytest.raises(ValueError, match=f"^{expected}"):
                 build()
 
     @pytest.mark.parametrize("means,cov", [([[0.0, 0.0, 0.0]], np.eye(2)), ([[0.0, 0.0]], np.eye(3))],

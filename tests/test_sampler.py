@@ -1,5 +1,7 @@
 """Index sampling, the inner DDPM denoiser, Gibbs sweeps, and the drivers."""
 
+import itertools
+import math
 import os
 import platform
 import re
@@ -22,11 +24,11 @@ from mgdm.sampler import (
     ViPhaseSchedule,
     ddpm_denoise,
     dps_run,
+    draw_level,
     gibbs_step,
     make_timesteps,
     mgdm_run,
     mgdm_run_batch,
-    sample_index,
 )
 from mgdm.schedule import NoiseSchedule, make_schedule
 
@@ -60,53 +62,162 @@ def problem_1d(sigma_y=0.5):
     return lik, prior, sched
 
 
+# The per-step level draw that the level rows replaced, kept verbatim (one branch per kind) as the reference
+# whose random stream ``draw_level`` must reproduce draw for draw.
+def sample_index(
+    dist: IndexDistribution, i: int, t_i: int, t_prev: int, K: int, rng: np.random.Generator
+) -> int:
+    """Draw the auxiliary level s for outer step i (i runs K down to 2)."""
+    if dist.kind == "uniform-mix":
+        if t_prev < dist.tau:
+            raise ValueError(f"uniform-mix needs t_prev >= tau, got t_prev={t_prev} < tau={dist.tau}")
+        if i <= math.floor(K * dist.late_fraction):
+            return t_prev
+        return int(rng.integers(dist.tau, t_prev + 1))
+    if dist.kind == "near-zero":
+        hi = max(1, min(t_i - 1, t_i // 5))
+        return int(rng.integers(1, hi + 1))
+    if dist.kind == "fixed-midpoint":
+        return max(2, t_prev // 2)
+    if dist.kind == "explicit":
+        w = np.asarray(dist.weights, dtype=np.float64)
+        support = np.arange(1, min(len(w), t_i - 1) + 1)
+        mass = w[: len(support)]
+        total = mass.sum()
+        if total <= 0.0:
+            raise ValueError("explicit weights put no mass below t_i")
+        return int(rng.choice(support, p=mass / total))
+    if dist.kind == "fixed":
+        if len(dist.values) != K - 1:
+            raise ValueError(f"fixed index sequence needs {K - 1} entries, got {len(dist.values)}")
+        return int(dist.values[K - i])
+    raise AssertionError("unreachable")
+
+
+
+def level_row(dist, i, t_i, t_prev, K):
+    """The row ``dist.rows`` gives outer step i of a K-step grid through (t_{i-1}, t_i) = (t_prev, t_i); the
+    rows of the steps below i, which this grid need not make valid, are never built."""
+    ts = tuple(range(t_prev - i + 2, t_prev)) + (t_prev, t_i) + tuple(range(t_i + 1, t_i + 1 + K - i))
+    return next(itertools.islice(dist.rows(ts), K - i, None))
+
+
 class TestSampleIndex:
     def test_uniform_mix_late_phase_is_deterministic(self):
         dist = IndexDistribution(kind="uniform-mix", tau=10)
         rng = np.random.default_rng(0)
         for i in (2, 10, 25):
-            assert sample_index(dist, i, 300, 290, 100, rng) == 290
+            assert draw_level(level_row(dist, i, 300, 290, 100), rng) == 290
 
     def test_uniform_mix_singleton_support(self):
         dist = IndexDistribution(kind="uniform-mix", tau=10)
         rng = np.random.default_rng(1)
-        draws = {sample_index(dist, 80, 20, 10, 100, rng) for _ in range(50)}
-        assert draws == {10}
+        row = level_row(dist, 80, 20, 10, 100)
+        assert {draw_level(row, rng) for _ in range(50)} == {10}
 
     def test_uniform_mix_range(self):
         dist = IndexDistribution(kind="uniform-mix", tau=10)
         rng = np.random.default_rng(2)
-        draws = [sample_index(dist, 80, 500, 480, 100, rng) for _ in range(500)]
+        row = level_row(dist, 80, 500, 480, 100)
+        draws = [draw_level(row, rng) for _ in range(500)]
         assert min(draws) >= 10 and max(draws) <= 480
         assert len(set(draws)) > 100
 
     def test_uniform_mix_rejects_small_t_prev(self):
         dist = IndexDistribution(kind="uniform-mix", tau=10)
-        with pytest.raises(ValueError):
-            sample_index(dist, 80, 12, 8, 100, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="uniform-mix needs t_prev >= tau, got t_prev=8 < tau=10"):
+            level_row(dist, 80, 12, 8, 100)
 
     def test_explicit_degenerate_weights(self):
         t_i = 12
         weights = [0.0] * (t_i - 2) + [1.0]
         dist = IndexDistribution(kind="explicit", weights=tuple(weights))
         rng = np.random.default_rng(3)
+        row = level_row(dist, 5, t_i, 11, 10)
         for _ in range(20):
-            assert sample_index(dist, 5, t_i, 11, 10, rng) == t_i - 1
+            assert draw_level(row, rng) == t_i - 1
 
     def test_near_zero_range(self):
         dist = IndexDistribution(kind="near-zero")
         rng = np.random.default_rng(4)
-        draws = [sample_index(dist, 9, 200, 180, 10, rng) for _ in range(300)]
+        row = level_row(dist, 9, 200, 180, 10)
+        draws = [draw_level(row, rng) for _ in range(300)]
         assert min(draws) >= 1 and max(draws) <= 40
 
     def test_fixed_midpoint(self):
         dist = IndexDistribution(kind="fixed-midpoint")
-        assert sample_index(dist, 7, 300, 280, 10, np.random.default_rng(0)) == 140
+        assert draw_level(level_row(dist, 7, 300, 280, 10), np.random.default_rng(0)) == 140
 
     def test_fixed_sequence_lookup(self):
         dist = IndexDistribution(kind="fixed", values=(7, 5, 3))
-        assert sample_index(dist, 4, 0, 0, 4, np.random.default_rng(0)) == 7
-        assert sample_index(dist, 2, 0, 0, 4, np.random.default_rng(0)) == 3
+        assert draw_level(level_row(dist, 4, 100, 50, 4), np.random.default_rng(0)) == 7
+        assert draw_level(level_row(dist, 2, 20, 10, 4), np.random.default_rng(0)) == 3
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("weights", 1.0, "weights must be a list, got 1.0"),
+        ("values", 3, "values must be a list, got 3"),
+        ("values", "73", "values must be a list, got '73'"),
+        ("weights", np.array([[0.5, 0.5]]), "weights must be a list, got array([[0.5, 0.5]])"),
+        ("weights", [[0.5, 0.5]], "weights must be a simplex"),
+        ("values", [[1], [2, 3]], "values[0] must be an integer, got [1]"),
+    ], ids=["weights-float", "values-int", "values-string", "weights-2d", "weights-nested", "values-nested"])
+    def test_weights_and_values_must_be_lists(self, field, value, message):
+        """A scalar, a string or a nested list names its field; a scalar used to fail as "'float' object is not
+        iterable", or build."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IndexDistribution(kind="explicit" if field == "weights" else "fixed", **{field: value})
+
+    def test_weights_and_values_are_kept_as_tuples(self):
+        """A list, a tuple or a 1-D array is stored as a tuple: an array no longer fails as ambiguous."""
+        fixed = IndexDistribution(kind="fixed", values=np.array([7, 5]))
+        assert type(fixed.values) is tuple and fixed.values == (7, 5)
+        assert MgdmConfig(timesteps=(10, 20, 30), index_dist=fixed).draw_levels(np.random.default_rng(0)) == (7, 5)
+        explicit = IndexDistribution(kind="explicit", weights=[0.25, 0.75])
+        assert explicit.weights == (0.25, 0.75)
+        assert hash(explicit) == hash(IndexDistribution(kind="explicit", weights=np.array([0.25, 0.75])))
+
+    def test_rows_are_read_only(self):
+        """A row is a range and, for an explicit law only, a CDF that cannot be written."""
+        rows = MgdmConfig(timesteps=make_timesteps(10, 200), index_dist=IndexDistribution("explicit", weights=[0.5] * 2)
+                          ).levels
+        assert all(isinstance(support, range) and not cdf.flags.writeable for support, cdf in rows)
+        assert all(cdf is None for _, cdf in MgdmConfig(timesteps=make_timesteps(10, 200)).levels)
+
+
+def reference_laws(ts):
+    """One law of each kind, with late-phase uniform-mix steps (every step at late_fraction 1), explicit laws of
+    one level (weights (1,)), of a zero in the support and of a tail that t_i cuts, and a valid fixed sequence."""
+    rng = np.random.default_rng(len(ts))
+    weights = rng.random(60)
+    return [IndexDistribution("uniform-mix", tau=2, late_fraction=f) for f in (0.0, 0.25, 0.5, 1.0)] + [
+        IndexDistribution("near-zero"),
+        IndexDistribution("fixed-midpoint"),
+        IndexDistribution("explicit", weights=(1.0,)),
+        IndexDistribution("explicit", weights=(0.5, 0.0, 0.25, 0.25)),
+        IndexDistribution("explicit", weights=tuple(weights / weights.sum())),
+        IndexDistribution("fixed", values=tuple(int(rng.integers(1, t)) for t in ts[:0:-1])),
+    ]
+
+
+# Grids with wide steps, late-phase steps, and t_i < 10, where near-zero has one level.
+REFERENCE_GRIDS = [make_timesteps(10, 200), make_timesteps(25, 1000), (2, 3, 5, 8, 9, 12, 30, 100),
+                   (3, 4, 6, 9, 40, 41, 200)]
+
+
+@pytest.mark.parametrize("ts", REFERENCE_GRIDS, ids=["K10-T200", "K25-T1000", "small-t", "mixed"])
+def test_level_rows_draw_the_reference_stream(ts):
+    """Every kind draws, from its rows, the levels the per-step reference draws, and leaves the generator in
+    the same state after each draw: no draw spends another bit, and one-level rows spend what they spent."""
+    K = len(ts)
+    for dist in reference_laws(ts):
+        levels = MgdmConfig(timesteps=ts, index_dist=dist).levels
+        for seed in range(5):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                for i, row in zip(range(K, 1, -1), levels):
+                    s = draw_level(row, ours)
+                    assert type(s) is int and s == sample_index(dist, i, ts[i - 1], ts[i - 2], K, ref), (dist, i)
+                    assert ours.bit_generator.state == ref.bit_generator.state, (dist, i)
 
 
 class TestDdpmDenoise:
