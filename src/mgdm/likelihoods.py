@@ -7,7 +7,8 @@ log-likelihood log g(y | x).  The guidance potential at noise level s plugs the 
     log ghat_s(x_s) = log g(y | m_s(x_s)),
 
 with analytic gradient Jac(m_s)^T grad log g at m_s(x_s), the denoiser's vector-Jacobian product (no
-Jacobian is formed), or a closed form where the potential is Gaussian (see ``level_factorization``).
+Jacobian is formed), a closed form where the potential is Gaussian (see ``level_factorization``), or, for a
+mixture with one shared covariance under y = A x, the same from A m_s(x_s) alone (``GmmPrior.observed_denoiser``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .priors import GaussianPrior, memo_entry
+from .priors import GaussianPrior, GmmPrior, memo_entry
 from .schedule import NoiseSchedule, require_number, require_numeric_array
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -64,7 +65,11 @@ class GaussianObservation:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has dimension {x.shape[-1]}, expected {self.dim}")
-        resid = self.y - self.forward(x)
+        return self.log_g_forward(self.forward(x))
+
+    def log_g_forward(self, fx: np.ndarray):
+        """log N(y; fx, sigma_y^2 I) at a forward value fx = F(x) of shape (..., d_y)."""
+        resid = self.y - fx
         out = -0.5 * ((resid**2).sum(axis=-1) / self.sigma_y**2 + self._log_norm)
         return float(out) if out.ndim == 0 else out
 
@@ -99,24 +104,41 @@ def likelihood_from_json(obj: dict) -> GaussianObservation:
 
 
 def log_g_hat(likelihood, prior, schedule: NoiseSchedule, s: int, x_s: np.ndarray):
-    """log ghat_s(x_s) = log g0(m_s(x_s)), with no VJP; the denoiser rejects s = 0 (use log_g0)."""
+    """log ghat_s(x_s) = log g0(m_s(x_s)), with no VJP; the denoiser rejects s = 0 (use log_g0).  A mixture's
+    ``observed_denoiser``, where it has one, gives A m_s(x_s) instead of m_s(x_s), built per call."""
+    observed = _observed_denoiser(likelihood, prior, schedule, s)
+    if observed is not None:
+        return likelihood.log_g_forward(observed(x_s).value)
     return likelihood.log_g0(prior.denoise(schedule, s, x_s).value)
 
 
 def guidance(likelihood, prior, schedule: NoiseSchedule, s: int) -> Callable[[np.ndarray], np.ndarray]:
     """x_s -> grad log ghat_s(x_s) = Jac(m_s)^T grad log g0(m_s(x_s)), resolved once per level (s >= 1), no log_g0:
-    q_s - x_s P_s of ``level_factorization`` for a Gaussian prior and linear-Gaussian likelihood, else the
-    denoiser's VJP, with ``prior.denoise`` looked up at each call.  The Gibbs sweep resolves it for its VI fit."""
+    q_s - x_s P_s of ``level_factorization`` for a Gaussian prior and linear-Gaussian likelihood; for a mixture with
+    one shared covariance, the VJP of its ``observed_denoiser`` at (y - A m_s(x_s)) / sigma_y^2, in (J + d_y)-sized
+    terms; else the denoiser's VJP, with ``prior.denoise`` looked up at each call.  The Gibbs sweep resolves it for
+    its VI fit."""
     if s < 1:  # level 0 is g0 itself (the factorization keeps an entry for it), not a guided level
         raise ValueError("guidance needs s >= 1; use grad_log_g0")
     if isinstance(prior, GaussianPrior) and isinstance(likelihood, LinearGaussianLikelihood):
         *_, prec, shift = level_factorization(likelihood, prior, schedule, s)
         return lambda x_s: shift - x_s @ prec
+    observed = _observed_denoiser(likelihood, prior, schedule, s)
 
     def vjp(x_s):
+        if observed is not None:
+            den = observed(x_s)
+            return den.vjp((likelihood.y - den.value) / likelihood.sigma_y**2)
         den = prior.denoise(schedule, s, x_s)
         return den.vjp(likelihood.grad_log_g0(den.value))
     return vjp
+
+
+def _observed_denoiser(likelihood, prior, schedule: NoiseSchedule, s: int):
+    """``GmmPrior.observed_denoiser`` under a linear-Gaussian likelihood whose A fits the prior; None for any
+    other pair, and for an A of another width, which the denoiser route rejects naming both sizes."""
+    linear = isinstance(prior, GmmPrior) and isinstance(likelihood, LinearGaussianLikelihood)
+    return prior.observed_denoiser(schedule, s, likelihood.A) if linear and likelihood.dim == prior.dim else None
 
 
 def require_linear_gaussian(likelihood, prior, what: str) -> None:

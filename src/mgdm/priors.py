@@ -39,7 +39,8 @@ class DenoiserOutput:
     forming the (..., d, d) Jacobian.  The Jacobian is symmetric PSD for
     both prior families (a rescaled posterior covariance of X_0 given
     X_t), so ``vjp(u)`` is also Jac(m_t) u.  For input of shape (..., d)
-    the value has shape (..., d).
+    the value has shape (..., d).  ``GmmPrior.observed_denoiser`` gives the
+    value A m_t(x_t) instead, whose ``vjp`` takes u shaped like that value.
     """
 
     value: np.ndarray
@@ -86,7 +87,7 @@ def _normalize_exp(logs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GaussianPrior:
     """Gaussian prior N(mean, cov) with SPD covariance, and the one type of every exact Gaussian law: the
-    conjugate posterior, the moment oracle's output, the exact x_s conditional and a prior's ``moments``.
+    conjugate posterior, the moment oracle's output and a prior's ``moments``.
     The covariance must be finite, symmetric within 1e-10 and have eigenvalues >= 1e-12.
 
     ``_memo`` keeps, read-only, (J_t, b_t) of ``denoiser_affine`` per (alpha_t, v_t), the DDPM noise
@@ -229,7 +230,8 @@ class GmmPrior:
     When every component has the same covariance (equal as float64 arrays), it is
     factored once and ``denoise`` takes a closed form with no per-component quadratic
     form; ``_memo`` keeps its 3d + J constants per level under (alpha_t, v_t, "shared"),
-    apart from the per-component ones that ``score`` and ``log_density`` still read.
+    which ``observed_denoiser`` reads and adds nothing to, apart from the per-component
+    ones that ``score`` and ``log_density`` still read.
     """
 
     weights: np.ndarray
@@ -406,6 +408,32 @@ class GmmPrior:
             return ((u_pts - v * mixed) / a).T.reshape(np.shape(u))
 
         return DenoiserOutput(value=((pts + v * mean_score) / a).T.reshape(np.shape(x_t)), vjp=vjp)
+
+    def observed_denoiser(self, schedule: NoiseSchedule, t: int, a_mat: np.ndarray):
+        """x_t -> DenoiserOutput(A m_t(x_t), e -> Jac(m_t)^T A^T e) for one shared covariance at t >= 1, else None:
+        with r from ``denoise``, A m_t = A_t xc + B_t r and Jac^T A^T e = Q[A_t^T e + v iv mc^T (r (C_t e - r.C_t e))]
+        for A_t = AQ diag(a lam iv), B_t = AQ diag(v iv) mc^T, C_t = mc diag(a iv) (AQ)^T, built per call from memo."""
+        if not self._shared or t == 0:  # ``denoise`` rejects t = 0
+            return None
+        a, v = schedule.alpha(t), schedule.sigma2(0, t)
+        grad, gain, shrink, bias = memo_entry(self, (a, v, "shared"), lambda: self._shared_level(a, v))
+        basis, mc = self._basis, self._mean_coords
+        aq = a_mat if basis is None else a_mat @ basis
+        a_t, b_t, c_t = aq * gain.T, (aq * shrink.T) @ mc.T, (mc * grad.T) @ aq.T
+
+        def observed(x_t):
+            pts = self._points(x_t)
+            xc = np.ascontiguousarray(pts) if basis is None else basis.T @ pts
+            resp = _normalize_exp(mc @ (grad * xc) + bias)
+
+            def observed_vjp(e):
+                e_pts = np.reshape(e, (-1, len(a_t))).T
+                proj = c_t @ e_pts  # g_j . A^T e
+                out = a_t.T @ e_pts + shrink * (mc.T @ (resp * (proj - np.sum(resp * proj, axis=0))))
+                return (out if basis is None else basis @ out).T.reshape(np.shape(x_t))
+
+            return DenoiserOutput((a_t @ xc + b_t @ resp).T.reshape(np.shape(x_t)[:-1] + (-1,)), observed_vjp)
+        return observed
 
     def log_density(self, x: np.ndarray):
         out = logsumexp(self._terms(1.0, 0.0, self._points(x))[0], axis=0).reshape(np.shape(x)[:-1])

@@ -39,9 +39,12 @@ def require_number(name: str, value) -> float:
 
 
 def require_numeric_array(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array when its entries are Python or numpy integers or floats; a bool (even
-    among numbers, where numpy reads it as 0 or 1), a string or anything else raises, naming ``name``."""
-    arr = np.asarray(value)
+    """``value`` as a float64 array when its entries are Python or numpy integers or floats; a bool (even among
+    numbers, where numpy reads it as 0 or 1), a string, a ragged nesting or anything else raises, naming ``name``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy's "setting an array element with a sequence", which names no field
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
     if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{name} must hold numbers, got {reprlib.repr(value)}")
     return np.asarray(arr, dtype=np.float64)

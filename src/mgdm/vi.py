@@ -17,7 +17,7 @@ and variance from the Gibbs sweep and level s through a guide or a log
 potential: no likelihood, prior, schedule or chain state.
 
 For a Gaussian prior with a linear-Gaussian likelihood the conditional is
-Gaussian and available exactly (``exact_conditional``); an optional
+Gaussian and available exactly (``conditional_coefficients``); an optional
 independent-proposal Metropolis-Hastings correction targets the same
 conditional using the fitted lambda as proposal.
 """
@@ -25,14 +25,12 @@ conditional using the fitted lambda as proposal.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .likelihoods import level_factorization, require_linear_gaussian
-from .priors import GaussianPrior
-from .schedule import NoiseSchedule, gauss_log_density
+from .schedule import NoiseSchedule
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -131,19 +129,6 @@ def exact_conditional_sample(
     return mean + rng.standard_normal(mean.shape) @ (np.sqrt(ell)[:, None] * w.T)
 
 
-def exact_conditional(
-    likelihood, prior, schedule: NoiseSchedule, s: int, t: int, x0: np.ndarray, xt: np.ndarray
-) -> GaussianPrior:
-    """The exact law of pibar(. | x_0, x_t) for the linear-Gaussian case, a Gaussian."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    xt = np.atleast_1d(np.asarray(xt, dtype=np.float64))
-    if x0.ndim != 1 or xt.ndim != 1:
-        raise ValueError("exact_conditional takes single states; use conditional_coefficients for batches")
-    coef_x0, coef_xt, shift, lam = conditional_coefficients(likelihood, prior, schedule, s, t)
-    mean = coef_x0 @ x0 + coef_xt @ xt + shift
-    return GaussianPrior(mean=mean, cov=lam)
-
-
 # -- Metropolis-Hastings correction -------------------------------------------
 
 
@@ -176,14 +161,20 @@ def mh_correct(
 ) -> np.ndarray:
     """Refine a conditional draw by independent-proposal MH.
 
-    Proposal: lambda = N(theta[0], diag(exp(theta[1]))), its variance taken once per call.
+    Proposal: lambda = N(theta[0], diag(exp(theta[1]))).
     Target: ghat_s times the bridge, through ``log_potential`` = log ghat_s alone (the sweep passes
     ``likelihoods.log_g_hat`` at s): MH reads no gradient, so it applies no vector-Jacobian product.
+    The proposal's standard deviation, the variances' check and both log-normalizers are taken once per call,
+    and each evaluation sums the terms in ``gauss_log_density``'s order, so the log weights keep its bits.
     """
-    var = np.exp(theta[1])
+    mean, var, std = theta[0], np.exp(theta[1]), np.exp(0.5 * theta[1])
+    if np.any(var <= 0.0) or np.any(bridge_var <= 0.0):  # NaN passes, as in gauss_log_density
+        raise ValueError("variance must be positive")
+    bridge_norm, prop_norm = np.log(2.0 * np.pi * bridge_var), np.log(2.0 * np.pi * var)
 
     def log_weight(x):
-        log_target = log_potential(x) + gauss_log_density(x, bridge_mean, bridge_var)
-        return log_target - gauss_log_density(x, theta[0], var)
+        log_bridge = -0.5 * np.sum((x - bridge_mean) ** 2 / bridge_var + bridge_norm, axis=-1)
+        log_prop = -0.5 * np.sum((x - mean) ** 2 / var + prop_norm, axis=-1)
+        return log_potential(x) + log_bridge - log_prop
 
-    return independent_mh(log_weight, partial(variational_sample, theta), current, n_steps, rng)
+    return independent_mh(log_weight, lambda rng: mean + std * rng.standard_normal(mean.shape), current, n_steps, rng)

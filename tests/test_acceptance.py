@@ -25,7 +25,8 @@ from mgdm.sampler import (
     mgdm_run_batch,
 )
 from mgdm.schedule import gauss_log_density, make_schedule
-from mgdm.vi import exact_conditional, fit_variational, independent_mh, variational_sample
+from mgdm.vi import fit_variational, independent_mh, variational_sample
+from references import exact_conditional
 
 
 def reference_2d():

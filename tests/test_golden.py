@@ -2,7 +2,8 @@
 once per fit and the GMM prior kept its last level's constants; the GMM pins, to the values
 before the guidance potential was split into its value and its gradient, the mixture weights
 were clamped before their exp and an identity eigenbasis was skipped; the shared-covariance
-pins, to the values before such mixtures took the closed-form denoiser.
+pins, to the values before such mixtures took the closed-form denoiser; the rotated shared-covariance pin, to the
+values before such mixtures under a linear likelihood were guided through A m_s(x) alone.
 
 A performance change must leave every seeded output as it was; these tests carry that
 check in the suite.  They compare at rtol 1e-10 rather than bit for bit, because another
@@ -85,6 +86,16 @@ GMM_SHARED_VIMH_RUNS = [
     (0.6794309048562223, 0.2770567727750082, -1.3791843499667826),
 ]
 
+# The same of gmm_config(ROTATED_SHARED_COVS, "vi-mh"): one covariance that is not diagonal, so the guidance
+# through the observation changes basis; pinned before the VI guide and the MH potential took that form.
+GMM_ROTATED_SHARED_VIMH_RUNS = [
+    (-0.2651250385986338, 0.18038393853290696, -0.7141684117430565),
+    (0.3525096435867736, -0.09933163294124507, -0.42783060430911046),
+    (0.2108758030740687, 0.08812698218644908, 0.012901821085760268),
+    (0.44270824461709357, -0.12380096666747484, -0.7046023311505111),
+    (0.5275211421395943, 0.3087196671539898, -0.8181376950734047),
+]
+
 # Denoiser value and VJP of the MCGdiff grid mixture (25 unit-covariance components, d = 80) at the two
 # points of mcgdiff_denoiser_fingerprint, pinned at the same time: per level t, (value, VJP), each given per
 # point as its first 4 coordinates and its squared norm.
@@ -115,6 +126,7 @@ CRITERION_4_LOG_Z = -1.0469911914762742
 ISOTROPIC_COVS = [[[0.3, 0.0], [0.0, 0.3]], [[0.5, 0.0], [0.0, 0.5]]]
 NON_COMMUTING_COVS = [[[0.3, 0.1], [0.1, 0.4]], [[0.5, 0.0], [0.0, 0.2]]]
 SHARED_COVS = [[[0.3, 0.0], [0.0, 0.3]], [[0.3, 0.0], [0.0, 0.3]]]
+ROTATED_SHARED_COVS = [[[0.4, 0.15], [0.15, 0.3]], [[0.4, 0.15], [0.15, 0.3]]]
 
 
 def gmm_config(covs, backend):
@@ -175,6 +187,11 @@ def test_gmm_non_commuting_vi_runs_match_pinned_values(tmp_path):
 def test_gmm_shared_covariance_runs_match_pinned_values(tmp_path, backend, pinned):
     got = first_rows(gmm_config(SHARED_COVS, backend), tmp_path, ("x0_0", "x0_1", "log_post"))
     np.testing.assert_allclose(got, pinned, rtol=1e-10, atol=0)
+
+
+def test_gmm_rotated_shared_covariance_vi_mh_runs_match_pinned_values(tmp_path):
+    got = first_rows(gmm_config(ROTATED_SHARED_COVS, "vi-mh"), tmp_path, ("x0_0", "x0_1", "log_post"))
+    np.testing.assert_allclose(got, GMM_ROTATED_SHARED_VIMH_RUNS, rtol=1e-10, atol=0)
 
 
 def mcgdiff_denoiser_fingerprint():

@@ -641,6 +641,26 @@ class TestCli:
         err = self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
         assert err == f"mgdm: config error: {message}\n"
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("sampler", "index", {"kind": "explicit", "weights": [[0.5], [0.25, 0.25]]},
+         "weights must be a rectangular array of numbers"),
+        ("likelihood", "A", [[1.0], [1.0, 2.0]], "A must be a rectangular array of numbers"),
+        ("prior", "cov", [[1.0], [1.0, 2.0]], "prior covariance must be a rectangular array of numbers"),
+        ("prior", None,
+         {"kind": "gmm", "weights": [0.5, 0.5], "means": [[0.0], [1.0, 2.0]], "covs": [[[1.0]], [[1.0]]]},
+         "means must be a rectangular array of numbers"),
+    ], ids=["index-weights", "likelihood-A", "prior-cov", "gmm-means"])
+    def test_ragged_array_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, section, key, value, message):
+        """A ragged nesting of lists exits 1 on one config-error line naming the field, where it used to print
+        numpy's "setting an array element with a sequence..."."""
+        config = harness.smoke_config()
+        if key is None:
+            config[section] = value
+        else:
+            config[section][key] = value
+        err = self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
+        assert err == f"mgdm: config error: {message}\n"
+
     @pytest.mark.parametrize("late_fraction", [2.0, -1])
     def test_late_fraction_outside_unit_interval_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                                          late_fraction):

@@ -63,7 +63,8 @@ class TestLogG0:
         ([["1"]], [0.0], "^A must hold numbers"),
         ([[1.0]], [True], "^y must hold numbers"),
         ([[1.0, False]], [0.0], "^A must hold numbers"),
-    ], ids=["A-string", "y-bool", "A-bool-among-numbers"])
+        ([[1.0], [1.0, 2.0]], [0.0, 0.0], "^A must be a rectangular array of numbers$"),
+    ], ids=["A-string", "y-bool", "A-bool-among-numbers", "A-ragged"])
     def test_rejects_arrays_that_are_not_numbers(self, cls, A, y, message):
         """A float64 conversion would read "1" as 1.0 and True as 1.0."""
         with pytest.raises(ValueError, match=message):
@@ -252,6 +253,111 @@ class TestGuidance:
         x = np.random.default_rng(3).standard_normal((5, 2))
         np.testing.assert_array_equal(guide(x), _vjp_route(lik, gmm, sched, 40, x))
         assert len(calls) == 2  # the guide's call and the reference's
+
+
+def _shared_mixture(rng, d, n_components, rotated):
+    """A mixture whose components share one covariance with eigenvalues 0.3 .. 1.4: diagonal and ascending (so
+    its eigenbasis is exactly I) or turned by a random rotation (a full basis Q)."""
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0] if rotated else np.eye(d)
+    cov = (q * np.linspace(0.3, 1.4, d)) @ q.T
+    means = 2.0 * rng.standard_normal((n_components, d))
+    prior = GmmPrior(weights=np.full(n_components, 1.0 / n_components), means=means, covs=[cov] * n_components)
+    assert (prior._basis is None) is not rotated
+    return prior
+
+
+class TestObservedForm:
+    """A mixture whose components share one covariance, under a linear-Gaussian likelihood, gives log ghat_s and
+    its gradient from A m_s(x) and that map's VJP (``GmmPrior.observed_denoiser``): the denoiser route's values to
+    rounding, with no d-dimensional denoiser value or VJP."""
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["identity-basis", "rotated-basis"])
+    @pytest.mark.parametrize("n_components", [1, 3])
+    @pytest.mark.parametrize("obs_dim", [2, 5], ids=["dy-below-d", "dy-above-d"])
+    def test_matches_the_denoiser_route(self, rotated, n_components, obs_dim):
+        rng = np.random.default_rng([obs_dim, n_components, rotated])
+        d, sched = 3, make_schedule("linear", 1000)
+        prior = _shared_mixture(rng, d, n_components, rotated)
+        lik = LinearGaussianLikelihood(A=rng.standard_normal((obs_dim, d)), y=rng.standard_normal(obs_dim), sigma_y=0.3)
+        for s in (1, 500, sched.T):
+            guide = guidance(lik, prior, sched, s)
+            for shape in ((d,), (7, d), (2, 4, d)):
+                x = 2.0 * rng.standard_normal(shape)
+                want = lik.log_g0(prior.denoise(sched, s, x).value)
+                got = log_g_hat(lik, prior, sched, s, x)
+                assert type(got) is type(want) and np.shape(got) == shape[:-1]  # a float for one state
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+                grad = guide(x)
+                assert grad.shape == shape
+                np.testing.assert_allclose(grad, _vjp_route(lik, prior, sched, s, x), rtol=1e-12)
+
+    def test_observed_denoiser_value_and_vjp(self):
+        """The form itself: A m_s(x) and Jac(m_s)^T A^T e, for e shaped like the observation."""
+        rng = np.random.default_rng(4)
+        sched = make_schedule("linear", 200)
+        prior = _shared_mixture(rng, 4, 3, rotated=True)
+        a_mat = rng.standard_normal((2, 4))
+        x, e = rng.standard_normal((5, 4)), rng.standard_normal((5, 2))
+        got, den = prior.observed_denoiser(sched, 60, a_mat)(x), prior.denoise(sched, 60, x)
+        np.testing.assert_allclose(got.value, den.value @ a_mat.T, rtol=1e-12)
+        np.testing.assert_allclose(got.vjp(e), den.vjp(e @ a_mat), rtol=1e-12)
+
+    def test_s_zero_raises_the_denoisers_error(self):
+        sched = make_schedule("linear", 100)
+        prior = _shared_mixture(np.random.default_rng(5), 2, 3, rotated=True)
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.3)
+        assert prior.observed_denoiser(sched, 0, lik.A) is None
+        with pytest.raises(ValueError, match="denoiser is defined for t >= 1"):
+            log_g_hat(lik, prior, sched, 0, np.zeros(2))
+
+    def test_an_operator_of_another_width_is_named(self):
+        """An A that does not fit the prior takes the denoiser route, whose ``log_g0`` names both sizes."""
+        sched = make_schedule("linear", 100)
+        prior = _shared_mixture(np.random.default_rng(5), 2, 3, rotated=True)
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.5, 0.2]], y=[0.3], sigma_y=0.3)
+        with pytest.raises(ValueError, match="x has dimension 2, expected 3"):
+            log_g_hat(lik, prior, sched, 40, np.zeros(2))
+
+    def test_vi_guide_and_mh_potential_make_no_denoiser_call(self, monkeypatch):
+        """The guide a VI fit applies and the potential MH reads never form m_s(x) in d dimensions."""
+        sched = make_schedule("linear", 200)
+        prior = _shared_mixture(np.random.default_rng(6), 3, 3, rotated=True)
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.5, -0.2]], y=[0.3], sigma_y=0.3)
+        monkeypatch.setattr(GmmPrior, "denoise", lambda *args: pytest.fail("GmmPrior.denoise ran"))
+        x = np.random.default_rng(7).standard_normal((4, 3))
+        for s in (1, 40, 200):
+            guidance(lik, prior, sched, s)(x)
+            log_g_hat(lik, prior, sched, s, x)
+
+    def test_other_pairs_keep_the_denoiser_route_bit_for_bit(self):
+        """A mixture with distinct covariances has no observed form, and a quadratic likelihood does not ask for
+        one: both take ``denoise`` and its VJP, with the bits they had."""
+        rng = np.random.default_rng(8)
+        sched = make_schedule("linear", 200)
+        shared = _shared_mixture(rng, 3, 2, rotated=True)
+        distinct = GmmPrior(weights=[0.4, 0.6], means=rng.standard_normal((2, 3)), covs=[np.eye(3) * 0.5, np.eye(3)])
+        a_mat, y = rng.standard_normal((2, 3)), rng.standard_normal(2)
+        assert distinct.observed_denoiser(sched, 40, a_mat) is None
+        for prior, lik in ((distinct, LinearGaussianLikelihood(A=a_mat, y=y, sigma_y=0.4)),
+                           (shared, QuadraticLikelihood(A=a_mat, y=y**2, sigma_y=0.4))):
+            for s in (1, 40, 200):
+                x = rng.standard_normal((5, 3))
+                np.testing.assert_array_equal(guidance(lik, prior, sched, s)(x), _vjp_route(lik, prior, sched, s, x))
+                np.testing.assert_array_equal(log_g_hat(lik, prior, sched, s, x),
+                                              lik.log_g0(prior.denoise(sched, s, x).value))
+
+    def test_dps_keeps_the_denoiser_vjp(self, monkeypatch):
+        """DPS applies the VJP of its own denoiser call, also on a shared mixture under a linear likelihood."""
+        from mgdm.sampler import dps_run
+
+        sched = make_schedule("linear", 200)
+        prior = _shared_mixture(np.random.default_rng(9), 2, 2, rotated=True)
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.3)
+        monkeypatch.setattr(GmmPrior, "observed_denoiser", lambda *args: pytest.fail("observed form asked for"))
+        calls, original = [], GmmPrior.denoise
+        monkeypatch.setattr(GmmPrior, "denoise", lambda *args: calls.append(1) or original(*args))
+        assert np.all(np.isfinite(dps_run(lik, prior, sched, 10, 0.1, np.random.default_rng(0))))
+        assert calls
 
 
 def _hermite(n):

@@ -89,7 +89,11 @@ class TestConstruction:
         ({"kind": "gmm", "weights": [0.5, 0.5], "means": [[True], [0.0]], "covs": [[[1.0]], [[1.0]]]},
          "means must hold numbers"),
         ({"kind": "gmm", "weights": [1.0], "means": [[0.0]], "covs": [[["1"]]]}, "covs must hold numbers"),
-    ], ids=["mean-string", "cov-string", "weights-bool", "means-bool", "covs-string"])
+        ({"kind": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0], [1.0, 2.0]]},
+         "prior covariance must be a rectangular array of numbers"),
+        ({"kind": "gmm", "weights": [0.5, 0.5], "means": [[0.0], [1.0, 2.0]], "covs": [[[1.0]], [[1.0]]]},
+         "means must be a rectangular array of numbers"),
+    ], ids=["mean-string", "cov-string", "weights-bool", "means-bool", "covs-string", "cov-ragged", "means-ragged"])
     def test_rejects_arrays_that_are_not_numbers(self, spec, message):
         """A float64 conversion would read "0.5" as 0.5 and True as 1.0, from the config form or from Python.
         A GaussianPrior, also the type of laws that are no prior, names its fields bare, and its config form
@@ -951,7 +955,7 @@ class TestGaussianLaws:
         prior's moment match is the prior itself."""
         from mgdm.oracle import oracle_recursion
         from mgdm.sampler import IndexDistribution, MgdmConfig
-        from mgdm.vi import exact_conditional
+        from references import exact_conditional
 
         sched = make_schedule("linear", 1000)
         prior = GaussianPrior(mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.7]])

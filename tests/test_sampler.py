@@ -160,7 +160,9 @@ class TestSampleIndex:
         ("weights", np.array([[0.5, 0.5]]), "weights must be a list, got array([[0.5, 0.5]])"),
         ("weights", [[0.5, 0.5]], "weights must be a simplex"),
         ("values", [[1], [2, 3]], "values[0] must be an integer, got [1]"),
-    ], ids=["weights-float", "values-int", "values-string", "weights-2d", "weights-nested", "values-nested"])
+        ("weights", [[0.5], [0.25, 0.25]], "weights must be a rectangular array of numbers"),
+    ], ids=["weights-float", "values-int", "values-string", "weights-2d", "weights-nested", "values-nested",
+            "weights-ragged"])
     def test_weights_and_values_must_be_lists(self, field, value, message):
         """A scalar, a string or a nested list names its field; a scalar used to fail as "'float' object is not
         iterable", or build."""

@@ -68,6 +68,13 @@ class TestConstruction:
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, [[1.0, 2.0], [0.5, 0.25]])
 
+    @pytest.mark.parametrize("value", [[[0.5], [0.25, 0.25]], [1.0, [1.0, 2.0]], [[[1.0]], [[1.0], [2.0]]]],
+                             ids=["rows", "scalar-and-row", "depth-3"])
+    def test_ragged_arrays_name_their_field(self, value):
+        """numpy's own message ("setting an array element with a sequence...") names no field."""
+        with pytest.raises(ValueError, match=r"^x must be a rectangular array of numbers$"):
+            require_numeric_array("x", value)
+
 
 class TestSigma2:
     def test_equal_times_give_zero(self):

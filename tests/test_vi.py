@@ -16,7 +16,6 @@ from mgdm.priors import DenoiserOutput, GaussianPrior, GmmPrior
 from mgdm.schedule import make_schedule, gauss_log_density
 from mgdm.vi import (
     conditional_coefficients,
-    exact_conditional,
     exact_conditional_sample,
     fit_variational,
     independent_mh,
@@ -24,6 +23,8 @@ from mgdm.vi import (
     mh_correct,
     variational_sample,
 )
+import references
+from references import exact_conditional
 
 
 def problem_1d():
@@ -755,3 +756,62 @@ class TestOneLogWeight:
         assert np.array_equal(got, want)
         moved = np.any(got != current, axis=-1)
         assert 0 < moved.sum() < n  # both branches of the accept step ran
+
+
+class TestMhNormalizersOncePerCall:
+    """``mh_correct`` takes the proposal's standard deviation and both log-normalizers once per call; it moves the
+    chains and computes the log weights bit for bit as the correction that called ``gauss_log_density`` per
+    evaluation (``references.mh_correct``)."""
+
+    @staticmethod
+    def capture_log_weight(monkeypatch, module, seen):
+        run = module.independent_mh
+        monkeypatch.setattr(module, "independent_mh", lambda log_weight, *args: seen.append(log_weight) or run(
+            log_weight, *args))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [(), (16,), (3, 8)], ids=["single", "batch16", "batch3x8"])
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_matches_the_per_evaluation_reference(self, monkeypatch, seed, batch, n_steps):
+        import mgdm.vi as vi_mod
+
+        rng = np.random.default_rng([seed, len(batch), n_steps])
+        sched = make_schedule("linear", 1000)
+        prior = GmmPrior(weights=[0.3, 0.7], means=[[1.0, 1.0], [-1.0, -0.5]], covs=[np.eye(2) * 0.3, np.eye(2) * 0.5])
+        lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.3)
+        s, t = 60, 300
+        x0, xt = rng.standard_normal(batch + (2,)), rng.standard_normal(batch + (2,))
+        bridge_mean, bridge_var = bridge(sched, s, t, x0, xt)
+        theta = np.array((bridge_mean + 0.1 * rng.standard_normal(bridge_mean.shape),
+                          math.log(bridge_var) + 0.3 * rng.standard_normal(bridge_mean.shape)))
+        current = variational_sample(theta, rng)
+        weights = []
+        self.capture_log_weight(monkeypatch, vi_mod, weights)
+        self.capture_log_weight(monkeypatch, references, weights)
+
+        def log_potential(x):
+            return log_g_hat(lik, prior, sched, s, x)
+
+        got = mh_correct(log_potential, bridge_mean, bridge_var, current, theta, n_steps, np.random.default_rng(seed))
+        want = references.mh_correct(log_potential, bridge_mean, bridge_var, current, theta, n_steps,
+                                     np.random.default_rng(seed))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        points = variational_sample(theta, rng)
+        new_weight, old_weight = (np.asarray(log_weight(points)) for log_weight in weights)
+        assert new_weight.shape == batch and new_weight.tobytes() == old_weight.tobytes()
+
+    def test_underflowing_variance_still_raises(self):
+        theta = np.array(([0.0, 0.0], [0.0, -800.0]))  # exp(-800) is 0.0
+        assert np.exp(theta[1])[1] == 0.0
+        for correct in (mh_correct, references.mh_correct):
+            with pytest.raises(ValueError, match="variance must be positive"):
+                correct(lambda x: np.zeros(np.shape(x)[:-1]), np.zeros(2), 0.5, np.zeros(2), theta, 1,
+                        np.random.default_rng(0))
+
+    def test_nan_variance_behaves_as_the_reference(self):
+        """NaN passes the ``var <= 0`` check, as in ``gauss_log_density``: NaN log weights reject every move."""
+        theta = np.array(([[0.0, 0.0]] * 4, [[0.0, np.nan]] * 4))
+        current = np.random.default_rng(1).standard_normal((4, 2))
+        runs = [correct(lambda x: np.zeros(np.shape(x)[:-1]), np.zeros(2), 0.5, current, theta, 3,
+                        np.random.default_rng(2)) for correct in (mh_correct, references.mh_correct)]
+        assert runs[0].tobytes() == runs[1].tobytes() == current.tobytes()
