@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: run, sweep, oracle, compare, smoke.  Configs are JSON files
-(see README for the schema); MGDM_LOG sets the log level.
+(see README for the schema).
 
 Exit codes: 0 success (for ``compare``: statistical pass), 1 usage or
 config error (an unusable ``--out`` too), 2 runtime failure, 3 statistical
@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import harness
-
-log = logging.getLogger("mgdm")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +81,6 @@ def _load(args) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("MGDM_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -37,8 +36,6 @@ from .sampler import (
     mgdm_run_batch,
 )
 from .schedule import NoiseSchedule, make_schedule, require_integer, require_number
-
-log = logging.getLogger("mgdm")
 
 
 # -- config plumbing ----------------------------------------------------------
@@ -318,7 +315,6 @@ def run_experiment(config: dict, out_dir: str | Path, jobs: int = 1) -> dict:
     ))
     aggregate = _aggregate(experiment, samples, experiment.master_seed)
     summary = _write_report(out / "summary.json", experiment, {"config": config, "aggregate": aggregate})
-    log.info("wrote %s and summary.json (%d runs)", out / "results.csv", experiment.n_runs)
     return summary
 
 

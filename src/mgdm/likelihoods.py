@@ -35,16 +35,13 @@ class GaussianObservation:
     _log_norm: float = field(init=False, repr=False)  # d_y log(2 pi sigma_y^2)
 
     def __post_init__(self):
-        a_mat = np.atleast_2d(require_numeric_array("A", self.A))
-        y = np.atleast_1d(require_numeric_array("y", self.y))
+        a_mat = require_numeric_array("A", self.A, 2)
+        y = require_numeric_array("y", self.y, 1)
         object.__setattr__(self, "A", a_mat)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sigma_y", require_number("sigma_y", self.sigma_y))
         if not 0.0 < self.sigma_y < np.inf:
             raise ValueError("sigma_y must be positive and finite")
-        for name, arr in (("A", a_mat), ("y", y)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
         if a_mat.shape[0] != y.shape[0]:
             raise ValueError(f"A has {a_mat.shape[0]} rows but y has {y.shape[0]} entries")
         object.__setattr__(self, "_log_norm", self.dim_obs * (_LOG_2PI + 2.0 * np.log(self.sigma_y)))

@@ -9,15 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from .priors import GaussianPrior
+from .schedule import require_numeric_array
 
 
 def _as_samples(x) -> np.ndarray:
     """x as an (N, d) sample matrix: at least one sample, all finite."""
-    arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    arr = require_numeric_array("samples", x, 2)
     if arr.shape[0] < 1:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
     return arr
 
 
@@ -92,6 +91,8 @@ def sliced_wasserstein2(a, b, n_projections: int = 512, *, rng: np.random.Genera
     xa, xb = _as_samples(a), _as_samples(b)
     if xa.shape[1] != xb.shape[1]:
         raise ValueError("dimension mismatch")
+    if n_projections < 1:
+        raise ValueError("n_projections must be >= 1")
     d = xa.shape[1]
     dirs = rng.standard_normal((n_projections, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

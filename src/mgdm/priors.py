@@ -49,11 +49,9 @@ class DenoiserOutput:
 
 def _eigh_spd(cov: np.ndarray, what: str):
     """Validated SPD matrix with its eigenvalues and eigenvectors."""
-    cov = np.atleast_2d(require_numeric_array(what, cov))
+    cov = require_numeric_array(what, cov, 2)
     if cov.shape[0] != cov.shape[1]:
         raise ValueError(f"{what} must be square, got {cov.shape}")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError(f"{what} must be finite")
     if not np.allclose(cov, cov.T, atol=1e-10):
         raise ValueError(f"{what} must be symmetric")
     lam, vecs = np.linalg.eigh(cov)
@@ -104,12 +102,10 @@ class GaussianPrior:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(require_numeric_array("mean", self.mean))
+        mean = require_numeric_array("mean", self.mean, 1)
         cov, lam, vecs = _eigh_spd(self.cov, "covariance")
         if cov.shape[0] != mean.shape[0]:
             raise ValueError("mean and cov dimensions disagree")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
@@ -246,20 +242,16 @@ class GmmPrior:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(require_numeric_array("weights", self.weights))
-        means = np.atleast_2d(require_numeric_array("means", self.means))
-        covs = require_numeric_array("covs", self.covs)
-        if covs.ndim == 2:
-            covs = covs[None]
-        if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):  # NaN fails both comparisons
+        w = require_numeric_array("weights", self.weights, 1)
+        means = require_numeric_array("means", self.means, 2)
+        covs = require_numeric_array("covs", self.covs, 3)
+        if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         if means.shape[0] != w.shape[0] or covs.shape[0] != w.shape[0]:
             raise ValueError("weights, means, covs must agree on the number of components")
         if covs.shape[1:2] != means.shape[1:]:
             raise ValueError(f"means and covs dimensions disagree: means are {means.shape}, covs {covs.shape}")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("means must be finite")
-        shared = bool(np.all(covs == covs[0]))  # one covariance (NaN never equals): validate and factor it once
+        shared = bool(np.all(covs == covs[0]))  # one covariance: validate and factor it once
         factors = [_eigh_spd(covs[j], f"component {j} covariance") for j in range(1 if shared else covs.shape[0])]
         vecs = np.stack([q for _, _, q in factors])
         lams = np.repeat(np.stack([lam for _, lam, _ in factors]), covs.shape[0] if shared else 1, axis=0)
@@ -484,7 +476,7 @@ def exact_posterior(prior, likelihood):
             means.append(mean)
             covs.append(cov)
             ev_cov = s2 * np.eye(a_mat.shape[0]) + a_mat @ prior.covs[j] @ a_mat.T
-            logw.append(np.log(prior.weights[j]) + GaussianPrior(a_mat @ prior.means[j], ev_cov).log_density(y))
+            logw.append(prior._log_weights[j] + GaussianPrior(a_mat @ prior.means[j], ev_cov).log_density(y))
         w = _normalize_exp(np.asarray(logw))
         return GmmPrior(weights=w, means=np.stack(means), covs=np.stack(covs))
     raise TypeError(f"unsupported prior type {type(prior).__name__}")

@@ -85,8 +85,8 @@ class IndexDistribution:
         if self.kind == "explicit":
             if self.weights is None:
                 raise ValueError("explicit kind needs weights")
-            w = require_numeric_array("weights", self.weights)
-            if w.ndim != 1 or not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-9):  # NaN fails both tests
+            w = require_numeric_array("weights", self.weights, 1)
+            if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-9):
                 raise ValueError("weights must be a simplex")
         if self.kind == "fixed" and self.values is None:
             raise ValueError("fixed kind needs values")
@@ -227,6 +227,8 @@ def make_timesteps(K: int, T: int, t1: int | None = None) -> tuple[int, ...]:
         raise ValueError("need K >= 2")
     if t1 is None:
         t1 = max(2, round(T / K))
+    elif not 2 <= t1 < T:
+        raise ValueError(f"t1 must lie in [2, T) = [2, {T}), got {t1}")
     grid = np.unique(np.round(np.linspace(t1, T, K)).astype(int))
     if len(grid) != K:
         raise ValueError(f"cannot place {K} distinct timesteps between {t1} and {T}")
@@ -386,6 +388,8 @@ def dps_run(
     """
     if not 0.0 <= require_number("zeta", zeta) < math.inf:  # NaN too
         raise ValueError("zeta must be >= 0 and finite")
+    if n_chains is not None and n_chains < 1:
+        raise ValueError("n_chains must be >= 1")
     ts = make_timesteps(K, schedule.T)
     shape = (prior.dim,) if n_chains is None else (n_chains, prior.dim)
     x = rng.standard_normal(shape)

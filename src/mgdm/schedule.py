@@ -38,16 +38,23 @@ def require_number(name: str, value) -> float:
     return float(value)
 
 
-def require_numeric_array(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array when its entries are Python or numpy integers or floats; a bool (even among
-    numbers, where numpy reads it as 0 or 1), a string, a ragged nesting or anything else raises, naming ``name``."""
+def require_numeric_array(name: str, value, ndim: int) -> np.ndarray:
+    """``value`` as a finite float64 array of ``ndim`` axes, fewer padded in front (a scalar mean is one entry, a
+    (d, d) ``covs`` one component), when its entries are Python or numpy integers or floats; a bool (even among
+    numbers, where numpy reads it as 0 or 1), a string, a ragged nesting, more axes, a NaN or an infinity raises,
+    naming ``name``."""
     try:
         arr = np.asarray(value)
     except ValueError:  # numpy's "setting an array element with a sequence", which names no field
         raise ValueError(f"{name} must be a rectangular array of numbers") from None
     if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{name} must hold numbers, got {reprlib.repr(value)}")
-    return np.asarray(arr, dtype=np.float64)
+    if arr.ndim > ndim:
+        raise ValueError(f"{name} must have at most {ndim} {'axis' if ndim == 1 else 'axes'}, got shape {arr.shape}")
+    arr = np.asarray(arr, dtype=np.float64).reshape((1,) * (ndim - arr.ndim) + arr.shape)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def _holds_bool(value) -> bool:
@@ -94,18 +101,16 @@ class NoiseSchedule:
     _alpha: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        alphas = require_numeric_array("alphas", self.alphas)
+        alphas = require_numeric_array("alphas", self.alphas, 1)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "T", alphas.shape[0] - 1)
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown schedule family {self.family!r}")
         if self.T < 2:
             raise ValueError(f"schedule needs T >= 2, got T={self.T}")
-        if alphas.ndim != 1:
-            raise ValueError("alphas must be a 1-D sequence")
         if not math.isclose(alphas[0], 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError("alpha_0 must equal 1")
-        if not np.all(alphas > 0.0):  # NaN too
+        if not np.all(alphas > 0.0):
             raise ValueError("all alpha_t must be positive")
         if np.any(np.diff(alphas) >= 0.0):
             raise ValueError("alpha_t must be strictly decreasing")
@@ -213,6 +218,8 @@ def make_schedule(kind: str, T: int, alpha_end: float = 0.01) -> NoiseSchedule:
     alpha_end = require_number("alpha_end", alpha_end)
     t = np.arange(T + 1, dtype=np.float64)
     if kind == "linear":
+        if not 0.0 < alpha_end < 1.0:  # NaN too
+            raise ValueError(f"alpha_end must lie in (0, 1), got {alpha_end}")
         abar = 1.0 - (t / T) * (1.0 - alpha_end**2)
     elif kind == "cosine":
         offset = 0.008

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,14 +421,14 @@ class TestCli:
         ("likelihood", "sigma_y", np.inf, "sigma_y must be positive and finite"),
         ("prior", "mean", [np.nan], "prior mean must be finite"),
         ("prior", "cov", [[np.inf]], "prior covariance must be finite"),
-        ("gmm", "weights", [np.nan, 0.7], "weights must be nonnegative and sum to 1"),
+        ("gmm", "weights", [np.nan, 0.7], "weights must be finite"),
         ("gmm", "means", [[np.nan], [-1.0]], "means must be finite"),
-        ("gmm", "covs", [[[np.inf]], [[0.5]]], "component 0 covariance must be finite"),
+        ("gmm", "covs", [[[np.inf]], [[0.5]]], "covs must be finite"),
         ("vi", "eta", np.nan, "sampler.vi.eta must be positive"),
         ("vi", "eta_early", np.inf, "sampler.vi.eta_early must be finite"),
         ("dps", "zeta", np.nan, "zeta must be >= 0 and finite"),
         ("dps", "zeta", np.inf, "zeta must be >= 0 and finite"),
-        ("schedule", "alpha_end", np.nan, "all alpha_t must be positive"),
+        ("schedule", "alpha_end", np.nan, "alpha_end must lie in (0, 1), got nan"),
         ("likelihood", "sigma_y", "0.5", "sigma_y must be a number, got '0.5'"),
         ("likelihood", "sigma_y", True, "sigma_y must be a number, got True"),
         ("likelihood", "sigma_y", False, "sigma_y must be a number, got False"),
@@ -446,7 +447,7 @@ class TestCli:
         ("gmm", "covs", [[[0.3]], [[True]]], "covs must hold numbers, got [[[0.3]], [[True]]]"),
         ("likelihood", "y", [True], "y must hold numbers, got [True]"),
         ("likelihood", "A", [["1"]], "A must hold numbers, got [['1']]"),
-        ("explicit", "weights", [np.nan, 1.0], "weights must be a simplex"),
+        ("explicit", "weights", [np.nan, 1.0], "weights must be finite"),
         ("explicit", "weights", [True], "weights must hold numbers, got (True,)"),
         ("explicit", "weights", ["0.5", "0.5"], "weights must hold numbers, got ('0.5', '0.5')"),
     ], ids=["y-nan", "A-inf", "sigma-nan", "sigma-inf", "mean-nan", "cov-inf", "weights-nan", "means-nan",
@@ -660,6 +661,53 @@ class TestCli:
             config[section][key] = value
         err = self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
         assert err == f"mgdm: config error: {message}\n"
+
+    GMM_PRIOR = {"kind": "gmm", "weights": [0.3, 0.7], "means": [[1.0], [-1.0]], "covs": [[[0.3]], [[0.5]]]}
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("prior", "mean", [[0.0]], "prior mean must have at most 1 axis, got shape (1, 1)"),
+        ("prior", "cov", [[[1.0]]], "prior covariance must have at most 2 axes, got shape (1, 1, 1)"),
+        ("gmm", "weights", [[0.3, 0.7]], "weights must have at most 1 axis, got shape (1, 2)"),
+        ("gmm", "means", [[[1.0]], [[-1.0]]], "means must have at most 2 axes, got shape (2, 1, 1)"),
+        ("gmm", "covs", [[[[0.3]], [[0.5]]]], "covs must have at most 3 axes, got shape (1, 2, 1, 1)"),
+        ("likelihood", "A", [[[1.0]]], "A must have at most 2 axes, got shape (1, 1, 1)"),
+        ("quadratic", "A", [[[1.0]]], "A must have at most 2 axes, got shape (1, 1, 1)"),
+        ("likelihood", "y", [[1.0]], "y must have at most 1 axis, got shape (1, 1)"),
+        ("schedule", "alphas", [[1.0, 0.9, 0.8]], "alphas must have at most 1 axis, got shape (1, 3)"),
+        ("index", "weights", [[0.5, 0.5]], "weights must have at most 1 axis, got shape (1, 2)"),
+    ], ids=["mean", "cov", "gmm-weights", "gmm-means", "gmm-covs", "A", "quadratic-A", "y", "alphas",
+            "explicit-weights"])
+    def test_array_with_an_axis_too_many_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, section, key,
+                                                                 value, message):
+        """One axis too many exits 1 on one config-error line naming the field and its shape.  It used to fail
+        as "only 0-dimensional arrays can be converted to Python scalars" or another check's message, and the
+        quadratic likelihood's A ran every run and wrote results.csv before failing on the summary."""
+        config = harness.smoke_config()
+        if section == "gmm":
+            section, config["prior"] = "prior", dict(self.GMM_PRIOR)
+        if section == "quadratic":
+            section, config["likelihood"]["kind"] = "likelihood", "quadratic"
+        if section == "schedule":
+            config["schedule"] = {}
+        if section == "index":
+            config["sampler"]["index"] = {"kind": "explicit"}
+        (config["sampler"][section] if section == "index" else config[section])[key] = value
+        err = self.assert_rejected_before_any_run(tmp_path, capsys, monkeypatch, "run", config, [], message)
+        assert err == f"mgdm: config error: {message}\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_zero_weight_component_runs_without_a_warning(self, tmp_path, capsys):
+        """The exact posterior reads the prior's log weights, which take log 0 = -inf under np.errstate: it used
+        to warn "divide by zero encountered in log", and exit 1 with a traceback where warnings are errors."""
+        config = harness.smoke_config()
+        config["prior"] = {**self.GMM_PRIOR, "weights": [1.0, 0.0]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize("late_fraction", [2.0, -1])
     def test_late_fraction_outside_unit_interval_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,

@@ -100,6 +100,12 @@ class TestSlicedWasserstein:
         a = np.random.default_rng(4).standard_normal((200, 3))
         assert sliced_wasserstein2(a, a, rng=np.random.default_rng(0)) == 0.0
 
+    def test_rejects_zero_projections(self):
+        """It used to warn "Mean of empty slice" and return NaN."""
+        a = np.random.default_rng(4).standard_normal((20, 2))
+        with pytest.raises(ValueError, match="^n_projections must be >= 1$"):
+            sliced_wasserstein2(a, a, n_projections=0, rng=np.random.default_rng(0))
+
     def test_translation_recovers_norm(self):
         """Shift by c scores ||c|| within 5% at 512 projections."""
         rng = np.random.default_rng(5)

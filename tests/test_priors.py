@@ -938,6 +938,15 @@ class TestExactPosterior:
         post = exact_posterior(prior, lik)
         assert post.weights[1] > 0.95
 
+    def test_gmm_posterior_gives_a_zero_weight_component_weight_zero(self):
+        """The log weight is the one the prior took under np.errstate: np.log(0.0) warned "divide by zero"."""
+        prior = GmmPrior(weights=[1.0, 0.0], means=[[-2.0], [2.0]], covs=[[[0.2]], [[0.3]]])
+        lik = LinearGaussianLikelihood(A=[[1.0]], y=[1.8], sigma_y=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post = exact_posterior(prior, lik)
+        assert post.weights.tolist() == [1.0, 0.0]
+
     def test_gmm_posterior_moments_vs_monte_carlo(self):
         prior = gmm_2d()
         lik = LinearGaussianLikelihood(A=[[1.0, 0.5]], y=[0.3], sigma_y=0.4)

@@ -158,7 +158,7 @@ class TestSampleIndex:
         ("values", 3, "values must be a list, got 3"),
         ("values", "73", "values must be a list, got '73'"),
         ("weights", np.array([[0.5, 0.5]]), "weights must be a list, got array([[0.5, 0.5]])"),
-        ("weights", [[0.5, 0.5]], "weights must be a simplex"),
+        ("weights", [[0.5, 0.5]], "weights must have at most 1 axis, got shape (1, 2)"),
         ("values", [[1], [2, 3]], "values[0] must be an integer, got [1]"),
         ("weights", [[0.5], [0.25, 0.25]], "weights must be a rectangular array of numbers"),
     ], ids=["weights-float", "values-int", "values-string", "weights-2d", "weights-nested", "values-nested",
@@ -510,6 +510,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_timesteps(50, 30)
 
+    @pytest.mark.parametrize("t1", [20, 10, 1, 0], ids=["past-T", "at-T", "1", "0"])
+    def test_make_timesteps_rejects_a_first_level_outside_the_grid(self, t1):
+        """t1 = 20 on T = 10 gave (10, 15, 20), a grid ending past T, and t1 = 1 gave (1, 6, 10)."""
+        with pytest.raises(ValueError, match=re.escape(f"t1 must lie in [2, T) = [2, 10), got {t1}")):
+            make_timesteps(3, 10, t1=t1)
+        assert make_timesteps(3, 10, t1=2) == (2, 6, 10)
+
     def test_phase_schedule_resolution(self):
         vi = ViPhaseSchedule()
         K = 100
@@ -562,8 +569,8 @@ class TestConfig:
         (lambda: IndexDistribution(kind="explicit", weights=(True,)), "weights must hold numbers, got (True,)"),
         (lambda: IndexDistribution(kind="explicit", weights=("0.5", "0.5")),
          "weights must hold numbers, got ('0.5', '0.5')"),
-        (lambda: IndexDistribution(kind="explicit", weights=(np.nan, 1.0)), "weights must be a simplex"),
-        (lambda: IndexDistribution(kind="explicit", weights=(np.inf, -np.inf)), "weights must be a simplex"),
+        (lambda: IndexDistribution(kind="explicit", weights=(np.nan, 1.0)), "weights must be finite"),
+        (lambda: IndexDistribution(kind="explicit", weights=(np.inf, -np.inf)), "weights must be finite"),
     ], ids=["eta-bool", "eta-string", "eta-early-bool", "late-fraction-bool", "late-fraction-string", "weights-bool",
             "weights-string", "weights-nan", "weights-inf"])
     def test_real_settings_reject_bools_and_strings(self, build, message):
@@ -709,6 +716,12 @@ class TestDpsRun:
         lik, prior, sched = problem_1d()
         with pytest.raises(ValueError):
             dps_run(lik, prior, sched, K=10, zeta=-0.1, rng=np.random.default_rng(0))
+
+    def test_rejects_zero_chains(self):
+        """mgdm_run_batch refuses n_chains < 1; dps_run used to return a (0, d) array."""
+        lik, prior, sched = problem_1d()
+        with pytest.raises(ValueError, match="^n_chains must be >= 1$"):
+            dps_run(lik, prior, sched, K=10, zeta=0.5, rng=np.random.default_rng(0), n_chains=0)
 
     @pytest.mark.parametrize("zeta", ["0.5", True, False, None])
     def test_rejects_a_zeta_that_is_not_a_number(self, zeta):

@@ -1,6 +1,7 @@
 """Schedule construction, kernel coefficients, and kernel identities."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestConstruction:
             make_schedule("linear", 10, alpha_end=alpha_end)
 
     def test_numeric_arrays_take_integers_and_numpy_numbers(self):
-        out = require_numeric_array("x", [[1, np.int64(2)], [np.float32(0.5), 0.25]])
+        out = require_numeric_array("x", [[1, np.int64(2)], [np.float32(0.5), 0.25]], 2)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, [[1.0, 2.0], [0.5, 0.25]])
 
@@ -73,7 +74,51 @@ class TestConstruction:
     def test_ragged_arrays_name_their_field(self, value):
         """numpy's own message ("setting an array element with a sequence...") names no field."""
         with pytest.raises(ValueError, match=r"^x must be a rectangular array of numbers$"):
-            require_numeric_array("x", value)
+            require_numeric_array("x", value, 3)
+
+    @pytest.mark.parametrize("value,ndim,expected", [
+        (0.5, 1, [0.5]),
+        ([1.0, 2.0], 2, [[1.0, 2.0]]),
+        ([[0.3, 0.1], [0.1, 0.4]], 3, [[[0.3, 0.1], [0.1, 0.4]]]),
+        ([[1.0]], 2, [[1.0]]),
+    ], ids=["0d-to-1d", "1d-to-2d", "covs-2d-to-3d", "same-rank"])
+    def test_numeric_arrays_pad_missing_axes_in_front(self, value, ndim, expected):
+        """Fewer axes are padded in front, as np.atleast_1d, np.atleast_2d and a (d, d) ``covs[None]`` did."""
+        out = require_numeric_array("x", value, ndim)
+        assert out.dtype == np.float64 and out.shape == np.shape(expected)
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("value,ndim,message", [
+        ([[1.0]], 1, "x must have at most 1 axis, got shape (1, 1)"),
+        ([[[1.0]]], 2, "x must have at most 2 axes, got shape (1, 1, 1)"),
+        (np.zeros((1, 2, 2, 2)), 3, "x must have at most 3 axes, got shape (1, 2, 2, 2)"),
+        ([1.0, np.nan], 1, "x must be finite"),
+        ([[np.inf]], 2, "x must be finite"),
+        (-np.inf, 1, "x must be finite"),
+    ], ids=["2d-for-1", "3d-for-2", "4d-for-3", "nan", "inf", "scalar-inf"])
+    def test_numeric_arrays_reject_extra_axes_and_non_finite_entries(self, value, ndim, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            require_numeric_array("x", value, ndim)
+
+    @pytest.mark.parametrize("alpha_end", [np.nan, 2.0, 1.0, 0.0, -0.5], ids=["nan", "above-1", "1", "0", "negative"])
+    def test_linear_family_rejects_an_alpha_end_outside_the_unit_interval(self, alpha_end):
+        """It used to be reported as "all alpha_t must be positive" (NaN, 0) or "alpha_t must be strictly
+        decreasing" (2.0), naming no argument."""
+        with pytest.raises(ValueError, match=f"^{re.escape(f'alpha_end must lie in (0, 1), got {alpha_end}')}$"):
+            make_schedule("linear", 10, alpha_end=alpha_end)
+
+    def test_cosine_family_does_not_read_alpha_end(self):
+        cosine = make_schedule("cosine", 10)
+        np.testing.assert_array_equal(make_schedule("cosine", 10, alpha_end=2.0).alphas, cosine.alphas)
+
+    @pytest.mark.parametrize("alphas,message", [
+        ([[1.0, 0.9, 0.8]], "alphas must have at most 1 axis, got shape (1, 3)"),
+        ([1.0, np.nan, 0.5], "alphas must be finite"),
+    ], ids=["2d", "nan"])
+    def test_alphas_are_read_as_one_axis_of_finite_numbers(self, alphas, message):
+        """A 2-D alphas used to be reported as "schedule needs T >= 2, got T=0", a NaN as a non-positive alpha_t."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseSchedule(alphas=alphas)
 
 
 class TestSigma2:
